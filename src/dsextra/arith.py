@@ -26,6 +26,12 @@ Rational = Fraction
 
 RationalLike = Fraction | int
 
+
+def frac_str(x: Fraction) -> str:
+    """`num/den`, the one text form of an exact rational in CSVs and reports."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 # Desk-scale caps.  Exact arithmetic cost grows quickly with these bounds;
 # each cap raises CapExceededError naming the constant so a caller who
 # accepts the cost can raise it deliberately.
@@ -129,10 +135,7 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
     def totient(self) -> int:
-        phi = 1
-        for p, e in self.factors:
-            phi *= (p - 1) * p ** (e - 1)
-        return phi
+        return totient(self.value)
 
     def radical(self) -> int:
         return math.prod(self.primes)

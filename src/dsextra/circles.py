@@ -34,7 +34,17 @@ class CircleIntervalSet:
         self._fractions = None
 
     @classmethod
-    def _reduced(cls, denominator: int, ends) -> "CircleIntervalSet":
+    def _merged(cls, denominator: int, ends) -> "CircleIntervalSet":
+        # canonical form of integer arcs [l, r) over `denominator`, sorted
+        # by l: merge touching or overlapping arcs, then reduce by the gcd
+        merged: list[list[int]] = []
+        for l, r in ends:
+            if merged and l <= merged[-1][1]:
+                if r > merged[-1][1]:
+                    merged[-1][1] = r
+            else:
+                merged.append([l, r])
+        ends = [(l, r) for l, r in merged]
         g = denominator
         for l, r in ends:
             g = math.gcd(g, l, r)
@@ -60,18 +70,10 @@ class CircleIntervalSet:
         if not fr:
             return EMPTY_SET
         d = math.lcm(*[x.denominator for pair in fr for x in pair])
-        ints = sorted(
+        return cls._merged(d, sorted(
             (lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator))
             for lo, hi in fr
-        )
-        merged: list[list[int]] = []
-        for l, r in ints:
-            if merged and l <= merged[-1][1]:
-                if r > merged[-1][1]:
-                    merged[-1][1] = r
-            else:
-                merged.append([l, r])
-        return cls._reduced(d, [(l, r) for l, r in merged])
+        ))
 
     @property
     def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -193,14 +195,7 @@ def coprime_arcs(n: int, radius: Fraction) -> CircleIntervalSet:
         ends = [(0, p), (q - p, q)]
     else:
         ends = [(a * q - p, a * q + p) for a in _coprime_residues(n)]
-    merged: list[list[int]] = []
-    for l, r in ends:
-        if merged and l <= merged[-1][1]:
-            if r > merged[-1][1]:
-                merged[-1][1] = r
-        else:
-            merged.append([l, r])
-    return CircleIntervalSet._reduced(d, [(l, r) for l, r in merged])
+    return CircleIntervalSet._merged(d, ends)
 
 
 def intersect(a: CircleIntervalSet, b: CircleIntervalSet) -> CircleIntervalSet:

@@ -1,7 +1,9 @@
 """Command line interface.
 
 Subcommands map onto the library one-to-one; every command prints a
-short deterministic report and optionally writes CSV via --out.
+short deterministic report and, except phi, optionally writes CSV via
+--out.  block, bc and table build a one-section config and run it
+through the same section function as `dsextra run`.
 Exit codes: 0 success, 2 config/usage error, 3 precision-guard abort,
 4 cap exceeded.
 """
@@ -12,57 +14,41 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .arith import factor_totient
+from .arith import factor_totient, frac_str
 from .errors import (
     CapExceededError,
-    ConfigError,
     DomainError,
     DsextraError,
     PrecisionGuardError,
-    UndefinedRatioError,
 )
 from .harness import (
-    BC_CAP,
-    PAIR_CAP_EXACT,
-    PAIR_CAP_SAMPLED,
-    borel_cantelli_ratio,
-    divergence_table,
+    bc_section,
+    blocks_section,
+    experiment_psi,
     load_config,
+    parse_config,
     run_experiment,
-    sample_pairs,
-    table_csv_row,
+    table_section,
     write_csv,
-    TABLE_COLUMNS,
 )
 from .overlap import (
     CSV_COLUMNS,
     averaged_sum,
-    averaging_reference,
     decompose_pair,
     overlap_record,
 )
 from .psi import make_psi, normalize_psi
-from .schedule import block_bounds, select_scale
-from .harness import _frac_str as frac_str  # single rational formatting
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise argparse.ArgumentTypeError(str(e))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="PATH", help="write CSV here")
-    common.add_argument(
-        "--jobs", type=int, default=1, metavar="W", help="worker processes"
-    )
-    common.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", help="write CSV here")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument(
         "--precision", type=int, default=128, metavar="BITS",
         help="working precision for certified logs",
     )
+    both = [out, precision]
 
     parser = argparse.ArgumentParser(
         prog="dsextra",
@@ -74,12 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phi", parents=[common], help="factor N and print phi(N)")
+    p = sub.add_parser("phi", help="factor N and print phi(N)")
     p.add_argument("N", type=int)
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser(
-        "pair", parents=[common], help="prime-exponent decomposition of (M, N)"
+        "pair", parents=both, help="prime-exponent decomposition of (M, N)"
     )
     p.add_argument("M", type=int)
     p.add_argument("N", type=int)
@@ -87,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser(
-        "overlap", parents=[common],
+        "overlap", parents=both,
         help="overlap ratio, product bound, and integral bound at scale k",
     )
     p.add_argument("M", type=int)
@@ -97,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser(
-        "avgsum", parents=[common],
+        "avgsum", parents=both,
         help="scale-averaged overlap sum over k = 1..K",
     )
     p.add_argument("M", type=int)
@@ -107,36 +93,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_avgsum)
 
     p = sub.add_parser(
-        "block", parents=[common], help="scale selection on one block"
+        "block", parents=both, help="scale selection on one block"
     )
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--base", type=int, default=4)
-    p.add_argument("--eps", type=_parse_fraction, required=True)
+    p.add_argument("--eps", required=True, metavar="E")
     p.add_argument("--sample", type=int, help="sampled pair count (big blocks)")
     p.add_argument("--seed", type=int, help="sampling seed")
     p.add_argument("--psi", default="half", metavar="GEN")
     p.set_defaults(func=cmd_block)
 
     p = sub.add_parser(
-        "bc", parents=[common], help="Borel-Cantelli second-moment ratio"
+        "bc", parents=[out], help="Borel-Cantelli second-moment ratio"
     )
     p.add_argument("--psi", default="half", metavar="GEN")
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(func=cmd_bc)
 
     p = sub.add_parser(
-        "table", parents=[common], help="divergence series comparison table"
+        "table", parents=both, help="divergence series comparison table"
     )
-    p.add_argument("--eps", type=_parse_fraction, required=True)
+    p.add_argument("--eps", required=True, metavar="E")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--psi", default="half", metavar="GEN")
-    p.add_argument("--hpv-c", type=_parse_fraction, default=Fraction(1))
+    p.add_argument("--hpv-c", default="1", metavar="C")
     p.set_defaults(func=cmd_table)
 
+    # run: flags default to None, so unset flags keep the config's values
     p = sub.add_parser(
-        "run", parents=[common], help="execute a JSON experiment config"
+        "run", parents=[out], help="execute a JSON experiment config"
     )
     p.add_argument("CONFIG")
+    p.add_argument("--jobs", type=int, metavar="W", help="worker processes")
+    p.add_argument(
+        "--precision", type=int, metavar="BITS",
+        help="working precision for certified logs",
+    )
     p.set_defaults(func=cmd_run)
 
     return parser
@@ -216,29 +208,19 @@ def cmd_avgsum(args) -> int:
     return 0
 
 
+def _one_section(section, doc: dict, out: str | None):
+    # a CLI workload is a one-section config run through its section
+    cfg = parse_config(doc)
+    return section(cfg, experiment_psi(cfg), out or None)
+
+
 def cmd_block(args) -> int:
-    lo, hi = block_bounds(args.h, args.base)
-    psi = _normalized_psi(args.psi, min(hi - 1, PAIR_CAP_SAMPLED))
-    if hi - 1 <= PAIR_CAP_EXACT:
-        pairs = [(m, n) for m in range(lo, hi) for n in range(m + 1, hi)]
-        seed = None
-    else:
-        if args.sample is None or args.seed is None:
-            raise ConfigError(
-                f"block [{lo}, {hi}) is too large for exhaustive pairs; "
-                f"pass --sample and --seed"
-            )
-        if lo >= PAIR_CAP_SAMPLED:
-            raise CapExceededError(
-                f"block starts at {lo}, beyond the sampled cap {PAIR_CAP_SAMPLED}"
-            )
-        pairs = sample_pairs(
-            lo, min(hi, PAIR_CAP_SAMPLED + 1), args.sample, args.seed
-        )
-        seed = args.seed
-    report = select_scale(
-        args.h, psi, args.eps, pairs, args.base, args.precision, seed=seed
-    )
+    blocks = {
+        "base": args.base, "h_list": [args.h], "epsilon": args.eps,
+        "sample": args.sample, "seed": args.seed,
+    }
+    doc = {"psi": args.psi, "precision": args.precision, "blocks": blocks}
+    (report,), _ = _one_section(blocks_section, doc, args.out)
     print(
         f"block h = {report.h} base = {report.base} range [{report.lo}, {report.hi})"
         f"  pairs = {report.pair_count}  K = {report.scale_count}"
@@ -248,60 +230,27 @@ def cmd_block(args) -> int:
         print(f"k = {k}: weighted = {frac_str(s1)}  ratio = {ratio}")
     print(f"chosen k = {report.chosen_k}")
     if args.out:
-        rows = [
-            [
-                str(report.h), str(report.base), str(report.lo), str(report.hi),
-                frac_str(report.epsilon), str(report.scale_count), str(k),
-                frac_str(s1), frac_str(s2),
-                frac_str(s1 / s2) if s2 else "",
-                str(report.chosen_k),
-            ]
-            for k, s1, s2 in report.per_k_sums
-        ]
-        write_csv(
-            args.out,
-            ("h", "base", "lo", "hi", "epsilon", "K", "k",
-             "weighted_intersections", "measure_products", "ratio", "chosen_k"),
-            rows,
-        )
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_bc(args) -> int:
-    if args.N < 1:
-        raise DomainError("N must be >= 1")
-    if args.N > BC_CAP:
-        raise CapExceededError(
-            f"bc series limited to N <= {BC_CAP} (harness.BC_CAP); "
-            f"use a run config with max_n to go beyond"
-        )
-    psi = _normalized_psi(args.psi, args.N)
-    ratio, rows = borel_cantelli_ratio(psi, args.N)
+    rows, summary = _one_section(
+        bc_section, {"psi": args.psi, "bc_n": args.N}, args.out
+    )
     n, ms, sm, _ = rows[-1]
+    ratio = summary["bc"]["ratio"]
     print(f"N = {n}  measure sum = {ms}  second moment = {sm}")
     print(f"ratio = {ratio} ({float(ratio):.6f})")
     if args.out:
-        write_csv(
-            args.out,
-            ("n", "measure_sum", "second_moment", "ratio"),
-            [
-                [
-                    str(n), frac_str(ms), frac_str(sm),
-                    frac_str(rt) if rt is not None else "",
-                ]
-                for n, ms, sm, rt in rows
-            ],
-        )
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_table(args) -> int:
-    psi = make_psi(args.psi, args.N)  # divergence series uses psi as given
-    rows = divergence_table(
-        args.eps, args.N, psi, args.precision, args.hpv_c
-    )
+    table = {"epsilon": args.eps, "n_top": args.N, "hpv_c": args.hpv_c}
+    doc = {"psi": args.psi, "precision": args.precision, "table": table}
+    rows, _ = _one_section(table_section, doc, args.out)
     for row in rows:
         print(
             f"N = {row.n}: plain = {float(row.plain):.6f}  "
@@ -310,7 +259,6 @@ def cmd_table(args) -> int:
             f"bhhv = {float(row.bhhv.value):.6f}"
         )
     if args.out:
-        write_csv(args.out, TABLE_COLUMNS, [table_csv_row(r) for r in rows])
         print(f"wrote {args.out}")
     return 0
 
@@ -336,19 +284,12 @@ def _print_summary(summary: dict, indent: str = ""):
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.CONFIG)
-    overrides = {}
-    if args.out:
-        overrides["out"] = args.out
-    if args.jobs != 1:
-        overrides["jobs"] = args.jobs
-    if args.precision != 128:
-        overrides["precision"] = args.precision
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    result = run_experiment(cfg)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("out", "jobs", "precision")
+        if getattr(args, key) is not None
+    }
+    result = run_experiment(load_config(args.CONFIG, **overrides))
     _print_summary(result.summary)
     for path in result.csv_paths:
         print(f"wrote {path}")
@@ -366,9 +307,6 @@ def main(argv=None) -> int:
     except CapExceededError as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 4
-    except (ConfigError, DomainError, UndefinedRatioError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except DsextraError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,8 +1,9 @@
 """Batch experiment harness.
 
 Holds the Borel-Cantelli second-moment ratio, the divergence comparison
-table, deterministic pair sampling, the JSON experiment config, CSV
-writers, and the config-driven runner with an optional worker pool.
+table, deterministic pair sampling, the JSON experiment config, one
+section function per workload (with its CSV columns), and the
+config-driven runner with an optional worker pool.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .arith import (
     exp_bounds,
     exp_rational,
     floored_log_bounds,
+    frac_str,
     pow_bounds,
     totient,
 )
@@ -35,14 +37,13 @@ from .errors import (
     DomainError,
     UndefinedRatioError,
 )
-from .overlap import CSV_COLUMNS, OverlapRecord, averaged_sum, overlap_record
+from .overlap import CSV_COLUMNS, OverlapRecord, overlap_record
 from .psi import PsiFunction, make_psi, normalize_psi
 from .schedule import (
     BlockReport,
     block_bounds,
     block_of,
     even_blocks_upto,
-    scale_count,
     select_scale,
     thinned_psi,
 )
@@ -437,27 +438,61 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
+    """Read and validate a JSON config file.
+
+    `overrides` replace top-level keys before validation, so they are
+    checked exactly like values from the file.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    if isinstance(doc, dict):
+        doc.update(overrides)
     return parse_config(doc)
 
 
 # ---------------------------------------------------------------------------
-# runner
+# sections: one function per workload, shared by `dsextra run` and the
+# single-workload CLI commands.  Each takes the validated config, psi as
+# given (see experiment_psi) and an optional CSV path, and returns its rows
+# and its summary entries.  Every section but the table normalizes psi.
 
-@dataclass
-class RunResult:
-    summary: dict
-    records: list[OverlapRecord] = field(default_factory=list)
-    block_reports: list[BlockReport] = field(default_factory=list)
-    bc_rows: list = field(default_factory=list)
-    table_rows: list[DivergenceRow] = field(default_factory=list)
-    csv_paths: list[str] = field(default_factory=list)
+BLOCK_COLUMNS = (
+    "h", "base", "lo", "hi", "epsilon", "K", "k",
+    "weighted_intersections", "measure_products", "ratio", "chosen_k",
+)
+BC_COLUMNS = ("n", "measure_sum", "second_moment", "ratio")
+TABLE_COLUMNS = (
+    "n", "plain", "damped_value", "damped_err", "hpv_value", "hpv_err",
+    "bhhv_value", "bhhv_err",
+)
+
+
+def experiment_psi(cfg: ExperimentConfig) -> PsiFunction:
+    """psi as given on 1..n, for the largest n any section of cfg reaches."""
+    needs = [2]
+    if cfg.pair_sweep is not None:
+        if cfg.pair_sweep.mode == "list":
+            needs.append(max(n for _, n in cfg.pair_sweep.pairs))
+        else:
+            needs.append(cfg.pair_sweep.hi - 1)
+    if cfg.blocks is not None:
+        for h in cfg.blocks.h_list:
+            needs.append(
+                min(
+                    block_bounds(h, cfg.blocks.base)[1] - 1,
+                    cfg.cap(PAIR_CAP_SAMPLED),
+                )
+            )
+    if cfg.bc_n is not None:
+        needs.append(cfg.bc_n)
+    if cfg.table is not None:
+        needs.append(cfg.table.n_top)
+    return make_psi(cfg.psi, max(needs))
 
 
 def _resolve_pairs(cfg: ExperimentConfig) -> list[tuple[int, int]]:
@@ -565,6 +600,20 @@ def _sweep_summary(records: list[OverlapRecord], k_top: int) -> dict:
     return summary
 
 
+def sweep_section(
+    cfg: ExperimentConfig, psi: PsiFunction, path=None
+) -> tuple[list[OverlapRecord], dict]:
+    """The pair sweep: overlap records for every resolved pair and k."""
+    assert cfg.pair_sweep is not None
+    records = run_pair_sweep(normalize_psi(psi), cfg, _resolve_pairs(cfg))
+    summary = _sweep_summary(records, cfg.k_top)
+    if cfg.pair_sweep.mode == "sample":
+        summary["seed"] = cfg.pair_sweep.seed
+    if path is not None:
+        write_csv(path, CSV_COLUMNS, [rec.csv_row() for rec in records])
+    return records, {"sweep": summary}
+
+
 def _block_pairs(
     cfg: ExperimentConfig, h: int
 ) -> tuple[list[tuple[int, int]], bool]:
@@ -581,12 +630,12 @@ def _block_pairs(
     if lo >= sampled_limit:
         raise CapExceededError(
             f"block h={h} starts at {lo}, beyond the sampled cap "
-            f"{sampled_limit} (override with max_n)"
+            f"{sampled_limit} (a run config can override it with max_n)"
         )
     if spec.sample is None or spec.seed is None:
         raise ConfigError(
             f"block h={h} is too large for exhaustive pairs; "
-            f"set blocks.sample and blocks.seed"
+            f"set blocks.sample and blocks.seed (CLI: --sample and --seed)"
         )
     top = min(hi, sampled_limit + 1)
     return sample_pairs(lo, top, spec.sample, spec.seed), True
@@ -598,7 +647,7 @@ def _thinned_audit(
     chosen: dict[int, int],
     n_star: int,
     precision: int,
-) -> tuple[PsiFunction, dict]:
+) -> dict:
     star = thinned_psi(psi_n, spec.epsilon, chosen, spec.base, precision)
     support = 0
     off_even_violations = 0
@@ -626,177 +675,154 @@ def _thinned_audit(
                 window_hi = hi if window_hi is None or hi > window_hi else window_hi
         elif on_even and psi_n.value(n) > 0:
             value_violations += 1
-    audit = {
+    return {
         "support": support,
         "off_even_violations": off_even_violations,
         "value_violations": value_violations,
         "ratio_window": (window_lo, window_hi),
     }
-    return star, audit
+
+
+def blocks_section(
+    cfg: ExperimentConfig, psi: PsiFunction, path=None
+) -> tuple[list[BlockReport], dict]:
+    """Scale selection on every block of h_list, then the thinned audit."""
+    spec = cfg.blocks
+    assert spec is not None
+    psi = normalize_psi(psi)
+    reports = []
+    for h in spec.h_list:
+        pairs, sampled = _block_pairs(cfg, h)
+        reports.append(select_scale(
+            h, psi, spec.epsilon, pairs, spec.base, cfg.precision,
+            seed=spec.seed if sampled else None,
+        ))
+    chosen = {rep.h: rep.chosen_k for rep in reports}
+    summary: dict = {
+        "blocks": {"base": spec.base, "epsilon": spec.epsilon, "chosen": chosen},
+    }
+    if spec.thinned:
+        n_star = min(
+            max(block_bounds(h, spec.base)[1] for h in spec.h_list) - 1,
+            cfg.cap(PAIR_CAP_SAMPLED),
+        )
+        needed = even_blocks_upto(n_star, spec.base)
+        missing = [h for h in needed if h not in chosen]
+        if missing:
+            raise ConfigError(
+                f"thinned psi needs chosen scales for even blocks {missing}; "
+                f"add them to blocks.h_list"
+            )
+        audit = _thinned_audit(psi, spec, chosen, n_star, cfg.precision)
+        audit["n_star"] = n_star
+        summary["thinned"] = audit
+    if path is not None:
+        write_csv(path, BLOCK_COLUMNS, [
+            [
+                str(rep.h), str(rep.base), str(rep.lo), str(rep.hi),
+                frac_str(rep.epsilon), str(rep.scale_count), str(k),
+                frac_str(s1), frac_str(s2),
+                frac_str(s1 / s2) if s2 else "",
+                str(rep.chosen_k),
+            ]
+            for rep in reports
+            for k, s1, s2 in rep.per_k_sums
+        ])
+    return reports, summary
+
+
+def bc_section(
+    cfg: ExperimentConfig, psi: PsiFunction, path=None
+) -> tuple[list, dict]:
+    """The exact Borel-Cantelli series up to bc_n, within BC_CAP."""
+    assert cfg.bc_n is not None
+    limit = cfg.cap(BC_CAP)
+    if cfg.bc_n > limit:
+        raise CapExceededError(
+            f"bc series limited to N <= {limit} (harness.BC_CAP; "
+            f"a run config can override it with max_n)"
+        )
+    ratio, rows = borel_cantelli_ratio(normalize_psi(psi), cfg.bc_n)
+    if path is not None:
+        write_csv(path, BC_COLUMNS, [
+            [
+                str(n), frac_str(ms), frac_str(sm),
+                frac_str(rt) if rt is not None else "",
+            ]
+            for n, ms, sm, rt in rows
+        ])
+    return rows, {"bc": {"n": cfg.bc_n, "ratio": ratio}}
+
+
+def table_section(
+    cfg: ExperimentConfig, psi: PsiFunction, path=None
+) -> tuple[list[DivergenceRow], dict]:
+    """The divergence table; the series uses psi as given, unnormalized."""
+    spec = cfg.table
+    assert spec is not None
+    rows = divergence_table(
+        spec.epsilon, spec.n_top, psi, cfg.precision, spec.hpv_c
+    )
+    if path is not None:
+        write_csv(path, TABLE_COLUMNS, [
+            [
+                str(r.n), frac_str(r.plain),
+                frac_str(r.damped.value), frac_str(r.damped.err),
+                frac_str(r.hpv.value), frac_str(r.hpv.err),
+                frac_str(r.bhhv.value), frac_str(r.bhhv.err),
+            ]
+            for r in rows
+        ])
+    summary = {
+        "epsilon": spec.epsilon,
+        "n_top": spec.n_top,
+        "plain_final": rows[-1].plain if rows else None,
+    }
+    return rows, {"table": summary}
+
+
+# ---------------------------------------------------------------------------
+# runner
+
+@dataclass
+class RunResult:
+    summary: dict
+    records: list[OverlapRecord] = field(default_factory=list)
+    block_reports: list[BlockReport] = field(default_factory=list)
+    bc_rows: list = field(default_factory=list)
+    table_rows: list[DivergenceRow] = field(default_factory=list)
+    csv_paths: list[str] = field(default_factory=list)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Execute every part the config requests; see README for the schema.
+    """Execute every section the config requests; see README for the schema.
 
     Returns all data in memory; CSV files are written when cfg.out is set
     (pair sweep at out itself, other sections at out-derived names).
     """
-    needs = [2]
-    if cfg.pair_sweep is not None:
-        if cfg.pair_sweep.mode == "list":
-            needs.append(max(n for _, n in cfg.pair_sweep.pairs))
-        else:
-            needs.append(cfg.pair_sweep.hi - 1)
-    if cfg.blocks is not None:
-        for h in cfg.blocks.h_list:
-            needs.append(
-                min(
-                    block_bounds(h, cfg.blocks.base)[1] - 1,
-                    cfg.cap(PAIR_CAP_SAMPLED),
-                )
-            )
-    if cfg.bc_n is not None:
-        needs.append(cfg.bc_n)
-    if cfg.table is not None:
-        needs.append(cfg.table.n_top)
-    n_eff = max(needs)
-    psi_n = normalize_psi(make_psi(cfg.psi, n_eff))
-
+    psi = experiment_psi(cfg)
+    out = Path(cfg.out) if cfg.out else None
     result = RunResult(summary={"psi": cfg.psi, "k_top": cfg.k_top})
-    out_path = Path(cfg.out) if cfg.out else None
+
+    def run(section, tag):
+        path = out
+        if out is not None and tag is not None:
+            path = out.with_name(f"{out.stem}.{tag}{out.suffix or '.csv'}")
+        rows, summary = section(cfg, psi, path)
+        result.summary.update(summary)
+        if path is not None:
+            result.csv_paths.append(str(path))
+        return rows
 
     if cfg.pair_sweep is not None:
-        pairs = _resolve_pairs(cfg)
-        records = run_pair_sweep(psi_n, cfg, pairs)
-        result.records = records
-        result.summary["sweep"] = _sweep_summary(records, cfg.k_top)
-        if cfg.pair_sweep.mode == "sample":
-            result.summary["sweep"]["seed"] = cfg.pair_sweep.seed
-        if out_path is not None:
-            write_csv(
-                out_path, CSV_COLUMNS, [rec.csv_row() for rec in records]
-            )
-            result.csv_paths.append(str(out_path))
-
+        result.records = run(sweep_section, None)
     if cfg.blocks is not None:
-        spec = cfg.blocks
-        chosen: dict[int, int] = {}
-        for h in spec.h_list:
-            pairs, sampled = _block_pairs(cfg, h)
-            report = select_scale(
-                h, psi_n, spec.epsilon, pairs, spec.base, cfg.precision,
-                seed=spec.seed if sampled else None,
-            )
-            result.block_reports.append(report)
-            chosen[h] = report.chosen_k
-        result.summary["blocks"] = {
-            "base": spec.base,
-            "epsilon": spec.epsilon,
-            "chosen": {h: chosen[h] for h in spec.h_list},
-        }
-        if spec.thinned:
-            n_star = min(
-                max(block_bounds(h, spec.base)[1] for h in spec.h_list) - 1,
-                cfg.cap(PAIR_CAP_SAMPLED),
-            )
-            needed = even_blocks_upto(n_star, spec.base)
-            missing = [h for h in needed if h not in chosen]
-            if missing:
-                raise ConfigError(
-                    f"thinned psi needs chosen scales for even blocks {missing}; "
-                    f"add them to blocks.h_list"
-                )
-            star, audit = _thinned_audit(
-                psi_n, spec, chosen, n_star, cfg.precision
-            )
-            audit["n_star"] = n_star
-            result.summary["thinned"] = audit
-        if out_path is not None:
-            rows = []
-            for rep in result.block_reports:
-                for k, s1, s2 in rep.per_k_sums:
-                    rows.append([
-                        str(rep.h), str(rep.base), str(rep.lo), str(rep.hi),
-                        _frac_str(rep.epsilon), str(rep.scale_count), str(k),
-                        _frac_str(s1), _frac_str(s2),
-                        _frac_str(s1 / s2) if s2 else "",
-                        str(rep.chosen_k),
-                    ])
-            path = _derived_path(out_path, "blocks")
-            write_csv(
-                path,
-                ("h", "base", "lo", "hi", "epsilon", "K", "k",
-                 "weighted_intersections", "measure_products", "ratio",
-                 "chosen_k"),
-                rows,
-            )
-            result.csv_paths.append(str(path))
-
+        result.block_reports = run(blocks_section, "blocks")
     if cfg.bc_n is not None:
-        limit = cfg.cap(BC_CAP)
-        if cfg.bc_n > limit:
-            raise CapExceededError(
-                f"bc series limited to N <= {limit} (harness.BC_CAP; "
-                f"override with max_n)"
-            )
-        ratio, rows = borel_cantelli_ratio(psi_n, cfg.bc_n)
-        result.bc_rows = rows
-        result.summary["bc"] = {"n": cfg.bc_n, "ratio": ratio}
-        if out_path is not None:
-            path = _derived_path(out_path, "bc")
-            write_csv(
-                path,
-                ("n", "measure_sum", "second_moment", "ratio"),
-                [
-                    [
-                        str(n), _frac_str(ms), _frac_str(sm),
-                        _frac_str(rt) if rt is not None else "",
-                    ]
-                    for n, ms, sm, rt in rows
-                ],
-            )
-            result.csv_paths.append(str(path))
-
+        result.bc_rows = run(bc_section, "bc")
     if cfg.table is not None:
-        rows = divergence_table(
-            cfg.table.epsilon, cfg.table.n_top, psi_n,
-            cfg.precision, cfg.table.hpv_c,
-        )
-        result.table_rows = rows
-        result.summary["table"] = {
-            "epsilon": cfg.table.epsilon,
-            "n_top": cfg.table.n_top,
-            "plain_final": rows[-1].plain if rows else None,
-        }
-        if out_path is not None:
-            path = _derived_path(out_path, "table")
-            write_csv(path, TABLE_COLUMNS, [table_csv_row(r) for r in rows])
-            result.csv_paths.append(str(path))
-
+        result.table_rows = run(table_section, "table")
     return result
-
-
-TABLE_COLUMNS = (
-    "n", "plain", "damped_value", "damped_err", "hpv_value", "hpv_err",
-    "bhhv_value", "bhhv_err",
-)
-
-
-def table_csv_row(row: DivergenceRow) -> list[str]:
-    return [
-        str(row.n), _frac_str(row.plain),
-        _frac_str(row.damped.value), _frac_str(row.damped.err),
-        _frac_str(row.hpv.value), _frac_str(row.hpv.err),
-        _frac_str(row.bhhv.value), _frac_str(row.bhhv.err),
-    ]
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _derived_path(out: Path, tag: str) -> Path:
-    return out.with_name(f"{out.stem}.{tag}{out.suffix or '.csv'}")
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]):

@@ -17,7 +17,9 @@ from .arith import (
     exp_rational,
     factorize,
     floored_log_bounds,
+    frac_str,
     log_weight_integral,
+    totient,
 )
 from .circles import coprime_arcs, intersection_measure
 from .errors import DomainError, UndefinedRatioError
@@ -58,10 +60,7 @@ class PairDecomposition:
         return tuple(p for p, _ in self.t_factors)
 
     def phi_t(self) -> int:
-        phi = 1
-        for p, e in self.t_factors:
-            phi *= (p - 1) * p ** (e - 1)
-        return phi
+        return totient(self.t)
 
 
 def decompose_pair(m: int, n: int, psi: PsiFunction) -> PairDecomposition:
@@ -190,18 +189,14 @@ class OverlapRecord:
         return [
             str(self.m), str(self.n), str(self.k),
             str(self.r), str(self.s), str(self.t), str(self.gcd),
-            _frac(self.delta), _frac(self.Delta), _frac(self.cutoff),
-            _frac(self.pv_product),
+            frac_str(self.delta), frac_str(self.Delta), frac_str(self.cutoff),
+            frac_str(self.pv_product),
             str(self.p_exact.numerator), str(self.p_exact.denominator),
-            _frac(self.integral.value) if self.integral is not None else "",
-            _frac(self.integral.err) if self.integral is not None else "",
+            frac_str(self.integral.value) if self.integral is not None else "",
+            frac_str(self.integral.err) if self.integral is not None else "",
             "true" if self.disjoint_pred else "false",
             self.threshold_class,
         ]
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def overlap_record(

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dsextra import cli
 from dsextra.cli import main
 from dsextra.overlap import CSV_COLUMNS
 
@@ -145,6 +146,68 @@ def test_run_subcommand_and_overrides(capsys, tmp_path):
     assert "records = 4" in out
     assert f"wrote {out_path}" in out
     assert out_path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+def _write_config(tmp_path, doc) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_run_flags_override_config(capsys, tmp_path, monkeypatch):
+    seen = []
+    real = cli.run_experiment
+
+    def spy(cfg):
+        seen.append((cfg.jobs, cfg.precision))
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    path = _write_config(tmp_path, {
+        "psi": "half", "jobs": 2, "precision": 96,
+        "pairs": {"mode": "list", "pairs": [[2, 3]]},
+    })
+    assert run_cli(capsys, "run", path)[0] == 0
+    assert run_cli(capsys, "run", path, "--jobs", "1", "--precision", "128")[0] == 0
+    assert seen == [(2, 96), (1, 128)]
+
+
+@pytest.mark.parametrize("flag", [["--precision", "4"], ["--jobs", "0"]])
+def test_run_flags_are_validated_like_the_file(capsys, tmp_path, flag):
+    path = _write_config(tmp_path, {"psi": "half", "bc_n": 3})
+    code, _, err = run_cli(capsys, "run", path, *flag)
+    assert code == 2
+    assert flag[0][2:] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "360", "--out", "x.csv"],
+    ["phi", "360", "--precision", "64"],
+    ["bc", "--N", "3", "--precision", "64"],
+    ["table", "--eps", "1", "--N", "4", "--jobs", "2"],
+])
+def test_unread_flags_are_gone(argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+
+
+@pytest.mark.parametrize("argv, doc, tag", [
+    (["block", "--h", "1", "--base", "2", "--eps", "3"],
+     {"blocks": {"base": 2, "h_list": [1], "epsilon": "3"}}, "blocks"),
+    (["bc", "--N", "20"], {"bc_n": 20}, "bc"),
+    (["table", "--eps", "1", "--N", "16", "--psi", "primes:1"],
+     {"psi": "primes:1", "table": {"epsilon": "1", "n_top": 16}}, "table"),
+])
+def test_cli_csv_matches_run_section(capsys, tmp_path, argv, doc, tag):
+    # a single-workload command and its one-section run config must
+    # write the same bytes
+    cli_csv = tmp_path / "cli.csv"
+    assert run_cli(capsys, *argv, "--out", str(cli_csv))[0] == 0
+    path = _write_config(
+        tmp_path, {"psi": "half", **doc, "out": str(tmp_path / "run.csv")}
+    )
+    assert run_cli(capsys, "run", path)[0] == 0
+    assert cli_csv.read_bytes() == (tmp_path / f"run.{tag}.csv").read_bytes()
 
 
 def test_run_missing_config_file(capsys, tmp_path):
