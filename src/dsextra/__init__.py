@@ -3,17 +3,16 @@ arcs and divergence experiments behind second-moment lower bounds."""
 
 from .arith import (
     Approx,
-    Factorization,
     Rational,
-    ScaleLadder,
     coprime_density,
     coprime_harmonic,
     exp_rational,
-    factor_totient,
+    factorize,
     log_weight_integral,
     mertens_product,
     restricted_prime_product,
     sieve_upper_bound,
+    totient,
 )
 from .circles import (
     CircleIntervalSet,

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from mpmath import iv
 
@@ -37,7 +38,6 @@ def frac_str(x: Fraction) -> str:
 # accepts the cost can raise it deliberately.
 SIEVE_CAP = 4_000_000        # largest prime table we will build
 HARMONIC_CAP = 5_000         # largest floor(X) for coprime_harmonic
-DENSITY_SCAN_CAP = 200_000   # largest floor(theta) for coprime_density
 INTEGRAL_CAP = 50_000        # largest floor(X) for log_weight_integral
 SCALE_CAP = 64               # largest k for exp_rational
 
@@ -70,13 +70,17 @@ def _ensure_sieve(limit: int) -> None:
 
 @lru_cache(maxsize=1 << 17)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, multiplicity), ...) ascending."""
+    """Prime factorization of n >= 1 as ((p, multiplicity), ...) ascending.
+
+    Walks the smallest-prime-factor table when it already covers n, and
+    otherwise trial-divides by the sieved primes up to sqrt(n): a large n
+    never grows the table past sqrt(n).
+    """
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
     if n == 1:
         return ()
-    if n < len(_spf) or n <= (1 << 18):
-        _ensure_sieve(n)
+    if n < len(_spf):
         out = []
         m = n
         while m > 1:
@@ -119,34 +123,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """An integer together with its prime factorization."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, n: int) -> "Factorization":
-        return cls(n, factorize(n))
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def totient(self) -> int:
-        return totient(self.value)
-
-    def radical(self) -> int:
-        return math.prod(self.primes)
-
-
-def factor_totient(n: int) -> tuple[Factorization, int]:
-    """Factorization of n and its Euler totient."""
-    f = Factorization.of(n)
-    return f, f.totient()
-
-
 @lru_cache(maxsize=1 << 17)
 def totient(n: int) -> int:
     phi = 1
@@ -158,36 +134,44 @@ def totient(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Euler products and coprime sums
 
+def _euler_product(primes: Iterable[int]) -> Fraction:
+    """Exact Π p/(p - 1) = Π (1 - 1/p)^(-1) over the given primes."""
+    num = den = 1
+    for p in primes:
+        num *= p
+        den *= p - 1
+    return Fraction(num, den)
+
+
+def _squarefree_divisors(t: int) -> Iterator[tuple[int, int]]:
+    """(d, μ(d)) for every squarefree divisor d of t >= 1."""
+    ps = [p for p, _ in factorize(t)]
+    for size in range(len(ps) + 1):
+        sign = -1 if size & 1 else 1
+        for combo in itertools.combinations(ps, size):
+            yield math.prod(combo), sign
+
+
 def mertens_product(x: RationalLike) -> Fraction:
     """Exact Π_{p <= x} (1 - 1/p)^(-1) over primes."""
     x = Fraction(x)
     if x < 0:
         raise DomainError("mertens_product requires x >= 0")
-    num = den = 1
-    for p in primes_up_to(math.floor(x)):
-        num *= p
-        den *= p - 1
-    return Fraction(num, den)
+    return _euler_product(primes_up_to(math.floor(x)))
 
 
 def restricted_prime_product(t: int, lower: RationalLike) -> Fraction:
     """Exact Π (1 - 1/p)^(-1) over distinct primes p | t with p > lower."""
     if t < 1:
         raise DomainError("restricted_prime_product requires t >= 1")
-    lower = Fraction(lower)
-    num = den = 1
-    for p, _ in factorize(t):
-        if p > lower:
-            num *= p
-            den *= p - 1
-    return Fraction(num, den)
+    return _euler_product(p for p, _ in factorize(t) if p > lower)
 
 
 def coprime_density(t: int, theta: RationalLike) -> Fraction:
     """#{1 <= b <= theta : gcd(b, t) = 1} / theta, exact.
 
-    The count is a direct gcd scan; this is the slow honest route and is
-    capped accordingly.
+    The count is the Möbius sum Σ_{d | t} μ(d)·floor(theta/d) over the
+    squarefree divisors of t.
     """
     if t < 1:
         raise DomainError("coprime_density requires t >= 1")
@@ -195,12 +179,7 @@ def coprime_density(t: int, theta: RationalLike) -> Fraction:
     if theta < 1:
         raise DomainError("coprime_density requires theta >= 1")
     b_max = math.floor(theta)
-    if b_max > DENSITY_SCAN_CAP:
-        raise CapExceededError(
-            f"coprime_density scan limited to {DENSITY_SCAN_CAP} "
-            f"(arith.DENSITY_SCAN_CAP); needed {b_max}"
-        )
-    count = sum(1 for b in range(1, b_max + 1) if math.gcd(b, t) == 1)
+    count = sum(mu * (b_max // d) for d, mu in _squarefree_divisors(t))
     return Fraction(count) / theta
 
 
@@ -233,15 +212,11 @@ def coprime_harmonic(t: int, x: RationalLike) -> Fraction:
     b_max = math.floor(x)
     if b_max <= 0:
         return Fraction(0)
-    ps = [p for p, _ in factorize(t)]
     total = Fraction(0)
-    for size in range(len(ps) + 1):
-        sign = -1 if size & 1 else 1
-        for combo in itertools.combinations(ps, size):
-            d = math.prod(combo)
-            q = b_max // d
-            if q:
-                total += Fraction(sign, d) * _harmonic(q)
+    for d, mu in _squarefree_divisors(t):
+        q = b_max // d
+        if q:
+            total += Fraction(mu, d) * _harmonic(q)
     return total
 
 
@@ -261,12 +236,7 @@ def sieve_upper_bound(
     if x < 1:
         raise DomainError("sieve_upper_bound requires x >= 1")
     full = mertens_product(x)
-    num = den = 1
-    for p, _ in factorize(t):
-        if p <= x:
-            num *= p - 1
-            den *= p
-    dividing = Fraction(num, den)
+    dividing = 1 / _euler_product(p for p, _ in factorize(t) if p <= x)
     return full * dividing, (full, dividing)
 
 
@@ -462,7 +432,7 @@ def log_weight_integral(t: int, x: RationalLike, precision: int = 128) -> Approx
 
 
 # ---------------------------------------------------------------------------
-# rational scale ladder for e^k
+# rational scales ê_k for e^k
 
 _E_SERIES_TERMS = 40
 # Σ_{i<=40} 1/i!; truncation error 0 < e - _E_SERIES < 2/41! < 1.9e-50.
@@ -476,7 +446,11 @@ _EHAT_BUILD_TOL = Fraction(9, 10 ** 13)
 
 @lru_cache(maxsize=None)
 def exp_rational(k: int) -> Fraction:
-    """Small-denominator rational ê_k with |ê_k - e^k| <= e^k * 1e-12."""
+    """Small-denominator rational ê_k with |ê_k - e^k| <= e^k * 1e-12.
+
+    The scales increase strictly, 1 = ê_0 < ê_1 < ...; each k checks
+    ê_k > ê_(k-1) once, on its first (cached) call.
+    """
     if k < 0:
         raise DomainError("exp_rational requires k >= 0")
     if k > SCALE_CAP:
@@ -489,31 +463,6 @@ def exp_rational(k: int) -> Fraction:
     approx = target.limit_denominator(_EHAT_DEN_LIMIT)
     if abs(approx - target) > target * _EHAT_BUILD_TOL:
         raise PrecisionGuardError(f"exp_rational({k}) misses its tolerance")
+    if approx <= exp_rational(k - 1):
+        raise PrecisionGuardError(f"exp_rational({k}) does not exceed ê_{k - 1}")
     return approx
-
-
-@dataclass(frozen=True)
-class ScaleLadder:
-    """Strictly increasing scales 1 = ê_0 < ê_1 < ... < ê_top."""
-
-    top: int
-    values: tuple[Fraction, ...]   # ê_1 .. ê_top
-
-    @classmethod
-    def up_to(cls, top: int) -> "ScaleLadder":
-        if top < 1:
-            raise DomainError("ScaleLadder requires top >= 1")
-        vals = tuple(exp_rational(k) for k in range(1, top + 1))
-        prev = Fraction(1)
-        for v in vals:
-            if v <= prev:
-                raise PrecisionGuardError("scale ladder not strictly increasing")
-            prev = v
-        return cls(top, vals)
-
-    def scale(self, k: int) -> Fraction:
-        if k == 0:
-            return Fraction(1)
-        if not 1 <= k <= self.top:
-            raise DomainError(f"scale index {k} outside ladder 0..{self.top}")
-        return self.values[k - 1]

@@ -14,7 +14,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .arith import factor_totient, frac_str
+from .arith import factorize, frac_str, totient
 from .errors import (
     CapExceededError,
     DomainError,
@@ -137,15 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_phi(args) -> int:
     if args.N < 1:
         raise DomainError("N must be >= 1")
-    f, phi = factor_totient(args.N)
-    if f.factors:
-        text = " * ".join(
-            f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors
-        )
-    else:
-        text = "1"
-    print(f"{args.N} = {text}")
-    print(f"phi({args.N}) = {phi}")
+    factors = factorize(args.N)
+    text = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors)
+    print(f"{args.N} = {text or '1'}")
+    print(f"phi({args.N}) = {totient(args.N)}")
     return 0
 
 

@@ -48,7 +48,8 @@ from .schedule import (
     thinned_psi,
 )
 
-# Desk-scale corpus caps; a config may override with an explicit "max_n".
+# Desk-scale corpus caps.  A config's "max_n" replaces the pair and bc
+# caps; TABLE_CAP is hard, since the digit guard below is sized to it.
 PAIR_CAP_EXACT = 2000     # exhaustive pair corpora
 PAIR_CAP_SAMPLED = 10_000 # sampled pair corpora
 BC_CAP = 500              # exact Borel-Cantelli series
@@ -713,7 +714,10 @@ def blocks_section(
                 f"thinned psi needs chosen scales for even blocks {missing}; "
                 f"add them to blocks.h_list"
             )
-        audit = _thinned_audit(psi, spec, chosen, n_star, cfg.precision)
+        # thinned_psi walks all of its input, and other sections of a run
+        # stretch psi past n_star, so the audit rebuilds psi on 1..n_star
+        psi_star = normalize_psi(make_psi(cfg.psi, n_star))
+        audit = _thinned_audit(psi_star, spec, chosen, n_star, cfg.precision)
         audit["n_star"] = n_star
         summary["thinned"] = audit
     if path is not None:

@@ -19,6 +19,7 @@ from .arith import (
     floored_log_bounds,
     frac_str,
     log_weight_integral,
+    restricted_prime_product,
     totient,
 )
 from .circles import coprime_arcs, intersection_measure
@@ -47,17 +48,10 @@ class PairDecomposition:
     r: int
     s: int
     t: int
-    t_factors: tuple[tuple[int, int], ...]
     psi_m: Fraction
     psi_n: Fraction
     delta: Fraction
     Delta: Fraction
-
-    @property
-    def t_primes(self) -> tuple[int, ...]:
-        # every unequal exponent strictly increases from s to t, so the
-        # primes of t/s are exactly the primes of t
-        return tuple(p for p, _ in self.t_factors)
 
     def phi_t(self) -> int:
         return totient(self.t)
@@ -72,7 +66,6 @@ def decompose_pair(m: int, n: int, psi: PsiFunction) -> PairDecomposition:
     em = dict(factorize(m))
     en = dict(factorize(n))
     r = s = t = 1
-    t_factors = []
     for p in sorted(em.keys() | en.keys()):
         a = em.get(p, 0)
         b = en.get(p, 0)
@@ -82,14 +75,13 @@ def decompose_pair(m: int, n: int, psi: PsiFunction) -> PairDecomposition:
             lo, hi = (a, b) if a < b else (b, a)
             s *= p ** lo
             t *= p ** hi
-            t_factors.append((p, hi))
     psi_m = psi.value(m)
     psi_n = psi.value(n)
     dm = psi_m / m
     dn = psi_n / n
     return PairDecomposition(
         m=m, n=n, gcd=math.gcd(m, n), r=r, s=s, t=t,
-        t_factors=tuple(t_factors), psi_m=psi_m, psi_n=psi_n,
+        psi_m=psi_m, psi_n=psi_n,
         delta=min(dm, dn), Delta=max(dm, dn),
     )
 
@@ -104,14 +96,12 @@ def overlap_cutoff(dec: PairDecomposition, k: int = 0) -> Fraction:
 
 
 def prime_product_bound(dec: PairDecomposition, k: int = 0) -> Fraction:
-    """Exact Π (1 - 1/p)^(-1) over primes p | t/s with p > cutoff; >= 1."""
-    cutoff = overlap_cutoff(dec, k)
-    num = den = 1
-    for p in dec.t_primes:
-        if p > cutoff:
-            num *= p
-            den *= p - 1
-    return Fraction(num, den)
+    """Exact Π (1 - 1/p)^(-1) over primes p | t with p > cutoff; >= 1.
+
+    Every unequal exponent strictly increases from s to t, so these are
+    also the primes of t/s.
+    """
+    return restricted_prime_product(dec.t, overlap_cutoff(dec, k))
 
 
 def overlap_ratio(m: int, n: int, psi: PsiFunction, k: int = 0) -> Fraction:

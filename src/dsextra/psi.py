@@ -15,9 +15,6 @@ from pathlib import Path
 from .arith import is_prime
 from .errors import ConfigError, DomainError
 
-GENERATOR_KINDS = ("half", "recip", "primes", "file", "table")
-
-
 class PsiFunction:
     """Radius table n -> psi(n) on 1..n_max, lazily filled from a generator."""
 

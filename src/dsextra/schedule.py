@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .arith import (
     RationalLike,
-    ScaleLadder,
     exp_rational,
     guarded_floor,
     log_bounds,
@@ -130,7 +129,6 @@ def select_scale(
                 f"pair ({m}, {n}) outside block [{lo}, {hi})"
             )
     top = scale_count(h, epsilon, precision)
-    ladder = ScaleLadder.up_to(top)
 
     mu_cache: dict[int, Fraction] = {}
 
@@ -144,7 +142,7 @@ def select_scale(
     s2 = sum((mu(m) * mu(n) for m, n in pairs), Fraction(0))
     sums = []
     for k in range(1, top + 1):
-        scale = ladder.scale(k)
+        scale = exp_rational(k)
         acc = Fraction(0)
         for m, n in pairs:
             a = coprime_arcs(m, psi.value(m) / scale)

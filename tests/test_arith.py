@@ -11,15 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsextra import arith
 from dsextra.arith import (
+    SCALE_CAP,
     Approx,
-    Factorization,
-    ScaleLadder,
     coprime_density,
     coprime_harmonic,
     exp_bounds,
     exp_rational,
-    factor_totient,
     factorize,
     floored_log_bounds,
     guarded_floor,
@@ -55,6 +54,17 @@ def test_factorize_beyond_table_walk():
     assert all(is_prime(p) for p, _ in f)
 
 
+def test_factorize_past_table_keeps_table():
+    # an n the smallest-prime-factor table does not cover is trial-divided
+    # and sieves only up to sqrt(n), so the table stays as it was
+    factorize(12)
+    before = len(arith._spf)
+    n = before + 465          # 65536 + 465 = 70001 for the initial table
+    f = factorize(n)
+    assert math.prod(p ** e for p, e in f) == n
+    assert len(arith._spf) == before
+
+
 def test_factorize_rejects_nonpositive():
     with pytest.raises(DomainError):
         factorize(0)
@@ -65,20 +75,6 @@ def test_factorize_rejects_nonpositive():
 def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-
-
-def test_factorization_accessors():
-    f = Factorization.of(12)
-    assert f.primes == (2, 3)
-    assert f.totient() == 4
-    assert f.radical() == 6
-    assert Factorization.of(1).radical() == 1
-
-
-def test_factor_totient_360():
-    f, phi = factor_totient(360)
-    assert f.factors == ((2, 3), (3, 2), (5, 1))
-    assert phi == 96
 
 
 def test_totient_values():
@@ -132,6 +128,17 @@ def test_coprime_density_values():
     assert coprime_density(2, F(7, 2)) == F(4, 7)   # {1, 3} over 7/2
 
 
+@settings(max_examples=100)
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.fractions(min_value=1, max_value=2000, max_denominator=50),
+)
+def test_coprime_density_matches_scan(t, theta):
+    # independent oracle: the plain gcd scan
+    count = sum(1 for b in range(1, math.floor(theta) + 1) if math.gcd(b, t) == 1)
+    assert coprime_density(t, theta) == count / theta
+
+
 def test_coprime_harmonic_values():
     assert coprime_harmonic(6, 10) == 1 + F(1, 5) + F(1, 7)
     assert coprime_harmonic(1, 3) == F(11, 6)
@@ -174,8 +181,6 @@ def test_sieve_bound_dominates_harmonic(t, x):
 def test_caps_name_their_constant():
     with pytest.raises(CapExceededError, match="HARMONIC_CAP"):
         coprime_harmonic(6, 5001)
-    with pytest.raises(CapExceededError, match="DENSITY_SCAN_CAP"):
-        coprime_density(2, 200_001)
     with pytest.raises(CapExceededError, match="INTEGRAL_CAP"):
         log_weight_integral(2, 50_001)
     with pytest.raises(CapExceededError, match="SCALE_CAP"):
@@ -289,13 +294,7 @@ def test_exp_rational_values():
         exp_rational(-1)
 
 
-def test_scale_ladder():
-    ladder = ScaleLadder.up_to(8)
-    assert ladder.top == 8
-    assert ladder.scale(0) == 1
-    assert ladder.scale(3) == exp_rational(3)
-    assert all(a < b for a, b in zip((F(1),) + ladder.values, ladder.values))
-    with pytest.raises(DomainError):
-        ladder.scale(9)
-    with pytest.raises(DomainError):
-        ScaleLadder.up_to(0)
+def test_exp_rational_strictly_increasing():
+    scales = [exp_rational(k) for k in range(SCALE_CAP + 1)]
+    assert scales[0] == 1
+    assert all(a < b for a, b in zip(scales, scales[1:]))

@@ -298,3 +298,23 @@ def test_run_experiment_thinned_skips_unreached_blocks():
     result = run_experiment(cfg)
     assert result.summary["thinned"]["n_star"] == 15
     assert result.summary["thinned"]["support"] > 0
+
+
+def test_run_experiment_thinned_ignores_other_sections():
+    # bc_n and table n_top stretch psi to 40, past the audit range 1..15;
+    # the audit must still stop at 15 and not ask for block h = 2
+    cfg = parse_config({
+        "psi": "recip",
+        "pairs": {"mode": "exhaustive", "lo": 2, "hi": 40},
+        "blocks": {"base": 2, "h_list": [0, 1], "epsilon": "3", "thinned": True},
+        "bc_n": 30,
+        "table": {"epsilon": "1", "n_top": 40},
+    })
+    result = run_experiment(cfg)
+    assert result.summary["thinned"]["n_star"] == 15
+    assert result.summary["thinned"]["value_violations"] == 0
+
+
+def test_run_experiment_table_cap_ignores_max_n():
+    # TABLE_CAP is hard: max_n = 10 lowers the other caps, not the table's
+    run_experiment(parse_config({"psi": "half", "table": {"n_top": 64}, "max_n": 10}))

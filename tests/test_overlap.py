@@ -48,7 +48,6 @@ def psi_recip():
 def test_decompose_coprime_pair(psi_half):
     d = decompose_pair(2, 3, psi_half)
     assert (d.r, d.s, d.t, d.gcd) == (1, 1, 6, 1)
-    assert d.t_factors == ((2, 1), (3, 1))
     assert (d.delta, d.Delta) == (F(1, 6), F(1, 4))
     assert d.phi_t() == 2
 
@@ -57,14 +56,12 @@ def test_decompose_shared_prime(psi_half):
     d = decompose_pair(4, 6, psi_half)
     # 4 = 2^2, 6 = 2*3: exponents differ at 2, so 2 lands in s and t
     assert (d.r, d.s, d.t, d.gcd) == (1, 2, 12, 2)
-    assert d.t_factors == ((2, 2), (3, 1))
 
 
 def test_decompose_equal_exponents(psi_half):
     d = decompose_pair(14, 30, psi_half)
     assert (d.r, d.s, d.t) == (2, 1, 105)
     assert d.gcd == 2
-    assert d.t_primes == (3, 5, 7)
 
 
 def test_decompose_rejects_equal(psi_half):
