@@ -17,6 +17,8 @@ from .arith import (
 from .circles import (
     CircleIntervalSet,
     coprime_arcs,
+    coprime_intersection_measure,
+    coprime_measure,
     intersect,
     intersection_measure,
     midpoint_grid_measure,

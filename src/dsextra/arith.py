@@ -9,12 +9,11 @@ so downstream comparisons stay exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from mpmath import iv
 
@@ -131,6 +130,28 @@ def totient(n: int) -> int:
     return phi
 
 
+def exponent_split(m: int, n: int) -> tuple[int, int, int]:
+    """(r, s, t) for m, n >= 1, split by prime exponents.
+
+    r collects the primes with equal exponents in m and n; for the others
+    s takes the smaller and t the larger power.  So m*n = r^2*s*t,
+    gcd(m, n) = r*s, lcm(m, n) = r*t, and s | t.
+    """
+    em = dict(factorize(m))
+    en = dict(factorize(n))
+    r = s = t = 1
+    for p in em.keys() | en.keys():
+        a = em.get(p, 0)
+        b = en.get(p, 0)
+        if a == b:
+            r *= p ** a
+        else:
+            lo, hi = (a, b) if a < b else (b, a)
+            s *= p ** lo
+            t *= p ** hi
+    return r, s, t
+
+
 # ---------------------------------------------------------------------------
 # Euler products and coprime sums
 
@@ -143,13 +164,19 @@ def _euler_product(primes: Iterable[int]) -> Fraction:
     return Fraction(num, den)
 
 
-def _squarefree_divisors(t: int) -> Iterator[tuple[int, int]]:
-    """(d, μ(d)) for every squarefree divisor d of t >= 1."""
-    ps = [p for p, _ in factorize(t)]
-    for size in range(len(ps) + 1):
-        sign = -1 if size & 1 else 1
-        for combo in itertools.combinations(ps, size):
-            yield math.prod(combo), sign
+def _squarefree_divisors(
+    factors: Iterable[tuple[int, int, int]]
+) -> list[tuple[int, int]]:
+    """Expand Π (a + b·[p | j]) over (p, a, b) as Σ c_d·[d | j].
+
+    The p are distinct primes; d runs over their squarefree products and
+    c_d = Π_{p | d} b · Π_{p ∤ d} a.  With (a, b) = (1, -1) for every p,
+    c_d = μ(d): the Möbius sum over the squarefree divisors of Π p.
+    """
+    terms = [(1, 1)]
+    for p, a, b in factors:
+        terms = [(d, c * a) for d, c in terms] + [(d * p, c * b) for d, c in terms]
+    return terms
 
 
 def mertens_product(x: RationalLike) -> Fraction:
@@ -179,7 +206,10 @@ def coprime_density(t: int, theta: RationalLike) -> Fraction:
     if theta < 1:
         raise DomainError("coprime_density requires theta >= 1")
     b_max = math.floor(theta)
-    count = sum(mu * (b_max // d) for d, mu in _squarefree_divisors(t))
+    count = sum(
+        mu * (b_max // d)
+        for d, mu in _squarefree_divisors((p, 1, -1) for p, _ in factorize(t))
+    )
     return Fraction(count) / theta
 
 
@@ -213,7 +243,7 @@ def coprime_harmonic(t: int, x: RationalLike) -> Fraction:
     if b_max <= 0:
         return Fraction(0)
     total = Fraction(0)
-    for d, mu in _squarefree_divisors(t):
+    for d, mu in _squarefree_divisors((p, 1, -1) for p, _ in factorize(t)):
         q = b_max // d
         if q:
             total += Fraction(mu, d) * _harmonic(q)

@@ -14,7 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .arith import RationalLike
+from .arith import (
+    RationalLike,
+    _squarefree_divisors,
+    exponent_split,
+    factorize,
+    totient,
+)
 from .errors import DomainError
 
 
@@ -141,25 +147,6 @@ class CircleIntervalSet:
                 return False
         return True
 
-    def validate(self) -> None:
-        """Raise DomainError unless in canonical form (test hook)."""
-        d = self.denominator
-        if d < 1:
-            raise DomainError("nonpositive denominator")
-        g = d
-        prev_hi = None
-        for l, r in self.ends:
-            if not 0 <= l < r <= d:
-                raise DomainError(f"arc ({l}, {r}) outside [0, {d}]")
-            if prev_hi is not None and l <= prev_hi:
-                raise DomainError("arcs out of order or not separated")
-            prev_hi = r
-            g = math.gcd(g, l, r)
-        if self.ends and g != 1:
-            raise DomainError("denominator not minimal")
-        if not self.ends and d != 1:
-            raise DomainError("empty set must have denominator 1")
-
 
 EMPTY_SET = CircleIntervalSet(1, ())
 FULL_SET = CircleIntervalSet(1, ((0, 1),))
@@ -172,6 +159,17 @@ def _coprime_residues(n: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, n) if math.gcd(a, n) == 1)
 
 
+def _arc_radius(n: int, radius: RationalLike) -> Fraction:
+    # the domain of a coprime arc system: n >= 1 and radius in [0, 1/2]
+    if n < 1:
+        raise DomainError("coprime arc systems require n >= 1")
+    if not isinstance(radius, Fraction):
+        radius = Fraction(radius)
+    if radius.numerator < 0 or 2 * radius.numerator > radius.denominator:
+        raise DomainError(f"radius {radius} outside [0, 1/2]")
+    return radius
+
+
 @lru_cache(maxsize=4096)
 def coprime_arcs(n: int, radius: Fraction) -> CircleIntervalSet:
     """Union over reduced fractions a/n of arcs [(a-radius)/n, (a+radius)/n) mod 1.
@@ -181,11 +179,7 @@ def coprime_arcs(n: int, radius: Fraction) -> CircleIntervalSet:
     (consecutive coprime residues are 1/n apart, so arcs never properly
     overlap while radius <= 1/2).
     """
-    if n < 1:
-        raise DomainError("coprime_arcs requires n >= 1")
-    radius = Fraction(radius)
-    if radius < 0 or radius > Fraction(1, 2):
-        raise DomainError(f"radius {radius} outside [0, 1/2]")
+    radius = _arc_radius(n, radius)
     if radius == 0:
         return EMPTY_SET
     p, q = radius.numerator, radius.denominator
@@ -196,6 +190,89 @@ def coprime_arcs(n: int, radius: Fraction) -> CircleIntervalSet:
     else:
         ends = [(a * q - p, a * q + p) for a in _coprime_residues(n)]
     return CircleIntervalSet._merged(d, ends)
+
+
+def coprime_measure(n: int, radius: RationalLike) -> Fraction:
+    """measure(coprime_arcs(n, radius)) = 2 * radius * phi(n) / n, from the
+    measure law alone."""
+    radius = _arc_radius(n, radius)
+    return Fraction(2 * radius.numerator * totient(n), radius.denominator * n)
+
+
+@lru_cache(maxsize=256)
+def _offset_weights(m: int, n: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """(P, w(0), ((D, c_D), ...)) for m <= n.
+
+    The centres a/m and b/n of two arcs differ by j/P mod 1, P = lcm(m, n).
+    With (r, s, t) = exponent_split(m, n), the number of pairs of units
+    a mod m, b mod n at offset j is w(j) = phi(s) * [gcd(j, t) = 1] *
+    prod over p^e || r of p^(e-1) * (p - 1 if p | j else p - 2).
+    Expanded over the squarefree D | rad(r*t), w(j) = sum of c_D * [D | j];
+    the D come ascending and zero coefficients are left out.
+    """
+    r, s, t = exponent_split(m, n)
+    # every prime of m or n divides r or t; factorizing r and t themselves
+    # would fill the factorize cache with one-off values
+    primes = sorted({p for p, _ in factorize(m) + factorize(n)})
+    r_primes = [p for p in primes if r % p == 0]
+    base = totient(s) * r // math.prod(r_primes)
+    terms = [
+        (d, base * c)
+        for d, c in _squarefree_divisors(
+            (p, p - 2, 1) if r % p == 0 else (p, 1, -1) for p in primes
+        )
+        if c
+    ]
+    terms.sort()
+    return r * t, sum(c for _, c in terms), tuple(terms)
+
+
+def coprime_intersection_measure(
+    m: int, rad_m: RationalLike, n: int, rad_n: RationalLike
+) -> Fraction:
+    """measure(coprime_arcs(m, rad_m) ∩ coprime_arcs(n, rad_n)), closed form.
+
+    Equal to intersection_measure of the two arc systems, without building
+    them: with half-widths h_m = rad_m/m, h_n = rad_n/n, δ = min and
+    Δ = max, two arcs whose centres are j/P apart overlap in
+    L(j) = max(0, min(2δ, Δ + δ - |j|/P)), and the sum of w(j) * L(j)
+    over j (see _offset_weights) is, per squarefree D | rad(r*t), an
+    arithmetic series with q1 = floor((Δ - δ)P/D), q2 = floor((Δ + δ)P/D)
+    terms.  Cost: O(2^omega(r*t)) integer operations, whatever m, n and
+    the radii.  The closed form needs h_m + h_n <= 1/2, so that no two
+    arcs meet on both sides; outside it (only when m = 1 or n = 1) the
+    integer sweep answers.
+    """
+    rad_m = _arc_radius(m, rad_m)
+    rad_n = _arc_radius(n, rad_n)
+    if not rad_m or not rad_n:
+        return Fraction(0)
+    den_m = rad_m.denominator * m
+    den_n = rad_n.denominator * n
+    q = math.lcm(den_m, den_n)
+    a = rad_m.numerator * (q // den_m)      # h_m = a/q, h_n = b/q
+    b = rad_n.numerator * (q // den_n)
+    if 2 * (a + b) > q:
+        return intersection_measure(coprime_arcs(m, rad_m), coprime_arcs(n, rad_n))
+    if a > b:
+        a, b = b, a                         # δ = a/q, Δ = b/q
+    period, w0, terms = _offset_weights(m, n) if m <= n else _offset_weights(n, m)
+    # acc is the measure times q*P/2: half the j = 0 term, then the j > 0
+    # terms, which the j < 0 terms mirror
+    acc = a * w0 * period
+    lo = (b - a) * period
+    hi = (b + a) * period
+    for d, c in terms:
+        qd = q * d
+        q2 = hi // qd
+        if not q2:
+            break
+        q1 = lo // qd
+        acc += c * (
+            period * (2 * a * q1 + (a + b) * (q2 - q1))
+            - qd * (q2 * (q2 + 1) - q1 * (q1 + 1)) // 2
+        )
+    return Fraction(2 * acc, q * period)
 
 
 def intersect(a: CircleIntervalSet, b: CircleIntervalSet) -> CircleIntervalSet:

@@ -30,7 +30,7 @@ from .arith import (
     pow_bounds,
     totient,
 )
-from .circles import coprime_arcs, intersection_measure
+from .circles import coprime_intersection_measure, coprime_measure
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -79,21 +79,21 @@ def borel_cantelli_ratio(
         raise DomainError("borel_cantelli_ratio requires N >= 1")
     if not psi.normalized:
         raise DomainError("borel_cantelli_ratio requires a normalized psi")
-    sets = []
+    events = []     # (n, radius) of the positive-measure events so far
     measure_sum = Fraction(0)
     second_moment = Fraction(0)
     rows = []
     for n in range(1, n_top + 1):
-        e = coprime_arcs(n, psi.value(n))
-        mu = e.measure()
+        radius = psi.value(n)
+        mu = coprime_measure(n, radius)
         second_moment += mu  # diagonal term
         if mu > 0:
-            for prev in sets:
-                im = intersection_measure(prev, e)
+            for prev, prev_radius in events:
+                im = coprime_intersection_measure(prev, prev_radius, n, radius)
                 if im:
                     second_moment += 2 * im
+            events.append((n, radius))
         measure_sum += mu
-        sets.append(e)
         ratio = (
             measure_sum * measure_sum / second_moment if second_moment else None
         )

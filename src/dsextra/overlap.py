@@ -15,14 +15,14 @@ from fractions import Fraction
 from .arith import (
     Approx,
     exp_rational,
-    factorize,
+    exponent_split,
     floored_log_bounds,
     frac_str,
     log_weight_integral,
     restricted_prime_product,
     totient,
 )
-from .circles import coprime_arcs, intersection_measure
+from .circles import coprime_intersection_measure, coprime_measure
 from .errors import DomainError, UndefinedRatioError
 from .psi import PsiFunction
 
@@ -63,18 +63,7 @@ def decompose_pair(m: int, n: int, psi: PsiFunction) -> PairDecomposition:
         raise DomainError("pair decomposition requires m != n")
     if m < 1 or n < 1:
         raise DomainError("pair entries must be >= 1")
-    em = dict(factorize(m))
-    en = dict(factorize(n))
-    r = s = t = 1
-    for p in sorted(em.keys() | en.keys()):
-        a = em.get(p, 0)
-        b = en.get(p, 0)
-        if a == b:
-            r *= p ** a
-        else:
-            lo, hi = (a, b) if a < b else (b, a)
-            s *= p ** lo
-            t *= p ** hi
+    r, s, t = exponent_split(m, n)
     psi_m = psi.value(m)
     psi_n = psi.value(n)
     dm = psi_m / m
@@ -107,17 +96,19 @@ def prime_product_bound(dec: PairDecomposition, k: int = 0) -> Fraction:
 def overlap_ratio(m: int, n: int, psi: PsiFunction, k: int = 0) -> Fraction:
     """Exact measure(A ∩ B) / (measure(A) * measure(B)) for the scaled arcs.
 
-    A, B are the coprime arc systems of m, n with radii psi/ê_k.
+    A, B are the coprime arc systems of m, n with radii psi/ê_k.  The
+    measures come from the measure law and the intersection from the
+    closed-form kernel coprime_intersection_measure; no arc system is built.
     """
     scale = exp_rational(k)
-    a = coprime_arcs(m, psi.value(m) / scale)
-    b = coprime_arcs(n, psi.value(n) / scale)
-    mu = a.measure() * b.measure()
+    rm = psi.value(m) / scale
+    rn = psi.value(n) / scale
+    mu = coprime_measure(m, rm) * coprime_measure(n, rn)
     if mu == 0:
         raise UndefinedRatioError(
             f"overlap ratio undefined: zero-measure arc system for ({m}, {n}) at k={k}"
         )
-    return intersection_measure(a, b) / mu
+    return coprime_intersection_measure(m, rm, n, rn) / mu
 
 
 def disjoint_predicted(dec: PairDecomposition, k: int = 0) -> bool:

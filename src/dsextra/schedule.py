@@ -17,7 +17,7 @@ from .arith import (
     guarded_floor,
     log_bounds,
 )
-from .circles import coprime_arcs, intersection_measure
+from .circles import coprime_intersection_measure, coprime_measure
 from .errors import CapExceededError, ConfigError, DomainError
 from .psi import PsiFunction
 
@@ -118,6 +118,11 @@ def select_scale(
     k-independent S2 = sum of products of unscaled measures; chosen_k is
     the argmin of S1(k)/S2 (equivalently of S1(k)), ties to smallest k.
     An empty pair list or S2 = 0 degenerates to chosen_k = 1.
+
+    The measures come from the measure law (coprime_measure) and the
+    intersections from the closed-form kernel coprime_intersection_measure,
+    so no arc system is built: the cost is O(2^omega(mn)) integer
+    operations per pair and k, whatever the size of m and n.
     """
     lo, hi = block_bounds(h, base)
     epsilon = Fraction(epsilon)
@@ -129,26 +134,20 @@ def select_scale(
                 f"pair ({m}, {n}) outside block [{lo}, {hi})"
             )
     top = scale_count(h, epsilon, precision)
+    scales = [exp_rational(k) for k in range(1, top + 1)]
+    radius = {x: psi.value(x) for pair in pairs for x in pair}
+    mu = {x: coprime_measure(x, v) for x, v in radius.items()}
+    scaled = {x: [v / e for e in scales] for x, v in radius.items()}
 
-    mu_cache: dict[int, Fraction] = {}
-
-    def mu(x: int) -> Fraction:
-        v = mu_cache.get(x)
-        if v is None:
-            v = coprime_arcs(x, psi.value(x)).measure()
-            mu_cache[x] = v
-        return v
-
-    s2 = sum((mu(m) * mu(n) for m, n in pairs), Fraction(0))
-    sums = []
-    for k in range(1, top + 1):
-        scale = exp_rational(k)
-        acc = Fraction(0)
-        for m, n in pairs:
-            a = coprime_arcs(m, psi.value(m) / scale)
-            b = coprime_arcs(n, psi.value(n) / scale)
-            acc += intersection_measure(a, b)
-        sums.append((k, acc * scale * scale, s2))
+    # pairs outer, k inner: the kernel reuses a pair's offset weights
+    # across k from its small cache
+    s1 = [Fraction(0)] * top
+    s2 = Fraction(0)
+    for m, n in pairs:
+        s2 += mu[m] * mu[n]
+        for i, (rm, rn) in enumerate(zip(scaled[m], scaled[n])):
+            s1[i] += coprime_intersection_measure(m, rm, n, rn)
+    sums = [(k, acc * e * e, s2) for k, (acc, e) in enumerate(zip(s1, scales), 1)]
     if not pairs or s2 == 0:
         chosen = 1
     else:
@@ -178,6 +177,7 @@ def thinned_psi(
         raise DomainError("thinned_psi requires a normalized input")
     epsilon = Fraction(epsilon)
     table: dict[int, Fraction] = {}
+    tops: dict[int, int] = {}      # K(h), certified once per block
     for n in range(2, psi.n_max + 1):
         h = block_of(n, base)
         if h is None or h % 2:
@@ -188,7 +188,9 @@ def thinned_psi(
         k = chosen.get(h)
         if k is None:
             raise ConfigError(f"no chosen scale for even block h = {h}")
-        if not 1 <= k <= scale_count(h, epsilon, precision):
+        if h not in tops:
+            tops[h] = scale_count(h, epsilon, precision)
+        if not 1 <= k <= tops[h]:
             raise ConfigError(
                 f"chosen scale {k} outside 1..K({h}) for epsilon = {epsilon}"
             )

@@ -1,19 +1,42 @@
-"""Shared fixtures: the pin store and a few common psi functions."""
+"""Shared fixtures: the pin store, a few common psi functions and the
+arc-set canonical-form check."""
 
 import json
+import math
 import os
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dsextra import make_psi, normalize_psi
+from dsextra import CircleIntervalSet, DomainError, make_psi, normalize_psi
 
 PIN_PATH = Path(__file__).parent / "data" / "pins.json"
 
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def validate_arcs(s: CircleIntervalSet) -> None:
+    """Raise DomainError unless s is in the canonical form of circles:
+    arcs [l, r) with 0 <= l < r <= D, sorted and separated, D minimal."""
+    d = s.denominator
+    if d < 1:
+        raise DomainError("nonpositive denominator")
+    g = d
+    prev_hi = None
+    for l, r in s.ends:
+        if not 0 <= l < r <= d:
+            raise DomainError(f"arc ({l}, {r}) outside [0, {d}]")
+        if prev_hi is not None and l <= prev_hi:
+            raise DomainError("arcs out of order or not separated")
+        prev_hi = r
+        g = math.gcd(g, l, r)
+    if s.ends and g != 1:
+        raise DomainError("denominator not minimal")
+    if not s.ends and d != 1:
+        raise DomainError("empty set must have denominator 1")
 
 
 class PinStore:

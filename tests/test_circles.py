@@ -1,4 +1,4 @@
-"""Arc set canonical form, measures, and the three intersection kernels."""
+"""Arc set canonical form, measures, and the four intersection routes."""
 
 import math
 from fractions import Fraction as F
@@ -7,18 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsextra.arith import totient
+from dsextra import circles
+from dsextra.arith import exp_rational, totient
 from dsextra.circles import (
     EMPTY_SET,
     FULL_SET,
     CircleIntervalSet,
     coprime_arcs,
+    coprime_intersection_measure,
+    coprime_measure,
     intersect,
     intersection_measure,
     midpoint_grid_measure,
     union_measure,
 )
 from dsextra.errors import DomainError
+from tests.conftest import validate_arcs
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +32,7 @@ def test_from_intervals_canonicalizes():
     s = CircleIntervalSet.from_intervals(
         [(F(1, 2), F(3, 4)), (F(1, 4), F(1, 2)), (F(1, 8), F(3, 16))]
     )
-    s.validate()
+    validate_arcs(s)
     # touching arcs merge; distinct ones stay apart
     assert s.intervals == ((F(1, 8), F(3, 16)), (F(1, 4), F(3, 4)))
     assert s.measure() == F(9, 16)
@@ -50,8 +54,8 @@ def test_from_intervals_rejects_bad_arcs():
 
 
 def test_empty_and_full():
-    EMPTY_SET.validate()
-    FULL_SET.validate()
+    validate_arcs(EMPTY_SET)
+    validate_arcs(FULL_SET)
     assert EMPTY_SET.measure() == 0 and EMPTY_SET.is_empty()
     assert FULL_SET.measure() == 1
     assert CircleIntervalSet.from_intervals([]) == EMPTY_SET
@@ -61,20 +65,20 @@ def test_denominator_is_minimal():
     # raw endpoints over 18 share a factor 2 with the denominator
     s = coprime_arcs(6, F(1, 3))
     assert s.denominator == 9 and s.ends == ((1, 2), (7, 8))
-    s.validate()
+    validate_arcs(s)
 
 
 def test_validate_rejects_broken_forms():
     with pytest.raises(DomainError):
-        CircleIntervalSet(4, ((2, 1),)).validate()       # reversed
+        validate_arcs(CircleIntervalSet(4, ((2, 1),)))              # reversed
     with pytest.raises(DomainError):
-        CircleIntervalSet(4, ((0, 2), (2, 3))).validate()  # touching unmerged
+        validate_arcs(CircleIntervalSet(4, ((0, 2), (2, 3))))       # touching unmerged
     with pytest.raises(DomainError):
-        CircleIntervalSet(4, ((0, 2), (2, 3))[::-1]).validate()
+        validate_arcs(CircleIntervalSet(4, ((0, 2), (2, 3))[::-1]))
     with pytest.raises(DomainError):
-        CircleIntervalSet(4, ((0, 2),)).validate()         # gcd 2 not reduced
+        validate_arcs(CircleIntervalSet(4, ((0, 2),)))              # gcd 2 not reduced
     with pytest.raises(DomainError):
-        CircleIntervalSet(3, ()).validate()                # empty wants D = 1
+        validate_arcs(CircleIntervalSet(3, ()))                     # empty wants D = 1
 
 
 def test_contains_half_open():
@@ -103,7 +107,7 @@ def test_covers_basic():
 
 def test_coprime_arcs_frozen_small():
     s = coprime_arcs(6, F(1, 2))
-    s.validate()
+    validate_arcs(s)
     assert s.denominator == 12
     assert s.ends == ((1, 3), (9, 11))
     assert s.measure() == F(1, 3)       # 2 * (1/2) * phi(6)/6
@@ -111,7 +115,7 @@ def test_coprime_arcs_frozen_small():
 
 def test_coprime_arcs_n1_wraps():
     s = coprime_arcs(1, F(1, 4))
-    s.validate()
+    validate_arcs(s)
     assert s.intervals == ((F(0), F(1, 4)), (F(3, 4), F(1)))
     assert s.measure() == F(1, 2)
     assert coprime_arcs(1, F(1, 2)) == FULL_SET
@@ -132,8 +136,8 @@ def test_coprime_arcs_edges():
 )
 def test_coprime_arcs_measure_law(n, radius):
     s = coprime_arcs(n, radius)
-    s.validate()
-    assert s.measure() == 2 * radius * totient(n) / n
+    validate_arcs(s)
+    assert s.measure() == 2 * radius * totient(n) / n == coprime_measure(n, radius)
 
 
 @settings(max_examples=80)
@@ -159,7 +163,7 @@ def test_intersect_frozen():
     a = coprime_arcs(2, F(1, 2))    # [1/4, 3/4)
     b = coprime_arcs(3, F(1, 2))    # [1/6, 5/6)
     got = intersect(a, b)
-    got.validate()
+    validate_arcs(got)
     assert got.intervals == ((F(1, 4), F(3, 4)),)
     assert intersection_measure(a, b) == F(1, 2)
 
@@ -168,7 +172,7 @@ def test_intersect_frozen():
 @given(arc_sets, arc_sets)
 def test_dual_route_kernels_agree(a, b):
     via_set = intersect(a, b)
-    via_set.validate()
+    validate_arcs(via_set)
     assert via_set.measure() == intersection_measure(a, b)
     assert intersection_measure(a, b) == intersection_measure(b, a)
     assert a.covers(via_set) and b.covers(via_set)
@@ -202,6 +206,72 @@ def test_grid_measure_error_bound(a, b, m):
     exact = intersection_measure(a, b)
     grid = midpoint_grid_measure(a, b, m)
     assert abs(grid - exact) <= F(len(a.ends) + len(b.ends) + 2, m)
+
+
+# ---------------------------------------------------------------------------
+# closed-form kernel vs the integer sweep and the Fraction route
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2000),
+    st.integers(min_value=1, max_value=2000),
+    st.fractions(min_value=0, max_value=F(1, 2), max_denominator=60),
+    st.fractions(min_value=0, max_value=F(1, 2), max_denominator=60),
+    st.integers(min_value=0, max_value=12),
+)
+def test_closed_form_kernel_agrees(m, n, rm, rn, k):
+    rm /= exp_rational(k)
+    rn /= exp_rational(k)
+    a = coprime_arcs(m, rm)
+    b = coprime_arcs(n, rn)
+    got = coprime_intersection_measure(m, rm, n, rn)
+    assert got == intersection_measure(a, b) == intersect(a, b).measure()
+    assert got == coprime_intersection_measure(n, rn, m, rm)
+
+
+def test_closed_form_kernel_exhaustive():
+    # every m < n <= 150 with the half radius at four scales
+    bad = []
+    for k in (0, 1, 4, 8):
+        radius = F(1, 2) / exp_rational(k)
+        for n in range(2, 151):
+            b = coprime_arcs(n, radius)
+            for m in range(1, n):
+                got = coprime_intersection_measure(m, radius, n, radius)
+                if got != intersection_measure(coprime_arcs(m, radius), b):
+                    bad.append((m, n, k))
+    assert bad == []
+
+
+def test_closed_form_kernel_domain(monkeypatch):
+    sweeps = []
+
+    def counting_sweep(a, b):
+        sweeps.append((a, b))
+        return intersection_measure(a, b)
+
+    monkeypatch.setattr(circles, "intersection_measure", counting_sweep)
+    # m = 1 or n = 1 at radius 1/2: E_1 is the whole circle, h_m + h_n > 1/2
+    assert coprime_intersection_measure(1, F(1, 2), 7, F(1, 3)) == F(4, 7)
+    assert coprime_intersection_measure(10, F(1, 2), 1, F(1, 2)) == F(2, 5)
+    assert coprime_intersection_measure(1, F(1, 2), 1, F(1, 2)) == 1
+    assert len(sweeps) == 3
+    # inside the domain the closed form answers, m = 1 and m = n included
+    assert coprime_intersection_measure(1, F(1, 4), 1, F(1, 8)) == F(1, 4)
+    assert coprime_intersection_measure(1, F(1, 4), 3, F(1, 2)) == F(1, 6)
+    assert coprime_intersection_measure(6, F(1, 2), 6, F(1, 4)) == F(1, 6)
+    assert len(sweeps) == 3
+    # zero radius: the empty set, on either side
+    assert coprime_intersection_measure(5, 0, 9, F(1, 2)) == 0
+    assert coprime_intersection_measure(1, F(1, 2), 9, F(0)) == 0
+    assert len(sweeps) == 3
+    # the same domain errors as coprime_arcs
+    with pytest.raises(DomainError):
+        coprime_intersection_measure(0, F(1, 4), 3, F(1, 4))
+    with pytest.raises(DomainError):
+        coprime_intersection_measure(2, F(1, 4), 3, F(3, 4))
+    with pytest.raises(DomainError):
+        coprime_intersection_measure(2, F(-1, 4), 3, F(1, 4))
 
 
 def test_equality_and_hash():

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from dsextra.arith import exp_rational
+from dsextra import schedule
+from dsextra.arith import exp_rational, log_bounds
 from dsextra.errors import (
     CapExceededError,
     ConfigError,
@@ -189,6 +190,21 @@ def test_thinned_skips_zero_radii():
     star = thinned_psi(psi, 3, {0: 1, 2: 6}, base=2)
     assert star.value(2) == F(1, 2) / exp_rational(1)
     assert star.value(17) == 0
+
+
+def test_thinned_certifies_each_block_once(monkeypatch):
+    # K(h) needs a log_bounds enclosure; block h = 2 holds 240 n
+    calls = []
+
+    def counting_log_bounds(*args):
+        calls.append(args)
+        return log_bounds(*args)
+
+    monkeypatch.setattr(schedule, "log_bounds", counting_log_bounds)
+    psi = normalize_psi(make_psi("half", 10_000))
+    star = thinned_psi(psi, 3, {0: 1, 2: 6}, base=2)
+    assert star.value(255) == F(1, 2) / exp_rational(6)
+    assert len(calls) == 1
 
 
 def test_even_blocks_upto():
