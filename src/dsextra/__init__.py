@@ -3,7 +3,6 @@ arcs and divergence experiments behind second-moment lower bounds."""
 
 from .arith import (
     Approx,
-    Rational,
     coprime_density,
     coprime_harmonic,
     exp_rational,
@@ -22,7 +21,6 @@ from .circles import (
     intersect,
     intersection_measure,
     midpoint_grid_measure,
-    union_measure,
 )
 from .errors import (
     CapExceededError,

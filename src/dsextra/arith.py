@@ -19,11 +19,9 @@ from mpmath import iv
 
 from .errors import CapExceededError, DomainError, PrecisionGuardError
 
-# Exact rational scalar used throughout the package.  fractions.Fraction
-# already provides normalized big-int rationals with exact comparison and
-# hashing, so it is adopted as-is instead of a bespoke type.
-Rational = Fraction
-
+# Exact rationals are fractions.Fraction throughout: normalized big-int
+# rationals with exact comparison and hashing, adopted as-is instead of a
+# bespoke type.  Arguments that take a rational also accept an int.
 RationalLike = Fraction | int
 
 

@@ -93,12 +93,6 @@ class CircleIntervalSet:
     def measure(self) -> Fraction:
         return Fraction(sum(r - l for l, r in self.ends), self.denominator)
 
-    def is_empty(self) -> bool:
-        return not self.ends
-
-    def __len__(self) -> int:
-        return len(self.ends)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CircleIntervalSet):
             return NotImplemented
@@ -109,43 +103,6 @@ class CircleIntervalSet:
 
     def __repr__(self) -> str:
         return f"CircleIntervalSet({len(self.ends)} arcs, measure {self.measure()})"
-
-    def contains(self, x: RationalLike) -> bool:
-        """Membership of x (taken mod 1) in the union of half-open arcs."""
-        x = Fraction(x)
-        x -= math.floor(x)
-        a, b = x.numerator, x.denominator
-        d = self.denominator
-        lo_i, hi_i = 0, len(self.ends)
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i) // 2
-            if self.ends[mid][0] * b <= a * d:
-                lo_i = mid + 1
-            else:
-                hi_i = mid
-        if lo_i == 0:
-            return False
-        return a * d < self.ends[lo_i - 1][1] * b
-
-    def covers(self, other: "CircleIntervalSet") -> bool:
-        """True when every arc of `other` lies inside an arc of self."""
-        if other.is_empty():
-            return True
-        if self.is_empty():
-            return False
-        d = math.lcm(self.denominator, other.denominator)
-        fs = d // self.denominator
-        fo = d // other.denominator
-        outer = self.ends
-        j = 0
-        for l, r in other.ends:
-            l *= fo
-            r *= fo
-            while j < len(outer) and outer[j][1] * fs < r:
-                j += 1
-            if j == len(outer) or outer[j][0] * fs > l:
-                return False
-        return True
 
 
 EMPTY_SET = CircleIntervalSet(1, ())
@@ -239,9 +196,11 @@ def coprime_intersection_measure(
     over j (see _offset_weights) is, per squarefree D | rad(r*t), an
     arithmetic series with q1 = floor((Δ - δ)P/D), q2 = floor((Δ + δ)P/D)
     terms.  Cost: O(2^omega(r*t)) integer operations, whatever m, n and
-    the radii.  The closed form needs h_m + h_n <= 1/2, so that no two
-    arcs meet on both sides; outside it (only when m = 1 or n = 1) the
-    integer sweep answers.
+    the radii.  The sum runs over all integers j, not over j mod P: it
+    intersects the two systems lifted to the real line, so arcs that meet
+    on both sides of the circle count once at j and once at j - P.  That
+    is exact whenever each system's arcs are disjoint, which holds for
+    every radius in [0, 1/2], the domain of coprime_arcs.
     """
     rad_m = _arc_radius(m, rad_m)
     rad_n = _arc_radius(n, rad_n)
@@ -252,8 +211,6 @@ def coprime_intersection_measure(
     q = math.lcm(den_m, den_n)
     a = rad_m.numerator * (q // den_m)      # h_m = a/q, h_n = b/q
     b = rad_n.numerator * (q // den_n)
-    if 2 * (a + b) > q:
-        return intersection_measure(coprime_arcs(m, rad_m), coprime_arcs(n, rad_n))
     if a > b:
         a, b = b, a                         # δ = a/q, Δ = b/q
     period, w0, terms = _offset_weights(m, n) if m <= n else _offset_weights(n, m)
@@ -322,32 +279,13 @@ def intersection_measure(a: CircleIntervalSet, b: CircleIntervalSet) -> Fraction
     return Fraction(acc, d)
 
 
-def union_measure(sets: Iterable[CircleIntervalSet]) -> Fraction:
-    """Exact measure of the union of several arc systems."""
-    intervals = sorted(
-        (lo, hi) for s in sets for lo, hi in s.intervals
-    )
-    total = Fraction(0)
-    cur_lo = cur_hi = None
-    for lo, hi in intervals:
-        if cur_hi is None or lo > cur_hi:
-            if cur_hi is not None:
-                total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        elif hi > cur_hi:
-            cur_hi = hi
-    if cur_hi is not None:
-        total += cur_hi - cur_lo
-    return total
-
-
 def midpoint_grid_measure(
     a: CircleIntervalSet, b: CircleIntervalSet, m: int
 ) -> Fraction:
     """Counting oracle: fraction of midpoints (2i+1)/(2m) inside both sets.
 
     Independent of the sweep kernels (pure lattice counting), off from the
-    exact intersection measure by at most (len(a) + len(b) + 2) / m.
+    exact intersection measure by at most (len(a.ends) + len(b.ends) + 2) / m.
     """
     if m < 1:
         raise DomainError("grid size must be >= 1")

@@ -24,7 +24,6 @@ from .errors import (
 from .harness import (
     bc_section,
     blocks_section,
-    experiment_psi,
     load_config,
     parse_config,
     run_experiment,
@@ -205,8 +204,7 @@ def cmd_avgsum(args) -> int:
 
 def _one_section(section, doc: dict, out: str | None):
     # a CLI workload is a one-section config run through its section
-    cfg = parse_config(doc)
-    return section(cfg, experiment_psi(cfg), out or None)
+    return section(parse_config(doc), out or None)
 
 
 def cmd_block(args) -> int:

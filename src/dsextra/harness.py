@@ -176,10 +176,8 @@ def divergence_table(
             # (ln n)^(epsilon * ln ln ln n)
             l3_lo, _ = floored_log_bounds(l2_lo, precision)
             _, l3_hi = floored_log_bounds(l2_hi, precision)
-            ll1_lo, _ = floored_log_bounds(l1[0], precision)
-            _, ll1_hi = floored_log_bounds(l1[1], precision)
             f_lo, f_hi = exp_bounds(
-                epsilon * l3_lo * ll1_lo, epsilon * l3_hi * ll1_hi, precision
+                epsilon * l3_lo * l2_lo, epsilon * l3_hi * l2_hi, precision
             )
             _div_add(acc["bhhv"], term, f_lo, f_hi, grid_bits)
         if n in marks:
@@ -458,9 +456,10 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # sections: one function per workload, shared by `dsextra run` and the
-# single-workload CLI commands.  Each takes the validated config, psi as
-# given (see experiment_psi) and an optional CSV path, and returns its rows
-# and its summary entries.  Every section but the table normalizes psi.
+# single-workload CLI commands.  Each takes the validated config and an
+# optional CSV path, builds its own psi over exactly the n it reaches, and
+# returns its rows and its summary entries.  Every section but the table
+# normalizes psi.
 
 BLOCK_COLUMNS = (
     "h", "base", "lo", "hi", "epsilon", "K", "k",
@@ -471,29 +470,6 @@ TABLE_COLUMNS = (
     "n", "plain", "damped_value", "damped_err", "hpv_value", "hpv_err",
     "bhhv_value", "bhhv_err",
 )
-
-
-def experiment_psi(cfg: ExperimentConfig) -> PsiFunction:
-    """psi as given on 1..n, for the largest n any section of cfg reaches."""
-    needs = [2]
-    if cfg.pair_sweep is not None:
-        if cfg.pair_sweep.mode == "list":
-            needs.append(max(n for _, n in cfg.pair_sweep.pairs))
-        else:
-            needs.append(cfg.pair_sweep.hi - 1)
-    if cfg.blocks is not None:
-        for h in cfg.blocks.h_list:
-            needs.append(
-                min(
-                    block_bounds(h, cfg.blocks.base)[1] - 1,
-                    cfg.cap(PAIR_CAP_SAMPLED),
-                )
-            )
-    if cfg.bc_n is not None:
-        needs.append(cfg.bc_n)
-    if cfg.table is not None:
-        needs.append(cfg.table.n_top)
-    return make_psi(cfg.psi, max(needs))
 
 
 def _resolve_pairs(cfg: ExperimentConfig) -> list[tuple[int, int]]:
@@ -602,14 +578,17 @@ def _sweep_summary(records: list[OverlapRecord], k_top: int) -> dict:
 
 
 def sweep_section(
-    cfg: ExperimentConfig, psi: PsiFunction, path=None
+    cfg: ExperimentConfig, path=None
 ) -> tuple[list[OverlapRecord], dict]:
     """The pair sweep: overlap records for every resolved pair and k."""
-    assert cfg.pair_sweep is not None
-    records = run_pair_sweep(normalize_psi(psi), cfg, _resolve_pairs(cfg))
+    spec = cfg.pair_sweep
+    assert spec is not None
+    top = max(n for _, n in spec.pairs) if spec.mode == "list" else spec.hi - 1
+    psi = normalize_psi(make_psi(cfg.psi, top))
+    records = run_pair_sweep(psi, cfg, _resolve_pairs(cfg))
     summary = _sweep_summary(records, cfg.k_top)
-    if cfg.pair_sweep.mode == "sample":
-        summary["seed"] = cfg.pair_sweep.seed
+    if spec.mode == "sample":
+        summary["seed"] = spec.seed
     if path is not None:
         write_csv(path, CSV_COLUMNS, [rec.csv_row() for rec in records])
     return records, {"sweep": summary}
@@ -685,12 +664,20 @@ def _thinned_audit(
 
 
 def blocks_section(
-    cfg: ExperimentConfig, psi: PsiFunction, path=None
+    cfg: ExperimentConfig, path=None
 ) -> tuple[list[BlockReport], dict]:
-    """Scale selection on every block of h_list, then the thinned audit."""
+    """Scale selection on every block of h_list, then the thinned audit.
+
+    Both use one psi on 1..n_star, the end of the last block within the
+    sampled cap, since thinned_psi walks all of its input.
+    """
     spec = cfg.blocks
     assert spec is not None
-    psi = normalize_psi(psi)
+    n_star = min(
+        max(block_bounds(h, spec.base)[1] for h in spec.h_list) - 1,
+        cfg.cap(PAIR_CAP_SAMPLED),
+    )
+    psi = normalize_psi(make_psi(cfg.psi, n_star))
     reports = []
     for h in spec.h_list:
         pairs, sampled = _block_pairs(cfg, h)
@@ -703,10 +690,6 @@ def blocks_section(
         "blocks": {"base": spec.base, "epsilon": spec.epsilon, "chosen": chosen},
     }
     if spec.thinned:
-        n_star = min(
-            max(block_bounds(h, spec.base)[1] for h in spec.h_list) - 1,
-            cfg.cap(PAIR_CAP_SAMPLED),
-        )
         needed = even_blocks_upto(n_star, spec.base)
         missing = [h for h in needed if h not in chosen]
         if missing:
@@ -714,10 +697,7 @@ def blocks_section(
                 f"thinned psi needs chosen scales for even blocks {missing}; "
                 f"add them to blocks.h_list"
             )
-        # thinned_psi walks all of its input, and other sections of a run
-        # stretch psi past n_star, so the audit rebuilds psi on 1..n_star
-        psi_star = normalize_psi(make_psi(cfg.psi, n_star))
-        audit = _thinned_audit(psi_star, spec, chosen, n_star, cfg.precision)
+        audit = _thinned_audit(psi, spec, chosen, n_star, cfg.precision)
         audit["n_star"] = n_star
         summary["thinned"] = audit
     if path is not None:
@@ -735,18 +715,17 @@ def blocks_section(
     return reports, summary
 
 
-def bc_section(
-    cfg: ExperimentConfig, psi: PsiFunction, path=None
-) -> tuple[list, dict]:
+def bc_section(cfg: ExperimentConfig, path=None) -> tuple[list, dict]:
     """The exact Borel-Cantelli series up to bc_n, within BC_CAP."""
     assert cfg.bc_n is not None
+    psi = normalize_psi(make_psi(cfg.psi, cfg.bc_n))
     limit = cfg.cap(BC_CAP)
     if cfg.bc_n > limit:
         raise CapExceededError(
             f"bc series limited to N <= {limit} (harness.BC_CAP; "
             f"a run config can override it with max_n)"
         )
-    ratio, rows = borel_cantelli_ratio(normalize_psi(psi), cfg.bc_n)
+    ratio, rows = borel_cantelli_ratio(psi, cfg.bc_n)
     if path is not None:
         write_csv(path, BC_COLUMNS, [
             [
@@ -759,13 +738,14 @@ def bc_section(
 
 
 def table_section(
-    cfg: ExperimentConfig, psi: PsiFunction, path=None
+    cfg: ExperimentConfig, path=None
 ) -> tuple[list[DivergenceRow], dict]:
     """The divergence table; the series uses psi as given, unnormalized."""
     spec = cfg.table
     assert spec is not None
     rows = divergence_table(
-        spec.epsilon, spec.n_top, psi, cfg.precision, spec.hpv_c
+        spec.epsilon, spec.n_top, make_psi(cfg.psi, spec.n_top),
+        cfg.precision, spec.hpv_c,
     )
     if path is not None:
         write_csv(path, TABLE_COLUMNS, [
@@ -804,7 +784,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     Returns all data in memory; CSV files are written when cfg.out is set
     (pair sweep at out itself, other sections at out-derived names).
     """
-    psi = experiment_psi(cfg)
     out = Path(cfg.out) if cfg.out else None
     result = RunResult(summary={"psi": cfg.psi, "k_top": cfg.k_top})
 
@@ -812,7 +791,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         path = out
         if out is not None and tag is not None:
             path = out.with_name(f"{out.stem}.{tag}{out.suffix or '.csv'}")
-        rows, summary = section(cfg, psi, path)
+        rows, summary = section(cfg, path)
         result.summary.update(summary)
         if path is not None:
             result.csv_paths.append(str(path))

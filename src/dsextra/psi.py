@@ -63,10 +63,6 @@ class PsiFunction:
             self._cache[n] = v
         return v
 
-    def support_upto(self, limit: int) -> list[int]:
-        lim = min(limit, self.n_max)
-        return [n for n in range(1, lim + 1) if self.value(n) > 0]
-
     def __repr__(self) -> str:
         return (
             f"PsiFunction({self.generator!r}, n_max={self.n_max}, "

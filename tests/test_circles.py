@@ -19,7 +19,6 @@ from dsextra.circles import (
     intersect,
     intersection_measure,
     midpoint_grid_measure,
-    union_measure,
 )
 from dsextra.errors import DomainError
 from tests.conftest import validate_arcs
@@ -56,7 +55,7 @@ def test_from_intervals_rejects_bad_arcs():
 def test_empty_and_full():
     validate_arcs(EMPTY_SET)
     validate_arcs(FULL_SET)
-    assert EMPTY_SET.measure() == 0 and EMPTY_SET.is_empty()
+    assert EMPTY_SET.measure() == 0 and EMPTY_SET.ends == ()
     assert FULL_SET.measure() == 1
     assert CircleIntervalSet.from_intervals([]) == EMPTY_SET
 
@@ -79,27 +78,6 @@ def test_validate_rejects_broken_forms():
         validate_arcs(CircleIntervalSet(4, ((0, 2),)))              # gcd 2 not reduced
     with pytest.raises(DomainError):
         validate_arcs(CircleIntervalSet(3, ()))                     # empty wants D = 1
-
-
-def test_contains_half_open():
-    s = coprime_arcs(2, F(1, 2))        # [1/4, 3/4)
-    assert s.intervals == ((F(1, 4), F(3, 4)),)
-    assert s.contains(F(1, 4))
-    assert not s.contains(F(3, 4))
-    assert s.contains(F(1, 2))
-    assert not s.contains(0)
-    assert s.contains(F(5, 4))          # mod 1
-    assert not s.contains(F(-1, 4))     # -1/4 mod 1 = 3/4
-
-
-def test_covers_basic():
-    big = coprime_arcs(6, F(1, 2))
-    small = coprime_arcs(6, F(1, 4))
-    assert big.covers(small)
-    assert not small.covers(big)
-    assert big.covers(EMPTY_SET)
-    assert FULL_SET.covers(big)
-    assert not EMPTY_SET.covers(small)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +124,8 @@ def test_coprime_arcs_measure_law(n, radius):
     st.fractions(min_value=0, max_value=F(1, 4), max_denominator=32),
 )
 def test_coprime_arcs_monotone_in_radius(n, radius):
-    assert coprime_arcs(n, 2 * radius).covers(coprime_arcs(n, radius))
+    small = coprime_arcs(n, radius)
+    assert intersection_measure(coprime_arcs(n, 2 * radius), small) == small.measure()
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +154,8 @@ def test_dual_route_kernels_agree(a, b):
     validate_arcs(via_set)
     assert via_set.measure() == intersection_measure(a, b)
     assert intersection_measure(a, b) == intersection_measure(b, a)
-    assert a.covers(via_set) and b.covers(via_set)
-
-
-@settings(max_examples=80)
-@given(arc_sets, arc_sets)
-def test_union_inclusion_exclusion(a, b):
-    both = union_measure([a, b])
-    assert both == a.measure() + b.measure() - intersection_measure(a, b)
-
-
-def test_union_measure_empty():
-    assert union_measure([]) == 0
-    assert union_measure([EMPTY_SET, EMPTY_SET]) == 0
+    assert intersection_measure(a, via_set) == via_set.measure()
+    assert intersection_measure(b, via_set) == via_set.measure()
 
 
 def test_grid_measure_frozen():
@@ -240,31 +208,41 @@ def test_closed_form_kernel_exhaustive():
                 got = coprime_intersection_measure(m, radius, n, radius)
                 if got != intersection_measure(coprime_arcs(m, radius), b):
                     bad.append((m, n, k))
+    # E_1 against every E_n, n <= 150, in both argument orders; for small
+    # n, h_1 + h_n > 1/2 and arcs meet on both sides of the circle
+    radii = (F(1, 2), F(2, 5), F(1, 3))
+    for r1 in radii:
+        a = coprime_arcs(1, r1)
+        for n in range(1, 151):
+            for rn in radii:
+                want = intersection_measure(a, coprime_arcs(n, rn))
+                if coprime_intersection_measure(1, r1, n, rn) != want:
+                    bad.append((1, r1, n, rn))
+                if coprime_intersection_measure(n, rn, 1, r1) != want:
+                    bad.append((n, rn, 1, r1))
     assert bad == []
 
 
 def test_closed_form_kernel_domain(monkeypatch):
-    sweeps = []
-
-    def counting_sweep(a, b):
-        sweeps.append((a, b))
-        return intersection_measure(a, b)
-
-    monkeypatch.setattr(circles, "intersection_measure", counting_sweep)
+    # the kernel answers every admissible radius itself: it neither builds
+    # arcs nor calls the sweep
+    arc_routes = []
+    monkeypatch.setattr(
+        circles, "intersection_measure", lambda *a: arc_routes.append(a)
+    )
+    monkeypatch.setattr(circles, "coprime_arcs", lambda *a: arc_routes.append(a))
     # m = 1 or n = 1 at radius 1/2: E_1 is the whole circle, h_m + h_n > 1/2
     assert coprime_intersection_measure(1, F(1, 2), 7, F(1, 3)) == F(4, 7)
     assert coprime_intersection_measure(10, F(1, 2), 1, F(1, 2)) == F(2, 5)
     assert coprime_intersection_measure(1, F(1, 2), 1, F(1, 2)) == 1
-    assert len(sweeps) == 3
-    # inside the domain the closed form answers, m = 1 and m = n included
+    # h_m + h_n <= 1/2, m = 1 and m = n included
     assert coprime_intersection_measure(1, F(1, 4), 1, F(1, 8)) == F(1, 4)
     assert coprime_intersection_measure(1, F(1, 4), 3, F(1, 2)) == F(1, 6)
     assert coprime_intersection_measure(6, F(1, 2), 6, F(1, 4)) == F(1, 6)
-    assert len(sweeps) == 3
     # zero radius: the empty set, on either side
     assert coprime_intersection_measure(5, 0, 9, F(1, 2)) == 0
     assert coprime_intersection_measure(1, F(1, 2), 9, F(0)) == 0
-    assert len(sweeps) == 3
+    assert arc_routes == []
     # the same domain errors as coprime_arcs
     with pytest.raises(DomainError):
         coprime_intersection_measure(0, F(1, 4), 3, F(1, 4))

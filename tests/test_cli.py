@@ -1,5 +1,6 @@
 """CLI surface: subcommands, report text, CSV output, and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -213,6 +214,46 @@ def test_cli_csv_matches_run_section(capsys, tmp_path, argv, doc, tag):
 def test_run_missing_config_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", str(tmp_path / "absent.json"))
     assert code == 2
+
+
+# the example config of the README and the SHA-256 of each CSV it writes:
+# refactors must leave these seeded bytes unchanged
+README_EXAMPLE = {
+    "psi": "half",
+    "k_top": 4,
+    "precision": 128,
+    "jobs": 2,
+    "out": "sweep.csv",
+    "with_integral": False,
+    "pairs": {"mode": "sample", "lo": 2, "hi": 300, "count": 60, "seed": 99},
+    "blocks": {"base": 2, "h_list": [0, 2], "epsilon": "3",
+               "sample": 40, "seed": 9, "thinned": True},
+    "bc_n": 20,
+    "table": {"epsilon": "3", "n_top": 64, "hpv_c": "1"},
+    "max_n": 2000,
+}
+
+README_EXAMPLE_SHA256 = {
+    "sweep.csv": "d1d4ea1d9e1fb27af16430c1fbdc1509b6467f71f49c74346dc4b7591f05f454",
+    "sweep.blocks.csv": "1380fa5082d404631389d69462e7d3f02ad946c652646fb8ce7a1961c1a0e8fc",
+    "sweep.bc.csv": "0fe5c6271056c73cd32aa8733b035b3e6b84bc85d48120d44d3713419dd834f7",
+    "sweep.table.csv": "7e276a9da05950e1799348a57f66b2d8639c6a36f021817cad04b838f6b2cb8f",
+}
+
+
+def test_readme_example_csv_bytes(tmp_path):
+    path = _write_config(tmp_path, README_EXAMPLE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dsextra", "run", path,
+         "--out", str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in README_EXAMPLE_SHA256
+    }
+    assert got == README_EXAMPLE_SHA256
 
 
 def test_entry_point_determinism(tmp_path):

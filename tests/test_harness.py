@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from dsextra import circles
 from dsextra.arith import totient
 from dsextra.circles import coprime_arcs, intersection_measure
 from dsextra.errors import (
@@ -50,6 +51,21 @@ def test_bc_ratio_matches_direct_double_sum(psi_half_300):
     )
     assert ratio == num / den
     assert rows[-1][0] == n_top and rows[-1][3] == ratio
+
+
+def test_bc_ratio_builds_no_arcs(psi_half_300, monkeypatch):
+    # E_1 at radius 1/2 is the whole circle; the pairs (1, n) take the
+    # closed form like every other pair, not the sweep
+    sweeps = []
+
+    def counting_sweep(a, b):
+        sweeps.append((a, b))
+        return intersection_measure(a, b)
+
+    monkeypatch.setattr(circles, "intersection_measure", counting_sweep)
+    ratio, _ = borel_cantelli_ratio(psi_half_300, 50)
+    assert sweeps == []
+    assert 0 < ratio <= 1
 
 
 def test_bc_ratio_in_unit_interval(psi_recip_300):

@@ -122,14 +122,6 @@ def test_normalize_idempotent_and_shares_base():
     assert [n1.value(n) for n in (1, 2, 49)] == [F(1, 2), F(1, 2), F(1, 49)]
 
 
-def test_support_upto():
-    psi = normalize_psi(make_psi("primes:1/100", 30))
-    # radius 1/100 survives only where 1/100 >= 1/n, i.e. primes >= 100: none
-    assert psi.support_upto(30) == []
-    raw = make_psi("primes:1/100", 30)
-    assert raw.support_upto(10) == [2, 3, 5, 7]
-
-
 @settings(max_examples=80)
 @given(
     st.integers(min_value=1, max_value=400),
