@@ -18,6 +18,7 @@ from .circles import (
     coprime_arcs,
     coprime_intersection_measure,
     coprime_measure,
+    coprime_row_intersection,
     intersect,
     intersection_measure,
     midpoint_grid_measure,

@@ -10,10 +10,13 @@ so downstream comparisons stay exact.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from itertools import accumulate
+from operator import sub
+from typing import Iterable, NamedTuple
 
 from mpmath import iv
 
@@ -36,6 +39,7 @@ def frac_str(x: Fraction) -> str:
 SIEVE_CAP = 4_000_000        # largest prime table we will build
 HARMONIC_CAP = 5_000         # largest floor(X) for coprime_harmonic
 INTEGRAL_CAP = 50_000        # largest floor(X) for log_weight_integral
+LOG_PREFIX_CAP = 1 << 18     # most prefix-table entries log_weight_integral keeps
 SCALE_CAP = 64               # largest k for exp_rational
 
 
@@ -163,17 +167,20 @@ def _euler_product(primes: Iterable[int]) -> Fraction:
 
 
 def _squarefree_divisors(
-    factors: Iterable[tuple[int, int, int]]
+    factors: Iterable[tuple[int, int, int]], limit: int | None = None
 ) -> list[tuple[int, int]]:
     """Expand Π (a + b·[p | j]) over (p, a, b) as Σ c_d·[d | j].
 
     The p are distinct primes; d runs over their squarefree products and
     c_d = Π_{p | d} b · Π_{p ∤ d} a.  With (a, b) = (1, -1) for every p,
-    c_d = μ(d): the Möbius sum over the squarefree divisors of Π p.
+    c_d = μ(d): the Möbius sum over the squarefree divisors of Π p.  With a
+    limit, only the d <= limit are expanded, d = 1 first.
     """
     terms = [(1, 1)]
     for p, a, b in factors:
-        terms = [(d, c * a) for d, c in terms] + [(d * p, c * b) for d, c in terms]
+        terms = [(d, c * a) for d, c in terms] + [
+            (d * p, c * b) for d, c in terms if limit is None or d * p <= limit
+        ]
     return terms
 
 
@@ -315,6 +322,16 @@ def _mpf_to_fraction(mpf_tuple) -> Fraction:
     return -f if sign else f
 
 
+def _log_ends(num: int, den: int, precision: int):
+    # the mpmath endpoint tuples (sign, man, exp, bc) of ln(num/den), num/den > 0
+    saved = iv.prec
+    iv.prec = precision + _LOG_GUARD_BITS
+    try:
+        return iv.log(iv.mpf(num) / iv.mpf(den))._mpi_
+    finally:
+        iv.prec = saved
+
+
 def log_bounds(x: RationalLike, precision: int = 128) -> tuple[Fraction, Fraction]:
     """Certified enclosure of ln(x) with exact dyadic rational endpoints.
 
@@ -327,19 +344,8 @@ def log_bounds(x: RationalLike, precision: int = 128) -> tuple[Fraction, Fractio
         raise DomainError("log requires x > 0")
     if x == 1:
         return Fraction(0), Fraction(0)
-    saved = iv.prec
-    iv.prec = precision + _LOG_GUARD_BITS
-    try:
-        enc = iv.log(iv.mpf(x.numerator) / iv.mpf(x.denominator))
-        lo_t, hi_t = enc._mpi_
-    finally:
-        iv.prec = saved
+    lo_t, hi_t = _log_ends(x.numerator, x.denominator, precision)
     return _mpf_to_fraction(lo_t), _mpf_to_fraction(hi_t)
-
-
-@lru_cache(maxsize=1 << 17)
-def _log_int_bounds(b: int, precision: int) -> tuple[Fraction, Fraction]:
-    return log_bounds(b, precision)
 
 
 def floored_log_bounds(
@@ -416,12 +422,101 @@ def guarded_floor(
     return f_lo
 
 
+# Prefix tables for log_weight_integral.  Table (d, precision) holds
+# S_d(q) = Σ_{c <= q} lo(c·d) and the same sum of hi(c·d) for q = 0, 1, ...,
+# where [lo(b), hi(b)] is log_bounds(b, precision), as integers on the
+# 2^-(precision + 33) grid: mpmath rounds ln b >= ln 2 > 1/2 to
+# precision + 32 significant bits, so every endpoint is a multiple of
+# 2^-(precision + 32), and the grid keeps a bit to spare.
+# Table (1, precision) is filled from mpmath; every other table takes its
+# endpoints from it as differences S_1(b) - S_1(b - 1).  The tables grow on
+# demand and the least recently used go first once they hold more than
+# LOG_PREFIX_CAP entries (one entry is one q with its two sums).
+
+_log_prefix: OrderedDict[tuple[int, int], tuple[list[int], list[int]]] = OrderedDict()
+_log_prefix_entries = 0
+
+
+class LogPrefixInfo(NamedTuple):
+    tables: int
+    entries: int
+    cap: int
+
+
+def log_prefix_info() -> LogPrefixInfo:
+    """Size of log_weight_integral's prefix tables, against LOG_PREFIX_CAP."""
+    return LogPrefixInfo(len(_log_prefix), _log_prefix_entries, LOG_PREFIX_CAP)
+
+
+def _on_grid(mpf_tuple, bits: int) -> int:
+    # the mpmath number mpf_tuple times 2^bits, which must be an integer
+    sign, man, exp, _ = mpf_tuple
+    if exp + bits < 0:
+        raise PrecisionGuardError(
+            f"log endpoint 2^{exp} is off the 2^-{bits} prefix-sum grid"
+        )
+    v = int(man) << (exp + bits)
+    return -v if sign else v
+
+
+def _log_prefix_table(d: int, q: int, precision: int) -> tuple[list[int], list[int]]:
+    """Table (d, precision) grown to cover q; for d > 1, table (1, precision)
+    must already cover q·d."""
+    global _log_prefix_entries
+    key = (d, precision)
+    table = _log_prefix.get(key)
+    if table is None:
+        table = _log_prefix[key] = ([0], [0])
+        _log_prefix_entries += 1
+    else:
+        _log_prefix.move_to_end(key)
+    lo, hi = table
+    start = len(lo)
+    if start > q:
+        return table
+    if d == 1:
+        bits = precision + _LOG_GUARD_BITS + 1
+        steps_lo, steps_hi = [], []
+        for b in range(start, q + 1):
+            if b == 1:
+                steps_lo.append(0)      # ln 1 = 0, as in log_bounds
+                steps_hi.append(0)
+            else:
+                lo_t, hi_t = _log_ends(b, 1, precision)
+                steps_lo.append(_on_grid(lo_t, bits))
+                steps_hi.append(_on_grid(hi_t, bits))
+    else:
+        ones_lo, ones_hi = _log_prefix[(1, precision)]
+        at, before = slice(start * d, q * d + 1, d), slice(start * d - 1, q * d, d)
+        steps_lo = map(sub, ones_lo[at], ones_lo[before])
+        steps_hi = map(sub, ones_hi[at], ones_hi[before])
+    for sums, steps in ((lo, steps_lo), (hi, steps_hi)):
+        grown = accumulate(steps, initial=sums[-1])
+        next(grown)                     # the initial value is sums[-1] itself
+        sums.extend(grown)
+    _log_prefix_entries += q + 1 - start
+    return table
+
+
+def _trim_log_prefix() -> None:
+    global _log_prefix_entries
+    while _log_prefix_entries > LOG_PREFIX_CAP and len(_log_prefix) > 1:
+        _, (lo, _) = _log_prefix.popitem(last=False)
+        _log_prefix_entries -= len(lo)
+
+
 def log_weight_integral(t: int, x: RationalLike, precision: int = 128) -> Approx:
     """Σ_{b <= x, gcd(b,t)=1} ln(x/b), certified.
 
     This equals ∫_1^x (#{b <= θ : gcd(b,t)=1}/θ) dθ/θ ... the distribution-
     function integral behind the overlap bound, collapsed to a finite log sum.
     Error is guaranteed <= 2^(-precision + ceil(log2 count)).
+
+    The count and the endpoint sums of the ln b are Möbius sums
+    Σ_{d | t} μ(d)·S_d(floor(x/d)) over the squarefree divisors d <= x of
+    t, read off the prefix tables: O(2^omega(t)) lookups once the tables
+    cover x.  t is factorized, so like coprime_density it is bounded
+    through SIEVE_CAP.
     """
     if t < 1:
         raise DomainError("log_weight_integral requires t >= 1")
@@ -435,17 +530,20 @@ def log_weight_integral(t: int, x: RationalLike, precision: int = 128) -> Approx
             f"(arith.INTEGRAL_CAP); needed {b_max}"
         )
     lnx_lo, lnx_hi = log_bounds(x, precision)
-    count = 0
-    sum_lo = Fraction(0)
-    sum_hi = Fraction(0)
-    for b in range(1, b_max + 1):
-        if math.gcd(b, t) == 1:
-            blo, bhi = _log_int_bounds(b, precision)
-            count += 1
-            sum_lo += blo
-            sum_hi += bhi
-    lo = count * lnx_lo - sum_hi
-    hi = count * lnx_hi - sum_lo
+    count = sum_lo = sum_hi = 0
+    for d, mu in _squarefree_divisors(((p, 1, -1) for p, _ in factorize(t)), b_max):
+        q = b_max // d
+        lo, hi = _log_prefix_table(d, q, precision)
+        count += mu * q
+        sum_lo += mu * lo[q]
+        sum_hi += mu * hi[q]
+    # table (1, precision) is used first and the others are built from it:
+    # keep it the last to go
+    _log_prefix.move_to_end((1, precision))
+    _trim_log_prefix()
+    grid = 1 << (precision + _LOG_GUARD_BITS + 1)
+    lo = count * lnx_lo - Fraction(sum_hi, grid)
+    hi = count * lnx_hi - Fraction(sum_lo, grid)
     if lo < 0:
         lo = Fraction(0)  # integrand is nonnegative; rounding can dip below
     out = Approx.from_bounds(lo, hi)

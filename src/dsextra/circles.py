@@ -14,13 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .arith import (
-    RationalLike,
-    _squarefree_divisors,
-    exponent_split,
-    factorize,
-    totient,
-)
+from .arith import RationalLike, _squarefree_divisors, factorize, totient
 from .errors import DomainError
 
 
@@ -156,66 +150,78 @@ def coprime_measure(n: int, radius: RationalLike) -> Fraction:
     return Fraction(2 * radius.numerator * totient(n), radius.denominator * n)
 
 
-@lru_cache(maxsize=256)
-def _offset_weights(m: int, n: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """(P, w(0), ((D, c_D), ...)) for m <= n.
+def _pair_weights(
+    fm: tuple[tuple[int, int], ...], fn: tuple[tuple[int, int], ...]
+) -> tuple[int, int, int, list[tuple[int, int, int]]]:
+    """(P, base, w(0)/base, factors) for the pair with factorizations fm, fn.
 
     The centres a/m and b/n of two arcs differ by j/P mod 1, P = lcm(m, n).
     With (r, s, t) = exponent_split(m, n), the number of pairs of units
-    a mod m, b mod n at offset j is w(j) = phi(s) * [gcd(j, t) = 1] *
-    prod over p^e || r of p^(e-1) * (p - 1 if p | j else p - 2).
-    Expanded over the squarefree D | rad(r*t), w(j) = sum of c_D * [D | j];
-    the D come ascending and zero coefficients are left out.
+    a mod m, b mod n at offset j is w(j) = base * [gcd(j, t) = 1] *
+    prod over p | r of (p - 2 + [p | j]), base = phi(s) * r / rad(r).
+    The factors (p, a_p, b_p) give that product as
+    prod of (a_p + b_p * [p | j]) over the primes of r*t, for
+    _squarefree_divisors to expand.
     """
-    r, s, t = exponent_split(m, n)
-    # every prime of m or n divides r or t; factorizing r and t themselves
-    # would fill the factorize cache with one-off values
-    primes = sorted({p for p, _ in factorize(m) + factorize(n)})
-    r_primes = [p for p in primes if r % p == 0]
-    base = totient(s) * r // math.prod(r_primes)
-    terms = [
-        (d, base * c)
-        for d, c in _squarefree_divisors(
-            (p, p - 2, 1) if r % p == 0 else (p, 1, -1) for p in primes
-        )
-        if c
-    ]
-    terms.sort()
-    return r * t, sum(c for _, c in terms), tuple(terms)
+    em = dict(fm)
+    en = dict(fn)
+    period = base = w0 = 1
+    factors = []
+    for p in sorted(em.keys() | en.keys()):
+        a = em.get(p, 0)
+        b = en.get(p, 0)
+        if a == b:              # p | r
+            period *= p ** a
+            base *= p ** (a - 1)
+            w0 *= p - 1
+            factors.append((p, p - 2, 1))
+        else:                   # p | t, and p | s when both exponents are > 0
+            lo, hi = (a, b) if a < b else (b, a)
+            period *= p ** hi
+            if lo:
+                base *= (p - 1) * p ** (lo - 1)
+            w0 = 0
+            factors.append((p, 1, -1))
+    return period, base, w0, factors
 
 
-def coprime_intersection_measure(
-    m: int, rad_m: RationalLike, n: int, rad_n: RationalLike
-) -> Fraction:
-    """measure(coprime_arcs(m, rad_m) ∩ coprime_arcs(n, rad_n)), closed form.
+@lru_cache(maxsize=256)
+def _offset_weights(m: int, n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """(P, base, w(0)/base, ((D, c_D), ...)) for m <= n: w(j)/base expanded
+    as the sum of c_D * [D | j] over the squarefree D | rad(r*t), D
+    ascending, zero coefficients left out.  Cached for the repeated pairs
+    of select_scale and overlap_ratio."""
+    period, base, w0, factors = _pair_weights(factorize(m), factorize(n))
+    terms = sorted((d, c) for d, c in _squarefree_divisors(factors) if c)
+    return period, base, w0, tuple(terms)
 
-    Equal to intersection_measure of the two arc systems, without building
-    them: with half-widths h_m = rad_m/m, h_n = rad_n/n, δ = min and
-    Δ = max, two arcs whose centres are j/P apart overlap in
-    L(j) = max(0, min(2δ, Δ + δ - |j|/P)), and the sum of w(j) * L(j)
-    over j (see _offset_weights) is, per squarefree D | rad(r*t), an
-    arithmetic series with q1 = floor((Δ - δ)P/D), q2 = floor((Δ + δ)P/D)
-    terms.  Cost: O(2^omega(r*t)) integer operations, whatever m, n and
-    the radii.  The sum runs over all integers j, not over j mod P: it
-    intersects the two systems lifted to the real line, so arcs that meet
-    on both sides of the circle count once at j and once at j - P.  That
-    is exact whenever each system's arcs are disjoint, which holds for
-    every radius in [0, 1/2], the domain of coprime_arcs.
-    """
-    rad_m = _arc_radius(m, rad_m)
-    rad_n = _arc_radius(n, rad_n)
-    if not rad_m or not rad_n:
-        return Fraction(0)
+
+def _half_widths(
+    m: int, rad_m: Fraction, n: int, rad_n: Fraction
+) -> tuple[int, int, int]:
+    """(q, a, b) with the half-widths rad_m/m and rad_n/n equal to a/q and
+    b/q in some order, a <= b, over their least common denominator q."""
     den_m = rad_m.denominator * m
     den_n = rad_n.denominator * n
     q = math.lcm(den_m, den_n)
-    a = rad_m.numerator * (q // den_m)      # h_m = a/q, h_n = b/q
+    a = rad_m.numerator * (q // den_m)
     b = rad_n.numerator * (q // den_n)
-    if a > b:
-        a, b = b, a                         # δ = a/q, Δ = b/q
-    period, w0, terms = _offset_weights(m, n) if m <= n else _offset_weights(n, m)
-    # acc is the measure times q*P/2: half the j = 0 term, then the j > 0
-    # terms, which the j < 0 terms mirror
+    return (q, a, b) if a <= b else (q, b, a)
+
+
+def _overlap_sum(
+    a: int, b: int, q: int, period: int, w0: int, terms: Iterable[tuple[int, int]]
+) -> int:
+    """measure(E_m ∩ E_n) times q*P/(2*base), half-widths δ = a/q <= Δ = b/q.
+
+    Two arcs whose centres are j/P apart overlap in
+    L(j) = max(0, min(2δ, Δ + δ - |j|/P)); the sum of w(j) * L(j) over j is,
+    per term (D, c_D) of the weights, an arithmetic series with
+    q1 = floor((Δ - δ)P/D), q2 = floor((Δ + δ)P/D) terms.  The terms with
+    q2 = 0 add nothing; the sum stops at the first of them, so the terms
+    come either ascending in D or all with D <= (Δ + δ)P.
+    """
+    # half the j = 0 term, then the j > 0 terms, which the j < 0 terms mirror
     acc = a * w0 * period
     lo = (b - a) * period
     hi = (b + a) * period
@@ -229,7 +235,66 @@ def coprime_intersection_measure(
             period * (2 * a * q1 + (a + b) * (q2 - q1))
             - qd * (q2 * (q2 + 1) - q1 * (q1 + 1)) // 2
         )
-    return Fraction(2 * acc, q * period)
+    return acc
+
+
+def coprime_intersection_measure(
+    m: int, rad_m: RationalLike, n: int, rad_n: RationalLike
+) -> Fraction:
+    """measure(coprime_arcs(m, rad_m) ∩ coprime_arcs(n, rad_n)), closed form.
+
+    Equal to intersection_measure of the two arc systems, without building
+    them: the pairs of arcs at each centre offset j/lcm(m, n) are counted
+    from the prime exponents of m and n (_pair_weights) and their overlaps
+    summed as arithmetic series (_overlap_sum).  Cost: O(2^omega(r*t))
+    integer operations, whatever m, n and the radii.  The sum runs over all
+    integers j, not over j mod P: it intersects the two systems lifted to
+    the real line, so arcs that meet on both sides of the circle count once
+    at j and once at j - P.  That is exact whenever each system's arcs are
+    disjoint, which holds for every radius in [0, 1/2], the domain of
+    coprime_arcs.
+    """
+    rad_m = _arc_radius(m, rad_m)
+    rad_n = _arc_radius(n, rad_n)
+    if not rad_m or not rad_n:
+        return Fraction(0)
+    q, a, b = _half_widths(m, rad_m, n, rad_n)
+    period, base, w0, terms = (
+        _offset_weights(m, n) if m <= n else _offset_weights(n, m)
+    )
+    return Fraction(2 * base * _overlap_sum(a, b, q, period, w0, terms), q * period)
+
+
+def coprime_row_intersection(
+    n: int, rad_n: RationalLike, events: Iterable[tuple[int, RationalLike]]
+) -> Fraction:
+    """Σ over (m, rad_m) in events of coprime_intersection_measure(m, rad_m, n, rad_n).
+
+    One row of a second moment: n's radius is checked and n factorized
+    once.  Each pair expands only the D <= (h_m + h_n)·P that add to the
+    sum, so its weights depend on the radii and bypass the pair kernel's
+    cache, which a row of distinct pairs would only churn.
+    """
+    rad_n = _arc_radius(n, rad_n)
+    if not rad_n:
+        return Fraction(0)
+    fn = factorize(n)
+    num, den = 0, 1             # the row sum is 2*num/den
+    for m, rad_m in events:
+        rad_m = _arc_radius(m, rad_m)
+        if not rad_m:
+            continue
+        q, a, b = _half_widths(m, rad_m, n, rad_n)
+        period, base, w0, factors = _pair_weights(factorize(m), fn)
+        terms = _squarefree_divisors(factors, (a + b) * period // q)
+        acc = _overlap_sum(a, b, q, period, w0, terms)
+        if acc:
+            # add base*acc/(q*P) over the lcm of the denominators so far
+            pair_den = q * period
+            g = math.gcd(den, pair_den)
+            num = num * (pair_den // g) + base * acc * (den // g)
+            den *= pair_den // g
+    return Fraction(2 * num, den)
 
 
 def intersect(a: CircleIntervalSet, b: CircleIntervalSet) -> CircleIntervalSet:

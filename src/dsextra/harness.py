@@ -30,7 +30,7 @@ from .arith import (
     pow_bounds,
     totient,
 )
-from .circles import coprime_intersection_measure, coprime_measure
+from .circles import coprime_measure, coprime_row_intersection
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -88,10 +88,7 @@ def borel_cantelli_ratio(
         mu = coprime_measure(n, radius)
         second_moment += mu  # diagonal term
         if mu > 0:
-            for prev, prev_radius in events:
-                im = coprime_intersection_measure(prev, prev_radius, n, radius)
-                if im:
-                    second_moment += 2 * im
+            second_moment += 2 * coprime_row_intersection(n, radius, events)
             events.append((n, radius))
         measure_sum += mu
         ratio = (

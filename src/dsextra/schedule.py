@@ -169,9 +169,9 @@ def thinned_psi(
     """The even-block rescaled radius function.
 
     On even-h blocks the radius is divided by ê_{chosen[h]}; elsewhere it
-    is 0.  The result is a final value table: its entries are used as-is
-    for arc construction and must not be re-normalized (rescaling pushes
-    radii below the 1/n drop threshold by design).
+    is 0.  The result is a final value table: the overlap kernels take
+    its entries as-is as arc radii, and it must not be re-normalized
+    (rescaling pushes radii below the 1/n drop threshold by design).
     """
     if not psi.normalized:
         raise DomainError("thinned_psi requires a normalized input")

@@ -4,12 +4,13 @@ arc-set canonical-form check."""
 import json
 import math
 import os
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dsextra import CircleIntervalSet, DomainError, make_psi, normalize_psi
+from dsextra import CircleIntervalSet, DomainError, arith, make_psi, normalize_psi
 
 PIN_PATH = Path(__file__).parent / "data" / "pins.json"
 
@@ -87,3 +88,11 @@ def psi_half_300():
 @pytest.fixture(scope="session")
 def psi_recip_300():
     return normalize_psi(make_psi("recip", 300))
+
+
+@pytest.fixture
+def fresh_log_prefix(monkeypatch):
+    """Empty log_weight_integral prefix tables for one test; the process's
+    tables come back after it."""
+    monkeypatch.setattr(arith, "_log_prefix", OrderedDict())
+    monkeypatch.setattr(arith, "_log_prefix_entries", 0)

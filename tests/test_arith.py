@@ -6,6 +6,7 @@ Expected values in this file are frozen from independent hand computation
 
 import math
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from dsextra import arith
 from dsextra.arith import (
+    INTEGRAL_CAP,
+    LOG_PREFIX_CAP,
     SCALE_CAP,
     Approx,
     coprime_density,
@@ -278,6 +281,93 @@ def test_log_weight_integral_error_contract():
         out = log_weight_integral(t, x, precision)
         count = sum(1 for b in range(1, x + 1) if math.gcd(b, t) == 1)
         assert out.err <= F(1, 1 << (precision - (count - 1).bit_length()))
+
+
+_log_int = lru_cache(maxsize=None)(log_bounds)
+
+
+def scan_log_weight_integral(t, x, precision):
+    """Reference route for log_weight_integral: scan every b <= x, test
+    gcd(b, t) and add the Fraction endpoints of ln b one by one."""
+    x = F(x)
+    lnx_lo, lnx_hi = log_bounds(x, precision)
+    count = 0
+    sum_lo = sum_hi = F(0)
+    for b in range(1, math.floor(x) + 1):
+        if math.gcd(b, t) == 1:
+            blo, bhi = _log_int(b, precision)
+            count += 1
+            sum_lo += blo
+            sum_hi += bhi
+    lo = max(count * lnx_lo - sum_hi, F(0))
+    return Approx.from_bounds(lo, count * lnx_hi - sum_lo)
+
+
+def _prefix_entries():
+    return sum(len(lo) for lo, _ in arith._log_prefix.values())
+
+
+# t is factorized, so it stays within SIEVE_CAP**2 (9973**3 < 10**12)
+_PRIME_POWERS = st.builds(
+    pow, st.sampled_from([2, 3, 5, 7, 11, 13, 9973]), st.integers(1, 12)
+).filter(lambda t: t < 10 ** 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.just(1), _PRIME_POWERS, st.sampled_from([30030, 510510])),
+    st.fractions(min_value=1, max_value=5000, max_denominator=50),
+    st.sampled_from([32, 64, 128, 200]),
+)
+def test_log_weight_integral_matches_scan(t, x, precision):
+    assert log_weight_integral(t, x, precision) == scan_log_weight_integral(
+        t, x, precision
+    )
+
+
+def test_log_weight_integral_independent_of_table_state(fresh_log_prefix):
+    calls = [(1, F(1001, 3)), (12, 97), (30030, F(2999, 2)), (510510, 40)]
+    cold = [log_weight_integral(t, x, 64) for t, x in calls]
+    log_weight_integral(510510, 4000, 64)      # grows the tables past every x
+    assert [log_weight_integral(t, x, 64) for t, x in calls] == cold
+    assert cold == [scan_log_weight_integral(t, x, 64) for t, x in calls]
+
+
+def test_log_prefix_tables_evict_oldest(fresh_log_prefix, monkeypatch):
+    monkeypatch.setattr(arith, "LOG_PREFIX_CAP", 3000)
+    for t in (30030, 510510, 7, 30030):
+        for precision in (64, 128):
+            x = F(2500, 3)
+            assert log_weight_integral(t, x, precision) == scan_log_weight_integral(
+                t, x, precision
+            )
+            info = arith.log_prefix_info()
+            assert info.entries == _prefix_entries() <= info.cap == 3000
+            # the base table of the latest call is the last to go
+            assert next(reversed(arith._log_prefix)) == (1, precision)
+
+
+def test_log_prefix_tables_bounded_at_integral_cap(fresh_log_prefix):
+    # at the cap, t = 510510 fills 121 tables with 170,663 entries and
+    # t = 9699690 208 tables; a second precision pushes the total past
+    # LOG_PREFIX_CAP, and the oldest tables go
+    for precision in (128, 64):
+        for t in (510510, 9699690):
+            log_weight_integral(t, INTEGRAL_CAP, precision)
+            info = arith.log_prefix_info()
+            assert info.entries == _prefix_entries() <= LOG_PREFIX_CAP == info.cap
+            assert info.tables == len(arith._log_prefix)
+    kept = [key for key in arith._log_prefix if key[1] == 128]
+    assert (1, 128) in kept and len(kept) < 208
+    assert sum(key[1] == 64 for key in arith._log_prefix) == 208
+
+
+def test_log_prefix_grid_is_checked():
+    # mpmath tuples are (sign, mantissa, exponent, bit count)
+    assert arith._on_grid((0, 3, -5, 2), 10) == 3 << 5
+    assert arith._on_grid((1, 3, -5, 2), 5) == -3
+    with pytest.raises(PrecisionGuardError, match="grid"):
+        arith._on_grid((0, 1, -11, 1), 10)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ from dsextra.circles import (
     coprime_arcs,
     coprime_intersection_measure,
     coprime_measure,
+    coprime_row_intersection,
     intersect,
     intersection_measure,
     midpoint_grid_measure,
 )
 from dsextra.errors import DomainError
+from dsextra.psi import make_psi, normalize_psi
 from tests.conftest import validate_arcs
 
 
@@ -250,6 +252,45 @@ def test_closed_form_kernel_domain(monkeypatch):
         coprime_intersection_measure(2, F(1, 4), 3, F(3, 4))
     with pytest.raises(DomainError):
         coprime_intersection_measure(2, F(-1, 4), 3, F(1, 4))
+
+
+@pytest.mark.parametrize("spec", ["half", "recip", "primes:1"])
+def test_row_kernel_matches_pair_sums(spec):
+    # every row n <= 120 of the second moment, zero radii included: the row
+    # kernel, the pair kernel and the integer sweep over built arcs agree
+    psi = normalize_psi(make_psi(spec, 120))
+    for k in (0, 3):
+        events = []
+        for n in range(1, 121):
+            radius = psi.value(n) / exp_rational(k)
+            arcs = coprime_arcs(n, radius)
+            pair_sum = sum(
+                (coprime_intersection_measure(m, rm, n, radius) for m, rm in events),
+                F(0),
+            )
+            sweep_sum = sum(
+                (intersection_measure(coprime_arcs(m, rm), arcs) for m, rm in events),
+                F(0),
+            )
+            assert coprime_row_intersection(n, radius, events) == pair_sum == sweep_sum
+            events.append((n, radius))
+
+
+def test_row_kernel_domain():
+    assert coprime_row_intersection(7, F(1, 3), []) == 0
+    assert coprime_row_intersection(7, 0, [(1, F(1, 2))]) == 0
+    # E_1 at radius 1/2 is the whole circle
+    assert coprime_row_intersection(7, F(1, 3), [(1, F(1, 2)), (5, 0)]) == F(4, 7)
+    # the row kernel bypasses the pair kernel's cache
+    before = circles._offset_weights.cache_info()
+    coprime_row_intersection(30, F(1, 2), [(m, F(1, 2)) for m in range(1, 30)])
+    assert circles._offset_weights.cache_info() == before
+    with pytest.raises(DomainError):
+        coprime_row_intersection(0, F(1, 4), [])
+    with pytest.raises(DomainError):
+        coprime_row_intersection(3, F(3, 4), [])
+    with pytest.raises(DomainError):
+        coprime_row_intersection(3, F(1, 4), [(2, F(-1, 4))])
 
 
 def test_equality_and_hash():

@@ -278,7 +278,7 @@ def test_run_experiment_max_n_override():
         run_experiment(cfg)
 
 
-def test_run_experiment_jobs_match(tmp_path):
+def test_run_experiment_jobs_match(tmp_path, fresh_log_prefix):
     base = {
         "psi": "recip",
         "k_top": 2,
@@ -288,6 +288,20 @@ def test_run_experiment_jobs_match(tmp_path):
     four = run_experiment(parse_config({**base, "jobs": 4, "out": str(tmp_path / "b.csv")}))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert one.summary["sweep"] == four.summary["sweep"]
+
+    # with the integral column: from empty prefix tables, from the tables
+    # the first run left, and across a process pool
+    cfg = {**base, "psi": "half", "k_top": 3, "with_integral": True}
+    runs = [
+        run_experiment(parse_config({**cfg, "jobs": jobs, "out": str(tmp_path / name)}))
+        for jobs, name in ((1, "cold.csv"), (1, "warm.csv"), (4, "pool.csv"))
+    ]
+    cold = (tmp_path / "cold.csv").read_bytes()
+    assert cold == (tmp_path / "warm.csv").read_bytes()
+    assert cold == (tmp_path / "pool.csv").read_bytes()
+    assert runs[0].summary["sweep"] == runs[1].summary["sweep"] == runs[2].summary["sweep"]
+    assert all(rec.integral is not None for rec in runs[0].records)
+    assert any(rec.integral.value for rec in runs[0].records)
 
 
 def test_run_experiment_thinned_needs_even_blocks():
