@@ -16,9 +16,8 @@ from .arith import (
 from .circles import (
     CircleIntervalSet,
     coprime_arcs,
-    coprime_intersection_measure,
+    coprime_intersection_sums,
     coprime_measure,
-    coprime_row_intersection,
     intersect,
     intersection_measure,
     midpoint_grid_measure,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .arith import RationalLike, _squarefree_divisors, factorize, totient
 from .errors import DomainError
@@ -159,17 +159,15 @@ def _pair_weights(
     With (r, s, t) = exponent_split(m, n), the number of pairs of units
     a mod m, b mod n at offset j is w(j) = base * [gcd(j, t) = 1] *
     prod over p | r of (p - 2 + [p | j]), base = phi(s) * r / rad(r).
-    The factors (p, a_p, b_p) give that product as
-    prod of (a_p + b_p * [p | j]) over the primes of r*t, for
+    The factors (p, a_p, b_p), in no particular order, give that product
+    as prod of (a_p + b_p * [p | j]) over the primes of r*t, for
     _squarefree_divisors to expand.
     """
     em = dict(fm)
-    en = dict(fn)
     period = base = w0 = 1
     factors = []
-    for p in sorted(em.keys() | en.keys()):
-        a = em.get(p, 0)
-        b = en.get(p, 0)
+    for p, b in fn:
+        a = em.pop(p, 0)
         if a == b:              # p | r
             period *= p ** a
             base *= p ** (a - 1)
@@ -182,18 +180,11 @@ def _pair_weights(
                 base *= (p - 1) * p ** (lo - 1)
             w0 = 0
             factors.append((p, 1, -1))
+    for p, a in em.items():     # the primes of m alone: p | t
+        period *= p ** a
+        w0 = 0
+        factors.append((p, 1, -1))
     return period, base, w0, factors
-
-
-@lru_cache(maxsize=256)
-def _offset_weights(m: int, n: int) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
-    """(P, base, w(0)/base, ((D, c_D), ...)) for m <= n: w(j)/base expanded
-    as the sum of c_D * [D | j] over the squarefree D | rad(r*t), D
-    ascending, zero coefficients left out.  Cached for the repeated pairs
-    of select_scale and overlap_ratio."""
-    period, base, w0, factors = _pair_weights(factorize(m), factorize(n))
-    terms = sorted((d, c) for d, c in _squarefree_divisors(factors) if c)
-    return period, base, w0, tuple(terms)
 
 
 def _half_widths(
@@ -217,9 +208,10 @@ def _overlap_sum(
     Two arcs whose centres are j/P apart overlap in
     L(j) = max(0, min(2δ, Δ + δ - |j|/P)); the sum of w(j) * L(j) over j is,
     per term (D, c_D) of the weights, an arithmetic series with
-    q1 = floor((Δ - δ)P/D), q2 = floor((Δ + δ)P/D) terms.  The terms with
-    q2 = 0 add nothing; the sum stops at the first of them, so the terms
-    come either ascending in D or all with D <= (Δ + δ)P.
+    q1 = floor((Δ - δ)P/D) <= q2 = floor((Δ + δ)P/D) terms.  A term with
+    q2 = 0, D beyond (Δ + δ)P, has q1 = 0 and adds exactly 0; it is
+    skipped, so the terms may come in any order and may be expanded for
+    a wider pair of radii.
     """
     # half the j = 0 term, then the j > 0 terms, which the j < 0 terms mirror
     acc = a * w0 * period
@@ -229,7 +221,7 @@ def _overlap_sum(
         qd = q * d
         q2 = hi // qd
         if not q2:
-            break
+            continue
         q1 = lo // qd
         acc += c * (
             period * (2 * a * q1 + (a + b) * (q2 - q1))
@@ -238,63 +230,57 @@ def _overlap_sum(
     return acc
 
 
-def coprime_intersection_measure(
-    m: int, rad_m: RationalLike, n: int, rad_n: RationalLike
-) -> Fraction:
-    """measure(coprime_arcs(m, rad_m) ∩ coprime_arcs(n, rad_n)), closed form.
+def coprime_intersection_sums(
+    n: int,
+    rads_n: Sequence[RationalLike],
+    events: Iterable[tuple[int, Sequence[RationalLike]]],
+) -> list[Fraction]:
+    """Column i: the sum over (m, rads_m) in events of
+    measure(coprime_arcs(m, rads_m[i]) ∩ coprime_arcs(n, rads_n[i])).
 
-    Equal to intersection_measure of the two arc systems, without building
-    them: the pairs of arcs at each centre offset j/lcm(m, n) are counted
-    from the prime exponents of m and n (_pair_weights) and their overlaps
-    summed as arithmetic series (_overlap_sum).  Cost: O(2^omega(r*t))
-    integer operations, whatever m, n and the radii.  The sum runs over all
-    integers j, not over j mod P: it intersects the two systems lifted to
-    the real line, so arcs that meet on both sides of the circle count once
-    at j and once at j - P.  That is exact whenever each system's arcs are
-    disjoint, which holds for every radius in [0, 1/2], the domain of
-    coprime_arcs.
+    The closed form of the pairwise overlaps, without building arcs: the
+    pairs of arcs at each centre offset j/lcm(m, n) are counted from the
+    prime exponents of m and n (_pair_weights) and their overlaps summed as
+    arithmetic series (_overlap_sum).  n is factorized once; each event's
+    weights are expanded once for all columns, over the squarefree
+    D <= (h_m + h_n)·P of its widest column; each column adds its pairs as
+    integers over one common denominator, one Fraction per column.  Cost:
+    O(2^omega(r*t)) integer operations per pair and column, whatever m, n
+    and the radii.  The sum runs over all integers j, not over j mod P: it
+    intersects the two systems lifted to the real line, so arcs that meet
+    on both sides of the circle count once at j and once at j - P.  That
+    is exact whenever each system's arcs are disjoint, which holds for
+    every radius in [0, 1/2], the domain of coprime_arcs.
     """
-    rad_m = _arc_radius(m, rad_m)
-    rad_n = _arc_radius(n, rad_n)
-    if not rad_m or not rad_n:
-        return Fraction(0)
-    q, a, b = _half_widths(m, rad_m, n, rad_n)
-    period, base, w0, terms = (
-        _offset_weights(m, n) if m <= n else _offset_weights(n, m)
-    )
-    return Fraction(2 * base * _overlap_sum(a, b, q, period, w0, terms), q * period)
-
-
-def coprime_row_intersection(
-    n: int, rad_n: RationalLike, events: Iterable[tuple[int, RationalLike]]
-) -> Fraction:
-    """Σ over (m, rad_m) in events of coprime_intersection_measure(m, rad_m, n, rad_n).
-
-    One row of a second moment: n's radius is checked and n factorized
-    once.  Each pair expands only the D <= (h_m + h_n)·P that add to the
-    sum, so its weights depend on the radii and bypass the pair kernel's
-    cache, which a row of distinct pairs would only churn.
-    """
-    rad_n = _arc_radius(n, rad_n)
-    if not rad_n:
-        return Fraction(0)
+    rads_n = [_arc_radius(n, r) for r in rads_n]
     fn = factorize(n)
-    num, den = 0, 1             # the row sum is 2*num/den
-    for m, rad_m in events:
-        rad_m = _arc_radius(m, rad_m)
-        if not rad_m:
-            continue
-        q, a, b = _half_widths(m, rad_m, n, rad_n)
+    nums = [0] * len(rads_n)
+    dens = [1] * len(rads_n)    # column i sums to 2*nums[i]/dens[i]
+    for m, rads_m in events:
+        if len(rads_m) != len(rads_n):
+            raise DomainError(
+                f"event {m} has {len(rads_m)} radii for {len(rads_n)} columns"
+            )
         period, base, w0, factors = _pair_weights(factorize(m), fn)
-        terms = _squarefree_divisors(factors, (a + b) * period // q)
-        acc = _overlap_sum(a, b, q, period, w0, terms)
-        if acc:
-            # add base*acc/(q*P) over the lcm of the denominators so far
-            pair_den = q * period
-            g = math.gcd(den, pair_den)
-            num = num * (pair_den // g) + base * acc * (den // g)
-            den *= pair_den // g
-    return Fraction(2 * num, den)
+        widths = []
+        limit = 0
+        for i, rad_m in enumerate(rads_m):
+            rad_m = _arc_radius(m, rad_m)
+            rad_n = rads_n[i]
+            if rad_m and rad_n:
+                q, a, b = _half_widths(m, rad_m, n, rad_n)
+                widths.append((i, q, a, b))
+                limit = max(limit, (a + b) * period // q)
+        terms = _squarefree_divisors(factors, limit)
+        for i, q, a, b in widths:
+            acc = _overlap_sum(a, b, q, period, w0, terms)
+            if acc:
+                # add base*acc/(q*P) over the lcm of the column's denominators
+                pair_den = q * period
+                g = math.gcd(dens[i], pair_den)
+                nums[i] = nums[i] * (pair_den // g) + base * acc * (dens[i] // g)
+                dens[i] *= pair_den // g
+    return [Fraction(2 * num, den) for num, den in zip(nums, dens)]
 
 
 def intersect(a: CircleIntervalSet, b: CircleIntervalSet) -> CircleIntervalSet:

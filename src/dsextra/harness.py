@@ -30,7 +30,7 @@ from .arith import (
     pow_bounds,
     totient,
 )
-from .circles import coprime_measure, coprime_row_intersection
+from .circles import coprime_intersection_sums, coprime_measure
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -54,6 +54,7 @@ PAIR_CAP_EXACT = 2000     # exhaustive pair corpora
 PAIR_CAP_SAMPLED = 10_000 # sampled pair corpora
 BC_CAP = 500              # exact Borel-Cantelli series
 TABLE_CAP = 10_000        # divergence table length
+JOBS_CAP = 64             # worker processes, all started at the first task
 
 # Exact partial sums near TABLE_CAP carry lcm-scale denominators whose
 # decimal form exceeds CPython's default 4300-digit conversion guard.
@@ -79,7 +80,7 @@ def borel_cantelli_ratio(
         raise DomainError("borel_cantelli_ratio requires N >= 1")
     if not psi.normalized:
         raise DomainError("borel_cantelli_ratio requires a normalized psi")
-    events = []     # (n, radius) of the positive-measure events so far
+    events = []     # (n, (radius,)) of the positive-measure events so far
     measure_sum = Fraction(0)
     second_moment = Fraction(0)
     rows = []
@@ -88,8 +89,9 @@ def borel_cantelli_ratio(
         mu = coprime_measure(n, radius)
         second_moment += mu  # diagonal term
         if mu > 0:
-            second_moment += 2 * coprime_row_intersection(n, radius, events)
-            events.append((n, radius))
+            row = coprime_intersection_sums(n, (radius,), events)[0]
+            second_moment += 2 * row
+            events.append((n, (radius,)))
         measure_sum += mu
         ratio = (
             measure_sum * measure_sum / second_moment if second_moment else None
@@ -329,6 +331,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise CapExceededError(f"k_top limited to {SCALE_CAP} (arith.SCALE_CAP)")
     precision = _as_int(doc.get("precision", 128), "precision", 8)
     jobs = _as_int(doc.get("jobs", 1), "jobs", 1)
+    if jobs > JOBS_CAP:
+        raise CapExceededError(f"jobs limited to {JOBS_CAP} (harness.JOBS_CAP)")
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a path string")

@@ -22,7 +22,7 @@ from .arith import (
     restricted_prime_product,
     totient,
 )
-from .circles import coprime_intersection_measure, coprime_measure
+from .circles import coprime_intersection_sums, coprime_measure
 from .errors import DomainError, UndefinedRatioError
 from .psi import PsiFunction
 
@@ -98,7 +98,8 @@ def overlap_ratio(m: int, n: int, psi: PsiFunction, k: int = 0) -> Fraction:
 
     A, B are the coprime arc systems of m, n with radii psi/ê_k.  The
     measures come from the measure law and the intersection from the
-    closed-form kernel coprime_intersection_measure; no arc system is built.
+    closed-form kernel coprime_intersection_sums, called with one event
+    and one column; no arc system is built.
     """
     scale = exp_rational(k)
     rm = psi.value(m) / scale
@@ -108,7 +109,7 @@ def overlap_ratio(m: int, n: int, psi: PsiFunction, k: int = 0) -> Fraction:
         raise UndefinedRatioError(
             f"overlap ratio undefined: zero-measure arc system for ({m}, {n}) at k={k}"
         )
-    return coprime_intersection_measure(m, rm, n, rn) / mu
+    return coprime_intersection_sums(n, (rn,), [(m, (rm,))])[0] / mu
 
 
 def disjoint_predicted(dec: PairDecomposition, k: int = 0) -> bool:

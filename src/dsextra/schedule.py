@@ -8,6 +8,7 @@ already ends desk-scale exhaustive work, and the machinery is identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from .arith import (
     guarded_floor,
     log_bounds,
 )
-from .circles import coprime_intersection_measure, coprime_measure
+from .circles import coprime_intersection_sums, coprime_measure
 from .errors import CapExceededError, ConfigError, DomainError
 from .psi import PsiFunction
 
@@ -120,9 +121,11 @@ def select_scale(
     An empty pair list or S2 = 0 degenerates to chosen_k = 1.
 
     The measures come from the measure law (coprime_measure) and the
-    intersections from the closed-form kernel coprime_intersection_measure,
-    so no arc system is built: the cost is O(2^omega(mn)) integer
-    operations per pair and k, whatever the size of m and n.
+    intersections from the closed-form kernel coprime_intersection_sums,
+    one call per n with the K scaled radii as columns, so no arc system
+    is built: each pair's offset weights are expanded once, for all k, in
+    O(2^omega(mn)) integer operations whatever the size of m and n, and
+    each k adds its pairs as integers.
     """
     lo, hi = block_bounds(h, base)
     epsilon = Fraction(epsilon)
@@ -139,14 +142,18 @@ def select_scale(
     mu = {x: coprime_measure(x, v) for x, v in radius.items()}
     scaled = {x: [v / e for e in scales] for x, v in radius.items()}
 
-    # pairs outer, k inner: the kernel reuses a pair's offset weights
-    # across k from its small cache
-    s1 = [Fraction(0)] * top
-    s2 = Fraction(0)
+    # S2 as one integer sum over the lcm of the measures' denominators
+    den = math.lcm(*(v.denominator for v in mu.values()))
+    num = {x: v.numerator * (den // v.denominator) for x, v in mu.items()}
+    s2 = Fraction(sum(num[m] * num[n] for m, n in pairs), den * den)
+    # one kernel call per n, with the K scaled radii as its columns
+    rows: dict[int, list] = {}
     for m, n in pairs:
-        s2 += mu[m] * mu[n]
-        for i, (rm, rn) in enumerate(zip(scaled[m], scaled[n])):
-            s1[i] += coprime_intersection_measure(m, rm, n, rn)
+        rows.setdefault(n, []).append((m, scaled[m]))
+    s1 = [Fraction(0)] * top
+    for n, events in rows.items():
+        for i, x in enumerate(coprime_intersection_sums(n, scaled[n], events)):
+            s1[i] += x
     sums = [(k, acc * e * e, s2) for k, (acc, e) in enumerate(zip(s1, scales), 1)]
     if not pairs or s2 == 0:
         chosen = 1

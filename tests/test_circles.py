@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsextra import circles
@@ -14,9 +14,8 @@ from dsextra.circles import (
     FULL_SET,
     CircleIntervalSet,
     coprime_arcs,
-    coprime_intersection_measure,
+    coprime_intersection_sums,
     coprime_measure,
-    coprime_row_intersection,
     intersect,
     intersection_measure,
     midpoint_grid_measure,
@@ -181,6 +180,11 @@ def test_grid_measure_error_bound(a, b, m):
 # ---------------------------------------------------------------------------
 # closed-form kernel vs the integer sweep and the Fraction route
 
+def pair_measure(m, rm, n, rn):
+    # the kernel with one event and one column: measure(E_m(rm) ∩ E_n(rn))
+    return coprime_intersection_sums(n, (rn,), [(m, (rm,))])[0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=1, max_value=2000),
@@ -194,9 +198,9 @@ def test_closed_form_kernel_agrees(m, n, rm, rn, k):
     rn /= exp_rational(k)
     a = coprime_arcs(m, rm)
     b = coprime_arcs(n, rn)
-    got = coprime_intersection_measure(m, rm, n, rn)
+    got = pair_measure(m, rm, n, rn)
     assert got == intersection_measure(a, b) == intersect(a, b).measure()
-    assert got == coprime_intersection_measure(n, rn, m, rm)
+    assert got == pair_measure(n, rn, m, rm)
 
 
 def test_closed_form_kernel_exhaustive():
@@ -207,7 +211,7 @@ def test_closed_form_kernel_exhaustive():
         for n in range(2, 151):
             b = coprime_arcs(n, radius)
             for m in range(1, n):
-                got = coprime_intersection_measure(m, radius, n, radius)
+                got = pair_measure(m, radius, n, radius)
                 if got != intersection_measure(coprime_arcs(m, radius), b):
                     bad.append((m, n, k))
     # E_1 against every E_n, n <= 150, in both argument orders; for small
@@ -218,9 +222,9 @@ def test_closed_form_kernel_exhaustive():
         for n in range(1, 151):
             for rn in radii:
                 want = intersection_measure(a, coprime_arcs(n, rn))
-                if coprime_intersection_measure(1, r1, n, rn) != want:
+                if pair_measure(1, r1, n, rn) != want:
                     bad.append((1, r1, n, rn))
-                if coprime_intersection_measure(n, rn, 1, r1) != want:
+                if pair_measure(n, rn, 1, r1) != want:
                     bad.append((n, rn, 1, r1))
     assert bad == []
 
@@ -234,63 +238,97 @@ def test_closed_form_kernel_domain(monkeypatch):
     )
     monkeypatch.setattr(circles, "coprime_arcs", lambda *a: arc_routes.append(a))
     # m = 1 or n = 1 at radius 1/2: E_1 is the whole circle, h_m + h_n > 1/2
-    assert coprime_intersection_measure(1, F(1, 2), 7, F(1, 3)) == F(4, 7)
-    assert coprime_intersection_measure(10, F(1, 2), 1, F(1, 2)) == F(2, 5)
-    assert coprime_intersection_measure(1, F(1, 2), 1, F(1, 2)) == 1
+    assert pair_measure(1, F(1, 2), 7, F(1, 3)) == F(4, 7)
+    assert pair_measure(10, F(1, 2), 1, F(1, 2)) == F(2, 5)
+    assert pair_measure(1, F(1, 2), 1, F(1, 2)) == 1
     # h_m + h_n <= 1/2, m = 1 and m = n included
-    assert coprime_intersection_measure(1, F(1, 4), 1, F(1, 8)) == F(1, 4)
-    assert coprime_intersection_measure(1, F(1, 4), 3, F(1, 2)) == F(1, 6)
-    assert coprime_intersection_measure(6, F(1, 2), 6, F(1, 4)) == F(1, 6)
+    assert pair_measure(1, F(1, 4), 1, F(1, 8)) == F(1, 4)
+    assert pair_measure(1, F(1, 4), 3, F(1, 2)) == F(1, 6)
+    assert pair_measure(6, F(1, 2), 6, F(1, 4)) == F(1, 6)
     # zero radius: the empty set, on either side
-    assert coprime_intersection_measure(5, 0, 9, F(1, 2)) == 0
-    assert coprime_intersection_measure(1, F(1, 2), 9, F(0)) == 0
+    assert pair_measure(5, 0, 9, F(1, 2)) == 0
+    assert pair_measure(1, F(1, 2), 9, F(0)) == 0
     assert arc_routes == []
     # the same domain errors as coprime_arcs
     with pytest.raises(DomainError):
-        coprime_intersection_measure(0, F(1, 4), 3, F(1, 4))
+        pair_measure(0, F(1, 4), 3, F(1, 4))
     with pytest.raises(DomainError):
-        coprime_intersection_measure(2, F(1, 4), 3, F(3, 4))
+        pair_measure(2, F(1, 4), 3, F(3, 4))
     with pytest.raises(DomainError):
-        coprime_intersection_measure(2, F(-1, 4), 3, F(1, 4))
+        pair_measure(2, F(-1, 4), 3, F(1, 4))
 
 
 @pytest.mark.parametrize("spec", ["half", "recip", "primes:1"])
 def test_row_kernel_matches_pair_sums(spec):
-    # every row n <= 120 of the second moment, zero radii included: the row
-    # kernel, the pair kernel and the integer sweep over built arcs agree
+    # every row n <= 120 of the second moment, zero radii included: one
+    # column over the row's events equals the integer sweep over built arcs
     psi = normalize_psi(make_psi(spec, 120))
     for k in (0, 3):
         events = []
         for n in range(1, 121):
             radius = psi.value(n) / exp_rational(k)
             arcs = coprime_arcs(n, radius)
-            pair_sum = sum(
-                (coprime_intersection_measure(m, rm, n, radius) for m, rm in events),
-                F(0),
-            )
             sweep_sum = sum(
-                (intersection_measure(coprime_arcs(m, rm), arcs) for m, rm in events),
+                (intersection_measure(coprime_arcs(m, rm), arcs) for m, (rm,) in events),
                 F(0),
             )
-            assert coprime_row_intersection(n, radius, events) == pair_sum == sweep_sum
-            events.append((n, radius))
+            assert coprime_intersection_sums(n, (radius,), events) == [sweep_sum]
+            events.append((n, (radius,)))
 
 
 def test_row_kernel_domain():
-    assert coprime_row_intersection(7, F(1, 3), []) == 0
-    assert coprime_row_intersection(7, 0, [(1, F(1, 2))]) == 0
+    row = coprime_intersection_sums
+    assert row(7, (F(1, 3),), []) == [0]
+    assert row(7, (), [(1, ()), (5, ())]) == []
+    assert row(7, (0,), [(1, (F(1, 2),))]) == [0]
     # E_1 at radius 1/2 is the whole circle
-    assert coprime_row_intersection(7, F(1, 3), [(1, F(1, 2)), (5, 0)]) == F(4, 7)
-    # the row kernel bypasses the pair kernel's cache
-    before = circles._offset_weights.cache_info()
-    coprime_row_intersection(30, F(1, 2), [(m, F(1, 2)) for m in range(1, 30)])
-    assert circles._offset_weights.cache_info() == before
+    assert row(7, (F(1, 3),), [(1, (F(1, 2),)), (5, (0,))]) == [F(4, 7)]
     with pytest.raises(DomainError):
-        coprime_row_intersection(0, F(1, 4), [])
+        row(0, (F(1, 4),), [])
     with pytest.raises(DomainError):
-        coprime_row_intersection(3, F(3, 4), [])
+        row(3, (F(3, 4),), [])
     with pytest.raises(DomainError):
-        coprime_row_intersection(3, F(1, 4), [(2, F(-1, 4))])
+        row(3, (F(1, 4),), [(2, (F(-1, 4),))])
+    with pytest.raises(DomainError):
+        row(3, (F(1, 4), F(1, 8)), [(2, (F(1, 4),))])     # one radius short
+
+
+radii = st.fractions(min_value=0, max_value=F(1, 2), max_denominator=40)
+columns = st.lists(
+    st.tuples(radii, radii, st.integers(min_value=0, max_value=8)).map(
+        lambda c: (c[0] / exp_rational(c[2]), c[1] / exp_rational(c[2]))
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=300),
+    columns,
+    st.lists(st.integers(min_value=1, max_value=300), max_size=5),
+)
+@example(
+    12,
+    [(F(1, 2) / exp_rational(6), F(1, 3) / exp_rational(6)), (0, F(1, 2)), (F(1, 2), F(2, 5))],
+    [1, 18, 12],
+)
+def test_columns_match_one_column_calls(n, cols, ms):
+    # 1-4 columns (radius of each event, radius of n) in any order, so a
+    # narrower column may precede a wider one, zero radii included; n is
+    # among the events, so m = n always occurs.  Each column equals its
+    # one-column call and the sweep over built arcs.
+    events = [(m, tuple(rm for rm, _ in cols)) for m in ms + [n]]
+    got = coprime_intersection_sums(n, [rn for _, rn in cols], events)
+    assert len(got) == len(cols)
+    for i, (rm, rn) in enumerate(cols):
+        one = coprime_intersection_sums(n, (rn,), [(m, (rm,)) for m, _ in events])
+        arcs = coprime_arcs(n, rn)
+        sweep = sum(
+            (intersection_measure(coprime_arcs(m, rm), arcs) for m, _ in events),
+            F(0),
+        )
+        assert got[i] == one[0] == sweep
 
 
 def test_equality_and_hash():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dsextra import cli
+from dsextra import cli, harness
 from dsextra.cli import main
 from dsextra.overlap import CSV_COLUMNS
 
@@ -122,6 +122,22 @@ def test_exit_code_4_on_cap(capsys):
     code, _, err = run_cli(capsys, "bc", "--psi", "half", "--N", "501")
     assert code == 4
     assert "cap exceeded" in err
+
+
+def test_jobs_cap_exits_4_before_any_pool(capsys, tmp_path, monkeypatch):
+    # a pool forks all its workers at the first task: refuse before one exists
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was constructed")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "psi": "half", "jobs": 2, "pairs": {"mode": "exhaustive", "lo": 2, "hi": 40},
+    }))
+    for jobs in ("65", "100000"):
+        code, _, err = run_cli(capsys, "run", str(path), "--jobs", jobs)
+        assert code == 4
+        assert "JOBS_CAP" in err
 
 
 def test_missing_block_sample_is_config_error(capsys):

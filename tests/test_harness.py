@@ -204,6 +204,12 @@ def test_parse_config_k_top_cap():
         parse_config({"psi": "half", "k_top": 65})
 
 
+def test_parse_config_jobs_cap():
+    assert parse_config({"psi": "half", "bc_n": 3, "jobs": 64}).jobs == 64
+    with pytest.raises(CapExceededError, match="JOBS_CAP"):
+        parse_config({"psi": "half", "bc_n": 3, "jobs": 65})
+
+
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(GOOD_DOC))
