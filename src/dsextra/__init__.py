@@ -48,8 +48,7 @@ from .overlap import (
     disjoint_predicted,
     overlap_cutoff,
     overlap_integral_bound,
-    overlap_ratio,
-    overlap_record,
+    overlap_records,
     prime_product_bound,
 )
 from .psi import PsiFunction, make_psi, normalize_psi

@@ -17,11 +17,13 @@ from fractions import Fraction
 from .arith import factorize, frac_str, totient
 from .errors import (
     CapExceededError,
+    ConfigError,
     DomainError,
     DsextraError,
     PrecisionGuardError,
 )
 from .harness import (
+    MIN_PRECISION,
     bc_section,
     blocks_section,
     load_config,
@@ -34,7 +36,7 @@ from .overlap import (
     CSV_COLUMNS,
     averaged_sum,
     decompose_pair,
-    overlap_record,
+    overlap_records,
 )
 from .psi import make_psi, normalize_psi
 
@@ -143,20 +145,23 @@ def cmd_phi(args) -> int:
     return 0
 
 
-def _normalized_psi(spec: str, n_max: int):
-    return normalize_psi(make_psi(spec, n_max))
+def _pair_psi(args):
+    # pair, overlap and avgsum skip parse_config, so they check its floor
+    if args.precision < MIN_PRECISION:
+        raise ConfigError(
+            f"precision: must be >= {MIN_PRECISION}, got {args.precision}"
+        )
+    return normalize_psi(make_psi(args.psi, max(args.M, args.N)))
 
 
 def cmd_pair(args) -> int:
-    psi = _normalized_psi(args.psi, max(args.M, args.N))
+    psi = _pair_psi(args)
     dec = decompose_pair(args.M, args.N, psi)
     print(f"pair ({dec.m}, {dec.n})  gcd = {dec.gcd}")
     print(f"r = {dec.r}  s = {dec.s}  t = {dec.t}   (m*n = r^2*s*t)")
     print(f"delta = {dec.delta}  Delta = {dec.Delta}")
     if args.out:
-        rec = overlap_record(
-            args.M, args.N, psi, 0, 0, args.precision, with_integral=True
-        )
+        [rec] = overlap_records(args.M, args.N, psi, [0], args.precision)
         write_csv(args.out, CSV_COLUMNS, [rec.csv_row()])
         print(f"wrote {args.out}")
     return 0
@@ -165,10 +170,8 @@ def cmd_pair(args) -> int:
 def cmd_overlap(args) -> int:
     if args.k < 0:
         raise DomainError("k must be >= 0")
-    psi = _normalized_psi(args.psi, max(args.M, args.N))
-    rec = overlap_record(
-        args.M, args.N, psi, args.k, args.k, args.precision, with_integral=True
-    )
+    psi = _pair_psi(args)
+    [rec] = overlap_records(args.M, args.N, psi, [args.k], args.precision)
     print(f"pair ({rec.m}, {rec.n})  k = {rec.k}  [{rec.threshold_class}]")
     print(f"cutoff D_k = {rec.cutoff}")
     print(f"product bound = {rec.pv_product}")
@@ -185,7 +188,7 @@ def cmd_overlap(args) -> int:
 def cmd_avgsum(args) -> int:
     if args.K < 1:
         raise DomainError("K must be >= 1")
-    psi = _normalized_psi(args.psi, max(args.M, args.N))
+    psi = _pair_psi(args)
     total, records, reference = averaged_sum(
         args.M, args.N, psi, args.K, args.precision, with_integral=True
     )

@@ -37,7 +37,7 @@ from .errors import (
     DomainError,
     UndefinedRatioError,
 )
-from .overlap import CSV_COLUMNS, OverlapRecord, overlap_record
+from .overlap import CSV_COLUMNS, OverlapRecord, overlap_records
 from .psi import PsiFunction, make_psi, normalize_psi
 from .schedule import (
     BlockReport,
@@ -55,6 +55,7 @@ PAIR_CAP_SAMPLED = 10_000 # sampled pair corpora
 BC_CAP = 500              # exact Borel-Cantelli series
 TABLE_CAP = 10_000        # divergence table length
 JOBS_CAP = 64             # worker processes, all started at the first task
+MIN_PRECISION = 8         # fewest working bits for certified logs
 
 # Exact partial sums near TABLE_CAP carry lcm-scale denominators whose
 # decimal form exceeds CPython's default 4300-digit conversion guard.
@@ -329,7 +330,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     k_top = _as_int(doc.get("k_top", 1), "k_top", 1)
     if k_top > SCALE_CAP:
         raise CapExceededError(f"k_top limited to {SCALE_CAP} (arith.SCALE_CAP)")
-    precision = _as_int(doc.get("precision", 128), "precision", 8)
+    precision = _as_int(doc.get("precision", 128), "precision", MIN_PRECISION)
     jobs = _as_int(doc.get("jobs", 1), "jobs", 1)
     if jobs > JOBS_CAP:
         raise CapExceededError(f"jobs limited to {JOBS_CAP} (harness.JOBS_CAP)")
@@ -509,13 +510,12 @@ def _resolve_pairs(cfg: ExperimentConfig) -> list[tuple[int, int]]:
 
 def _sweep_chunk(args) -> list[OverlapRecord]:
     psi, pairs, k_top, precision, with_integral = args
-    out = []
-    for m, n in pairs:
-        for k in range(1, k_top + 1):
-            out.append(
-                overlap_record(m, n, psi, k, k_top, precision, with_integral)
-            )
-    return out
+    ks = range(1, k_top + 1)
+    return [
+        rec
+        for m, n in pairs
+        for rec in overlap_records(m, n, psi, ks, precision, with_integral)
+    ]
 
 
 def run_pair_sweep(

@@ -1,9 +1,9 @@
 """Pairwise overlap machinery for coprime arc systems.
 
-Decomposes a pair (m, n) by equal/unequal prime exponents, computes the
-exact overlap ratio of the scaled arc systems, the restricted Euler
-product bounding it, the certified integral form of that bound, and the
-scale-averaged sum.
+Decomposes a pair (m, n) by equal/unequal prime exponents and computes, at
+each scale ê_k of a ladder, the exact overlap ratio of the scaled arc
+systems, the restricted Euler product bounding it and the certified
+integral form of that bound, all scales of a pair in one kernel call.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .arith import (
     Approx,
@@ -23,7 +24,7 @@ from .arith import (
     totient,
 )
 from .circles import coprime_intersection_sums, coprime_measure
-from .errors import DomainError, UndefinedRatioError
+from .errors import DomainError
 from .psi import PsiFunction
 
 CSV_COLUMNS = (
@@ -91,25 +92,6 @@ def prime_product_bound(dec: PairDecomposition, k: int = 0) -> Fraction:
     also the primes of t/s.
     """
     return restricted_prime_product(dec.t, overlap_cutoff(dec, k))
-
-
-def overlap_ratio(m: int, n: int, psi: PsiFunction, k: int = 0) -> Fraction:
-    """Exact measure(A ∩ B) / (measure(A) * measure(B)) for the scaled arcs.
-
-    A, B are the coprime arc systems of m, n with radii psi/ê_k.  The
-    measures come from the measure law and the intersection from the
-    closed-form kernel coprime_intersection_sums, called with one event
-    and one column; no arc system is built.
-    """
-    scale = exp_rational(k)
-    rm = psi.value(m) / scale
-    rn = psi.value(n) / scale
-    mu = coprime_measure(m, rm) * coprime_measure(n, rn)
-    if mu == 0:
-        raise UndefinedRatioError(
-            f"overlap ratio undefined: zero-measure arc system for ({m}, {n}) at k={k}"
-        )
-    return coprime_intersection_sums(n, (rn,), [(m, (rm,))])[0] / mu
 
 
 def disjoint_predicted(dec: PairDecomposition, k: int = 0) -> bool:
@@ -181,40 +163,39 @@ class OverlapRecord:
         ]
 
 
-def overlap_record(
+def overlap_records(
     m: int,
     n: int,
     psi: PsiFunction,
-    k: int = 0,
-    top: int | None = None,
+    ks: Sequence[int],
     precision: int = 128,
     with_integral: bool = True,
-) -> OverlapRecord:
-    """Full overlap computation for one (m, n, k).
+) -> list[OverlapRecord]:
+    """Overlap records of one pair, one per k in ks, in the order of ks.
 
-    A zero-measure arc system records P = 0 (the dropped-term convention);
-    `top` is the ladder top used for window classification, default k.
+    P = measure(A ∩ B)/(measure(A)·measure(B)) for the coprime arc systems
+    of m, n with radii psi/ê_k, from one decomposition, one kernel call with
+    a column per k and the measure law.  A zero measure gives P = 0 (the
+    dropped-term convention).  Windows are classified against ê_max(ks).
     """
+    top = max(ks, default=0)
     dec = decompose_pair(m, n, psi)
-    if top is None:
-        top = k
-    try:
-        p = overlap_ratio(m, n, psi, k)
-    except UndefinedRatioError:
-        p = Fraction(0)
-    integ = (
-        overlap_integral_bound(dec, k, precision) if with_integral else None
-    )
-    return OverlapRecord(
-        m=m, n=n, k=k, r=dec.r, s=dec.s, t=dec.t, gcd=dec.gcd,
-        delta=dec.delta, Delta=dec.Delta,
-        cutoff=overlap_cutoff(dec, k),
-        pv_product=prime_product_bound(dec, k),
-        p_exact=p,
-        integral=integ,
-        disjoint_pred=disjoint_predicted(dec, k),
-        threshold_class=threshold_class(dec, k, top),
-    )
+    rads_m = [dec.psi_m / exp_rational(k) for k in ks]
+    rads_n = [dec.psi_n / exp_rational(k) for k in ks]
+    overlaps = coprime_intersection_sums(n, rads_n, [(m, rads_m)])
+    records = []
+    for k, rm, rn, overlap in zip(ks, rads_m, rads_n, overlaps):
+        mu = coprime_measure(m, rm) * coprime_measure(n, rn)
+        integ = overlap_integral_bound(dec, k, precision) if with_integral else None
+        records.append(OverlapRecord(
+            m=m, n=n, k=k, r=dec.r, s=dec.s, t=dec.t, gcd=dec.gcd,
+            delta=dec.delta, Delta=dec.Delta,
+            cutoff=overlap_cutoff(dec, k), pv_product=prime_product_bound(dec, k),
+            p_exact=overlap / mu if mu else Fraction(0), integral=integ,
+            disjoint_pred=disjoint_predicted(dec, k),
+            threshold_class=threshold_class(dec, k, top),
+        ))
+    return records
 
 
 def averaging_reference(n: int, top: int, precision: int = 128) -> Approx:
@@ -245,9 +226,6 @@ def averaged_sum(
     """
     if top < 1:
         raise DomainError("averaged_sum requires top >= 1")
-    records = [
-        overlap_record(m, n, psi, k, top, precision, with_integral)
-        for k in range(1, top + 1)
-    ]
+    records = overlap_records(m, n, psi, range(1, top + 1), precision, with_integral)
     total = sum((rec.p_exact for rec in records), Fraction(0))
     return total, records, averaging_reference(n, top, precision)

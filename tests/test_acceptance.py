@@ -37,7 +37,7 @@ from dsextra.overlap import (
     averaging_reference,
     decompose_pair,
     disjoint_predicted,
-    overlap_ratio,
+    overlap_records,
     prime_product_bound,
 )
 from dsextra.psi import make_psi, normalize_psi
@@ -194,7 +194,8 @@ def test_criterion_05_product_bound_ratio(pins):
                 dec = decompose_pair(m, n, psi)
                 pv = prime_product_bound(dec, 0)
                 assert pv >= 1
-                ratio = overlap_ratio(m, n, psi, 0) / pv
+                [rec] = overlap_records(m, n, psi, [0], with_integral=False)
+                ratio = rec.p_exact / pv
                 if best is None or ratio > best[0]:
                     best = (ratio, m, n)
         pins.check(

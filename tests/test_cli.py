@@ -197,6 +197,17 @@ def test_run_flags_are_validated_like_the_file(capsys, tmp_path, flag):
     assert flag[0][2:] in err
 
 
+@pytest.mark.parametrize("precision", ["4", "0", "-100"])
+@pytest.mark.parametrize("argv", [
+    ["pair", "2", "3"], ["overlap", "2", "3"], ["avgsum", "2", "3", "--K", "2"],
+])
+def test_pair_commands_check_precision(capsys, argv, precision):
+    # these commands skip parse_config but keep its precision floor
+    code, _, err = run_cli(capsys, *argv, "--precision", precision)
+    assert code == 2
+    assert "precision" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["phi", "360", "--out", "x.csv"],
     ["phi", "360", "--precision", "64"],

@@ -6,6 +6,7 @@ has measure 1/2 against a measure product of 1/3.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsextra.arith import exp_rational, log_bounds, totient
-from dsextra.circles import coprime_arcs, intersection_measure
-from dsextra.errors import DomainError, UndefinedRatioError
+from dsextra.circles import coprime_arcs, coprime_measure, intersection_measure
+from dsextra.errors import DomainError
 from dsextra.overlap import (
     CSV_COLUMNS,
     averaged_sum,
@@ -24,8 +25,7 @@ from dsextra.overlap import (
     integration_window,
     overlap_cutoff,
     overlap_integral_bound,
-    overlap_ratio,
-    overlap_record,
+    overlap_records,
     prime_product_bound,
     threshold_class,
 )
@@ -40,6 +40,10 @@ def psi_half():
 @pytest.fixture(scope="module")
 def psi_recip():
     return normalize_psi(make_psi("recip", 400))
+
+
+def ratio(m, n, psi, k):
+    return overlap_records(m, n, psi, [k], with_integral=False)[0].p_exact
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +107,7 @@ def test_overlap_frozen_2_3(psi_half):
     d = decompose_pair(2, 3, psi_half)
     assert overlap_cutoff(d, 0) == F(3, 2)
     assert prime_product_bound(d, 0) == 3         # primes 2, 3 both > 3/2
-    assert overlap_ratio(2, 3, psi_half, 0) == F(3, 2)
+    assert ratio(2, 3, psi_half, 0) == F(3, 2)
     assert not disjoint_predicted(d, 0)           # 2*Delta*r*t = 3 > 1
     assert disjoint_predicted(d, 2)               # 3 <= ê_2
     assert integration_window(d, 0) == 6
@@ -131,14 +135,8 @@ def test_disjoint_prediction_is_sound(psi_recip):
 
 
 def test_overlap_ratio_symmetry(psi_half):
-    assert overlap_ratio(2, 3, psi_half, 0) == overlap_ratio(3, 2, psi_half, 0)
-    assert overlap_ratio(14, 30, psi_half, 1) == overlap_ratio(30, 14, psi_half, 1)
-
-
-def test_overlap_ratio_undefined_on_zero_measure():
-    psi = normalize_psi(PsiFunction(9, "table", base={4: F(1, 2)}))
-    with pytest.raises(UndefinedRatioError):
-        overlap_ratio(4, 9, psi, 0)     # psi(9) = 0 has empty arcs
+    assert ratio(2, 3, psi_half, 0) == ratio(3, 2, psi_half, 0)
+    assert ratio(14, 30, psi_half, 1) == ratio(30, 14, psi_half, 1)
 
 
 def test_integral_bound_zero_window(psi_recip):
@@ -163,7 +161,7 @@ def test_integral_bound_frozen_2_3(psi_half, pins):
 # records and averaging
 
 def test_overlap_record_row_shape(psi_half):
-    rec = overlap_record(2, 3, psi_half, 1, top=8)
+    rec = overlap_records(2, 3, psi_half, ks=range(1, 9))[0]
     row = rec.csv_row()
     assert len(row) == len(CSV_COLUMNS)
     assert row[:7] == ["2", "3", "1", "1", "1", "6", "1"]
@@ -173,7 +171,7 @@ def test_overlap_record_row_shape(psi_half):
 
 
 def test_overlap_record_without_integral(psi_half):
-    rec = overlap_record(2, 3, psi_half, 1, top=8, with_integral=False)
+    rec = overlap_records(2, 3, psi_half, ks=range(1, 9), with_integral=False)[0]
     assert rec.integral is None
     row = rec.csv_row()
     assert row[13] == "" and row[14] == ""
@@ -181,8 +179,41 @@ def test_overlap_record_without_integral(psi_half):
 
 def test_overlap_record_zero_measure_convention():
     psi = normalize_psi(PsiFunction(9, "table", base={4: F(1, 2)}))
-    rec = overlap_record(4, 9, psi, 0)
+    [rec] = overlap_records(4, 9, psi, [0])
     assert rec.p_exact == 0     # dropped-term convention, not an error
+
+
+PSI_TABLE = normalize_psi(PsiFunction(
+    150, "table", base={n: F(1, 2 + n % 5) for n in range(1, 151) if n % 3}
+))     # psi(n) = 0 for n divisible by 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=150),
+    st.integers(min_value=1, max_value=150),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),
+    st.sampled_from(["half", "recip", "table"]),
+)
+def test_overlap_records_match_one_k_calls_and_sweep(m, n, ks, spec):
+    # one kernel call with a column per k gives each k's one-k record, and
+    # P agrees with the sweep over built arcs (0 on a zero measure)
+    if m == n:
+        n = n % 150 + 1
+    psi = PSI_TABLE if spec == "table" else normalize_psi(make_psi(spec, 150))
+    dec = decompose_pair(m, n, psi)
+    records = overlap_records(m, n, psi, ks)
+    assert [rec.k for rec in records] == ks
+    for rec in records:
+        [one] = overlap_records(m, n, psi, [rec.k])
+        assert rec == replace(
+            one, threshold_class=threshold_class(dec, rec.k, max(ks))
+        )
+        e = exp_rational(rec.k)
+        rm, rn = psi.value(m) / e, psi.value(n) / e
+        mu = coprime_measure(m, rm) * coprime_measure(n, rn)
+        sweep = intersection_measure(coprime_arcs(m, rm), coprime_arcs(n, rn))
+        assert rec.p_exact == (sweep / mu if mu else 0)
 
 
 def test_averaged_sum_frozen(psi_half):
@@ -198,7 +229,7 @@ def test_averaged_sum_matches_single_records(psi_half):
     total, records, _ = averaged_sum(2, 3, psi_half, 3)
     assert total == sum(rec.p_exact for rec in records)
     for rec in records:
-        assert rec.p_exact == overlap_record(2, 3, psi_half, rec.k, 3).p_exact
+        assert rec.p_exact == overlap_records(2, 3, psi_half, [rec.k])[0].p_exact
 
 
 def test_averaging_reference_monotone():
