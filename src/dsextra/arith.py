@@ -2,9 +2,10 @@
 sums over coprime residues, and certified logarithms.
 
 Everything here is exact (fractions.Fraction over arbitrary-size ints)
-except the log helpers, which return certified enclosures computed with
-mpmath interval arithmetic and converted back to exact dyadic rationals,
-so downstream comparisons stay exact.
+except the log helpers, which return certified enclosures: mpmath's
+directed-rounding ln and exp (mpmath.libmp) at an explicit working
+precision, converted back to exact dyadic rationals, so downstream
+comparisons stay exact.  No mpmath context precision is read or written.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from operator import sub
 from typing import Iterable, NamedTuple
 
-from mpmath import iv
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_exp, mpf_log
+from mpmath.libmp import round_ceiling, round_floor
 
 from .errors import CapExceededError, DomainError, PrecisionGuardError
 
@@ -316,36 +318,52 @@ class Approx:
 _LOG_GUARD_BITS = 32
 
 
-def _mpf_to_fraction(mpf_tuple) -> Fraction:
-    sign, man, exp, _ = mpf_tuple
-    f = Fraction(int(man)) * Fraction(2) ** exp
-    return -f if sign else f
+# The enclosures below call libmp at the explicit working precision
+# wp = precision + _LOG_GUARD_BITS and read or set no context precision.
+# Their endpoints are those of iv.log and iv.exp at wp bits: libmp's ln or
+# exp, rounded down (up), of the lower (upper) end of iv.mpf(num) /
+# iv.mpf(den), whose operands and quotient libmp rounds outward to wp bits.
+
+def _quotient_end(num: int, den: int, wp: int, rnd: str):
+    # the round_floor (lower) or round_ceiling (upper) end of num/den, den >= 1
+    if den & (den - 1) == 0:
+        # den = 2^k is exact at any precision, so rounding num and then
+        # dividing by 2^k rounds num·2^-k once, as from_man_exp does
+        return from_man_exp(num, 1 - den.bit_length(), wp, rnd)
+    # num/den falls as den grows when num >= 0, and rises when num < 0
+    den_rnd = rnd if num < 0 else (round_ceiling if rnd == round_floor else round_floor)
+    return mpf_div(from_int(num, wp, rnd), from_int(den, wp, den_rnd), wp, rnd)
 
 
-def _log_ends(num: int, den: int, precision: int):
-    # the mpmath endpoint tuples (sign, man, exp, bc) of ln(num/den), num/den > 0
-    saved = iv.prec
-    iv.prec = precision + _LOG_GUARD_BITS
-    try:
-        return iv.log(iv.mpf(num) / iv.mpf(den))._mpi_
-    finally:
-        iv.prec = saved
+def _end(f, x: Fraction, precision: int, rnd: str) -> Fraction:
+    # one end of the enclosure of the increasing libmp function f at x, exactly
+    wp = precision + _LOG_GUARD_BITS
+    sign, man, exp, _ = f(_quotient_end(x.numerator, x.denominator, wp, rnd), wp, rnd)
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _log_end(x: RationalLike, precision: int, rnd: str) -> Fraction:
+    x = Fraction(x)
+    if x <= 0:
+        raise DomainError("log requires x > 0")
+    return Fraction(0) if x == 1 else _end(mpf_log, x, precision, rnd)
+
+
+# log_bounds(x, precision)[0] and [1], each computed alone
+_log_lo = partial(_log_end, rnd=round_floor)
+_log_hi = partial(_log_end, rnd=round_ceiling)
 
 
 def log_bounds(x: RationalLike, precision: int = 128) -> tuple[Fraction, Fraction]:
     """Certified enclosure of ln(x) with exact dyadic rational endpoints.
 
-    Computed with mpmath interval arithmetic at precision + 32 bits; the
-    endpoints are converted back to Fractions so all later comparisons are
-    exact.
+    libmp's ln of the outward-rounded quotient at the explicit precision
+    precision + 32 bits, as mpmath's interval context gives it, with no
+    global state; ln 1 is exactly 0.  Fraction endpoints keep all later
+    comparisons exact.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise DomainError("log requires x > 0")
-    if x == 1:
-        return Fraction(0), Fraction(0)
-    lo_t, hi_t = _log_ends(x.numerator, x.denominator, precision)
-    return _mpf_to_fraction(lo_t), _mpf_to_fraction(hi_t)
+    return _log_lo(x, precision), _log_hi(x, precision)
 
 
 def floored_log_bounds(
@@ -358,19 +376,14 @@ def floored_log_bounds(
 
 
 def exp_bounds(lo: Fraction, hi: Fraction, precision: int = 128) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of exp over the interval [lo, hi]."""
+    """Certified enclosure of exp over the interval [lo, hi].
+
+    Only exp(lo) rounded down and exp(hi) rounded up are computed, by libmp
+    at precision + 32 bits as for log_bounds, with no global state.
+    """
     if hi < lo:
         raise DomainError("empty enclosure")
-    saved = iv.prec
-    iv.prec = precision + _LOG_GUARD_BITS
-    try:
-        lo_enc = iv.exp(iv.mpf(lo.numerator) / iv.mpf(lo.denominator))
-        hi_enc = iv.exp(iv.mpf(hi.numerator) / iv.mpf(hi.denominator))
-        lo_t = lo_enc._mpi_[0]
-        hi_t = hi_enc._mpi_[1]
-    finally:
-        iv.prec = saved
-    return _mpf_to_fraction(lo_t), _mpf_to_fraction(hi_t)
+    return _end(mpf_exp, lo, precision, round_floor), _end(mpf_exp, hi, precision, round_ceiling)
 
 
 def pow_bounds(
@@ -379,7 +392,8 @@ def pow_bounds(
     """Certified enclosure of [lo, hi]^exponent for 0 < lo, exponent >= 0.
 
     Integer exponents stay exact; fractional ones go through
-    exp(exponent * log), outward-rounded.
+    exp(exponent * log), outward-rounded, computing only ln(lo) rounded
+    down and ln(hi) rounded up.
     """
     if hi < lo:
         raise DomainError("empty enclosure")
@@ -391,9 +405,9 @@ def pow_bounds(
     if exponent.denominator == 1:
         e = exponent.numerator
         return lo ** e, hi ** e
-    llo, _ = log_bounds(lo, precision)
-    _, lhi = log_bounds(hi, precision)
-    return exp_bounds(exponent * llo, exponent * lhi, precision)
+    return exp_bounds(
+        exponent * _log_lo(lo, precision), exponent * _log_hi(hi, precision), precision
+    )
 
 
 DEFAULT_FLOOR_GUARD = Fraction(1, 1 << 64)
@@ -428,10 +442,11 @@ def guarded_floor(
 # 2^-(precision + 33) grid: mpmath rounds ln b >= ln 2 > 1/2 to
 # precision + 32 significant bits, so every endpoint is a multiple of
 # 2^-(precision + 32), and the grid keeps a bit to spare.
-# Table (1, precision) is filled from mpmath; every other table takes its
-# endpoints from it as differences S_1(b) - S_1(b - 1).  The tables grow on
-# demand and the least recently used go first once they hold more than
-# LOG_PREFIX_CAP entries (one entry is one q with its two sums).
+# Table (1, precision) is filled from _log_lo and _log_hi; every other
+# table takes its endpoints from it as differences S_1(b) - S_1(b - 1).
+# The tables grow on demand and the least recently used go first once they
+# hold more than LOG_PREFIX_CAP entries (one entry is one q with its two
+# sums).
 
 _log_prefix: OrderedDict[tuple[int, int], tuple[list[int], list[int]]] = OrderedDict()
 _log_prefix_entries = 0
@@ -448,15 +463,11 @@ def log_prefix_info() -> LogPrefixInfo:
     return LogPrefixInfo(len(_log_prefix), _log_prefix_entries, LOG_PREFIX_CAP)
 
 
-def _on_grid(mpf_tuple, bits: int) -> int:
-    # the mpmath number mpf_tuple times 2^bits, which must be an integer
-    sign, man, exp, _ = mpf_tuple
-    if exp + bits < 0:
-        raise PrecisionGuardError(
-            f"log endpoint 2^{exp} is off the 2^-{bits} prefix-sum grid"
-        )
-    v = int(man) << (exp + bits)
-    return -v if sign else v
+def _on_grid(x: Fraction, bits: int) -> int:
+    # x times 2^bits, which must be an integer
+    if (1 << bits) % x.denominator:
+        raise PrecisionGuardError(f"log endpoint {x} is off the 2^-{bits} prefix-sum grid")
+    return x.numerator * ((1 << bits) // x.denominator)
 
 
 def _log_prefix_table(d: int, q: int, precision: int) -> tuple[list[int], list[int]]:
@@ -476,15 +487,8 @@ def _log_prefix_table(d: int, q: int, precision: int) -> tuple[list[int], list[i
         return table
     if d == 1:
         bits = precision + _LOG_GUARD_BITS + 1
-        steps_lo, steps_hi = [], []
-        for b in range(start, q + 1):
-            if b == 1:
-                steps_lo.append(0)      # ln 1 = 0, as in log_bounds
-                steps_hi.append(0)
-            else:
-                lo_t, hi_t = _log_ends(b, 1, precision)
-                steps_lo.append(_on_grid(lo_t, bits))
-                steps_hi.append(_on_grid(hi_t, bits))
+        steps_lo = [_on_grid(_log_lo(b, precision), bits) for b in range(start, q + 1)]
+        steps_hi = [_on_grid(_log_hi(b, precision), bits) for b in range(start, q + 1)]
     else:
         ones_lo, ones_hi = _log_prefix[(1, precision)]
         at, before = slice(start * d, q * d + 1, d), slice(start * d - 1, q * d, d)

@@ -23,6 +23,8 @@ from .arith import (
     Approx,
     RationalLike,
     SCALE_CAP,
+    _log_hi,
+    _log_lo,
     exp_bounds,
     exp_rational,
     floored_log_bounds,
@@ -162,9 +164,9 @@ def divergence_table(
         term = psi.value(n) * totient(n) / n
         plain += term
         if term:
-            l1 = floored_log_bounds(n, precision)            # max(1, ln n)
-            l2_lo, _ = floored_log_bounds(l1[0], precision)  # max(1, ln ln n)
-            _, l2_hi = floored_log_bounds(l1[1], precision)
+            l1 = floored_log_bounds(n, precision)                # max(1, ln n)
+            l2_lo = max(_log_lo(l1[0], precision), Fraction(1))  # max(1, ln ln n)
+            l2_hi = max(_log_hi(l1[1], precision), Fraction(1))
             # (ln n)^epsilon
             f_lo, f_hi = pow_bounds(l1[0], l1[1], epsilon, precision)
             _div_add(acc["damped"], term, f_lo, f_hi, grid_bits)
@@ -174,8 +176,8 @@ def divergence_table(
             )
             _div_add(acc["hpv"], term, f_lo, f_hi, grid_bits)
             # (ln n)^(epsilon * ln ln ln n)
-            l3_lo, _ = floored_log_bounds(l2_lo, precision)
-            _, l3_hi = floored_log_bounds(l2_hi, precision)
+            l3_lo = max(_log_lo(l2_lo, precision), Fraction(1))
+            l3_hi = max(_log_hi(l2_hi, precision), Fraction(1))
             f_lo, f_hi = exp_bounds(
                 epsilon * l3_lo * l2_lo, epsilon * l3_hi * l2_hi, precision
             )
@@ -206,13 +208,28 @@ def _div_add(
     # parts, and exact accumulation would compound them into rationals
     # with thousands of digits.  Outward rounding keeps the enclosure
     # valid and adds at most 2^-bits width per term.
-    acc[0] += term / f_hi
-    acc[1] += term / f_lo
+    # Fast path: for s on the grid, term = a/b and f = m·2^j with m odd, the
+    # denominator of s + term/f has odd part odd(b)·m/gcd(a, m); if that
+    # exceeds grid, the rounded sum is s plus floor (ceil) of term·grid/f.
     grid = 1 << bits
-    if acc[0].denominator > grid:
-        acc[0] = Fraction(math.floor(acc[0] * grid), grid)
-    if acc[1].denominator > grid:
-        acc[1] = Fraction(math.ceil(acc[1] * grid), grid)
+    a, b = term.numerator, term.denominator
+    for i, f, up in ((0, f_hi, False), (1, f_lo, True)):
+        s, fn, fd = acc[i], f.numerator, f.denominator
+        if grid % s.denominator == 0 and fd & (fd - 1) == 0:
+            m = _odd_part(fn)
+            if _odd_part(b) * (m // math.gcd(a, m)) > grid:
+                num, den = a * fd * grid, b * fn
+                step = -(-num // den) if up else num // den
+                acc[i] = Fraction(s.numerator * (grid // s.denominator) + step, grid)
+                continue
+        s += term / f
+        if s.denominator > grid:
+            s = Fraction(math.ceil(s * grid) if up else math.floor(s * grid), grid)
+        acc[i] = s
+
+
+def _odd_part(k: int) -> int:
+    return k >> ((k & -k).bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from typing import Sequence
 
 from .arith import (
     Approx,
+    _log_hi,
+    _log_lo,
     exp_rational,
     exponent_split,
     floored_log_bounds,
@@ -206,8 +208,8 @@ def averaging_reference(n: int, top: int, precision: int = 128) -> Approx:
     """
     lk_lo, lk_hi = floored_log_bounds(top, precision)
     ln_lo, ln_hi = floored_log_bounds(n, precision)
-    lln_lo, _ = floored_log_bounds(ln_lo, precision)
-    _, lln_hi = floored_log_bounds(ln_hi, precision)
+    lln_lo = max(_log_lo(ln_lo, precision), Fraction(1))
+    lln_hi = max(_log_hi(ln_hi, precision), Fraction(1))
     return Approx.from_bounds(lk_lo * lln_lo, lk_hi * lln_hi)
 
 

@@ -5,12 +5,15 @@ Expected values in this file are frozen from independent hand computation
 """
 
 import math
+from collections import OrderedDict
 from fractions import Fraction as F
 from functools import lru_cache
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from dsextra import arith
 from dsextra.arith import (
@@ -36,6 +39,8 @@ from dsextra.arith import (
     totient,
 )
 from dsextra.errors import CapExceededError, DomainError, PrecisionGuardError
+from dsextra.harness import MIN_PRECISION, divergence_table
+from dsextra.psi import make_psi
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +259,128 @@ def test_pow_bounds_fractional_encloses():
         pow_bounds(F(1), F(2), F(-1))
 
 
+# ---------------------------------------------------------------------------
+# the interval-context reference route
+
+def _iv_fraction(mpf_tuple):
+    sign, man, exp, _ = mpf_tuple
+    f = F(int(man)) * F(2) ** exp
+    return -f if sign else f
+
+
+def _iv_quotient(x):
+    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+
+
+def iv_log_bounds(x, precision=128):
+    """Reference route for log_bounds: mpmath's interval context at
+    precision + 32 bits, its global precision restored afterwards."""
+    x = F(x)
+    if x == 1:
+        return F(0), F(0)
+    saved = iv.prec
+    iv.prec = precision + 32
+    try:
+        lo_t, hi_t = iv.log(_iv_quotient(x))._mpi_
+    finally:
+        iv.prec = saved
+    return _iv_fraction(lo_t), _iv_fraction(hi_t)
+
+
+def iv_exp_bounds(lo, hi, precision=128):
+    """Reference route for exp_bounds, as iv_log_bounds."""
+    saved = iv.prec
+    iv.prec = precision + 32
+    try:
+        lo_t = iv.exp(_iv_quotient(F(lo)))._mpi_[0]
+        hi_t = iv.exp(_iv_quotient(F(hi)))._mpi_[1]
+    finally:
+        iv.prec = saved
+    return _iv_fraction(lo_t), _iv_fraction(hi_t)
+
+
+_WIDE = st.integers(1, 1 << 400)        # wider than 256 + 32 bits
+_POSITIVE = st.one_of(
+    st.just(F(1)),
+    st.builds(F, _WIDE, _WIDE),          # on either side of 1
+    st.builds(lambda m, e: F(m) * F(2) ** e, _WIDE, st.integers(-300, 300)),
+    # dyadics whose odd mantissa is too wide for the working precision
+    st.builds(
+        lambda m, e: F(2 * m + 1) * F(2) ** e,
+        st.integers(1 << 300, 1 << 400), st.integers(-300, 300),
+    ),
+    st.fractions(min_value=F(1, 10 ** 6), max_value=10 ** 6, max_denominator=10 ** 6),
+)
+# exp arguments of either sign, |x| < 2001, some of them dyadic
+_EXP_ARG = st.one_of(
+    st.just(F(0)),
+    st.builds(
+        lambda k, n, d: k + F(n % d, d),
+        st.integers(-2000, 2000), st.integers(0, 1 << 400), _WIDE,
+    ),
+    st.builds(lambda m, e: F(m, 1 << e), st.integers(-(1 << 64), 1 << 64), st.integers(53, 300)),
+)
+_PRECISION = st.integers(MIN_PRECISION, 256)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POSITIVE, _PRECISION)
+def test_log_bounds_match_interval_context(x, precision):
+    ref = iv_log_bounds(x, precision)
+    assert log_bounds(x, precision) == ref
+    assert arith._log_lo(x, precision) == ref[0]
+    assert arith._log_hi(x, precision) == ref[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXP_ARG, _EXP_ARG, _PRECISION)
+def test_exp_bounds_match_interval_context(a, b, precision):
+    lo, hi = min(a, b), max(a, b)
+    assert exp_bounds(lo, hi, precision) == iv_exp_bounds(lo, hi, precision)
+    assert exp_bounds(lo, lo, precision) == iv_exp_bounds(lo, lo, precision)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_POSITIVE, _POSITIVE, st.fractions(0, 20, max_denominator=12), _PRECISION)
+def test_pow_bounds_match_interval_context(a, b, exponent, precision):
+    lo, hi = min(a, b), max(a, b)
+    if exponent.denominator == 1:
+        ref = lo ** exponent.numerator, hi ** exponent.numerator
+    else:
+        ref = iv_exp_bounds(
+            exponent * iv_log_bounds(lo, precision)[0],
+            exponent * iv_log_bounds(hi, precision)[1],
+            precision,
+        )
+    assert pow_bounds(lo, hi, exponent, precision) == ref
+
+
+def test_enclosures_ignore_mpmath_precision(fresh_log_prefix, monkeypatch):
+    psi = make_psi("half", 200)
+
+    def results():
+        return [
+            log_bounds(F(10, 7), 64),
+            exp_bounds(F(-3, 2), F(5, 3), 64),
+            pow_bounds(F(2), F(3), F(1, 3), 64),
+            log_weight_integral(30030, F(2999, 2), 64),
+            divergence_table(F(1, 2), 200, psi, 64, F(3, 2)),
+        ]
+
+    saved = iv.prec, mpmath.mp.prec
+    try:
+        iv.prec, mpmath.mp.prec = 11, 20
+        skewed = results()
+        assert (iv.prec, mpmath.mp.prec) == (11, 20)
+    finally:
+        iv.prec, mpmath.mp.prec = saved
+    # the tables filled under the skewed precisions go; the reference
+    # fills its own at the defaults
+    monkeypatch.setattr(arith, "_log_prefix", OrderedDict())
+    monkeypatch.setattr(arith, "_log_prefix_entries", 0)
+    assert results() == skewed
+
+
 def test_guarded_floor():
     assert guarded_floor(F(5, 2), F(51, 20)) == 2
     with pytest.raises(PrecisionGuardError):
@@ -363,11 +490,13 @@ def test_log_prefix_tables_bounded_at_integral_cap(fresh_log_prefix):
 
 
 def test_log_prefix_grid_is_checked():
-    # mpmath tuples are (sign, mantissa, exponent, bit count)
-    assert arith._on_grid((0, 3, -5, 2), 10) == 3 << 5
-    assert arith._on_grid((1, 3, -5, 2), 5) == -3
+    assert arith._on_grid(F(3, 32), 10) == 3 << 5
+    assert arith._on_grid(F(-3, 32), 5) == -3
+    assert arith._on_grid(F(0), 5) == 0
     with pytest.raises(PrecisionGuardError, match="grid"):
-        arith._on_grid((0, 1, -11, 1), 10)
+        arith._on_grid(F(1, 1 << 11), 10)
+    with pytest.raises(PrecisionGuardError, match="grid"):
+        arith._on_grid(F(1, 3), 10)
 
 
 # ---------------------------------------------------------------------------

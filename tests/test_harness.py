@@ -1,12 +1,16 @@
 """Second-moment series, divergence table, config parsing, and the runner."""
 
+import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dsextra import circles
-from dsextra.arith import totient
+from dsextra import arith, circles
+from dsextra.arith import frac_str, totient
 from dsextra.circles import coprime_arcs, intersection_measure
 from dsextra.errors import (
     CapExceededError,
@@ -17,6 +21,7 @@ from dsextra.errors import (
 from dsextra.harness import (
     BC_CAP,
     PAIR_CAP_EXACT,
+    _div_add,
     borel_cantelli_ratio,
     divergence_table,
     load_config,
@@ -124,6 +129,90 @@ def test_divergence_table_domain_and_caps(psi_half_300):
         divergence_table(1, 1, psi_half_300)
     with pytest.raises(CapExceededError):
         divergence_table(1, 10_001, psi_half_300)
+
+
+# SHA-256 of every row field as exact text, for (psi spec, epsilon, hpv_c,
+# N, precision).  The recip row takes pow_bounds' fractional path.
+TABLE_SHA256 = {
+    ("half", F(3), F(1), 3000, 128):
+        "72dd47de7272c001336686b8c58d638516fdca8aaf2a7c3eb62db794859ddc6e",
+    ("recip", F(1, 2), F(3, 2), 2000, 64):
+        "45ceaab59af01002a0a342cf85b0594543e2d27095a1a8f4c8bb1b1dbf282ca3",
+    ("primes:1", F(7, 3), F(2), 1500, 200):
+        "f341d4fd3aed83fb0d63b6b4d20b47a87427a333542ba904e593f33a64e2f2c8",
+}
+
+
+@pytest.mark.parametrize("config", list(TABLE_SHA256), ids=lambda c: c[0])
+def test_divergence_table_golden_digests(config):
+    spec, epsilon, hpv_c, n_top, precision = config
+    rows = divergence_table(epsilon, n_top, make_psi(spec, n_top), precision, hpv_c)
+    text = "\n".join(
+        " ".join(
+            [str(row.n), frac_str(row.plain)]
+            + [frac_str(x) for a in (row.damped, row.hpv, row.bhhv) for x in (a.value, a.err)]
+        )
+        for row in rows
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256[config]
+
+
+@pytest.mark.parametrize(
+    "epsilon, logs, exps",
+    # per term: both ends of ln n, one end of each of the two ln ln n and
+    # the two ln ln ln n, one end of each of the two exps of hpv and bhhv;
+    # ln 1 = 0 takes no call, so small n make fewer.  A fractional epsilon
+    # adds one end of each of two logs and two exps.  Two-sided ends made
+    # 9,930 and 8,000 calls at 3, and 13,922 and 12,000 at 1/2.
+    [(F(3), 5964, 4000), (F(1, 2), 7960, 6000)],
+)
+def test_divergence_table_libmp_call_counts(epsilon, logs, exps, monkeypatch):
+    calls = {"mpf_log": 0, "mpf_exp": 0}
+    for name in calls:
+        f = getattr(arith, name)
+
+        def counted(*args, f=f, name=name):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(arith, name, counted)
+    divergence_table(epsilon, 1000, make_psi("half", 1000))
+    assert calls == {"mpf_log": logs, "mpf_exp": exps}
+
+
+def _dyadic(m, e):
+    return F(m) * F(2) ** e
+
+
+_FACTOR = st.one_of(
+    st.builds(_dyadic, st.integers(1, 1 << 200), st.integers(-200, 200)),
+    st.fractions(1, 10 ** 6, max_denominator=10 ** 6),
+)
+_BOUND = st.one_of(
+    st.builds(_dyadic, st.integers(0, 1 << 80), st.integers(-64, 0)),
+    st.fractions(0, 100, max_denominator=1000),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(4, 64), _BOUND, _BOUND,
+    st.fractions(F(1, 10 ** 6), 10 ** 4, max_denominator=10 ** 6), _FACTOR, _FACTOR,
+)
+# 17/51 = 1/3: the gcd leaves an odd part 3 <= grid, and 1/4 + 1/3 stays exact
+@example(4, F(1, 4), F(1, 4), F(17), F(51), F(51))
+def test_div_add_matches_exact_sum_then_round(bits, s_lo, s_hi, term, f_lo, f_hi):
+    # the integer fast path against the exact sum rounded outward
+    grid = 1 << bits
+
+    def rounded(s, up):
+        if s.denominator <= grid:
+            return s
+        return F((math.ceil if up else math.floor)(s * grid), grid)
+
+    acc = [s_lo, s_hi]
+    _div_add(acc, term, f_lo, f_hi, bits)
+    assert acc == [rounded(s_lo + term / f_hi, False), rounded(s_hi + term / f_lo, True)]
 
 
 # ---------------------------------------------------------------------------
