@@ -11,13 +11,10 @@ comparisons stay exact.  No mpmath context precision is read or written.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
-from operator import sub
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_exp, mpf_log
 from mpmath.libmp import round_ceiling, round_floor
@@ -41,7 +38,6 @@ def frac_str(x: Fraction) -> str:
 SIEVE_CAP = 4_000_000        # largest prime table we will build
 HARMONIC_CAP = 5_000         # largest floor(X) for coprime_harmonic
 INTEGRAL_CAP = 50_000        # largest floor(X) for log_weight_integral
-LOG_PREFIX_CAP = 1 << 18     # most prefix-table entries log_weight_integral keeps
 SCALE_CAP = 64               # largest k for exp_rational
 
 
@@ -367,12 +363,14 @@ def log_bounds(x: RationalLike, precision: int = 128) -> tuple[Fraction, Fractio
 
 
 def floored_log_bounds(
-    x: RationalLike, precision: int = 128
+    lo: RationalLike, hi: RationalLike, precision: int = 128
 ) -> tuple[Fraction, Fraction]:
-    """Enclosure of max(1, ln x) — the all-logs-positive convention."""
-    lo, hi = log_bounds(x, precision)
+    """Enclosure of max(1, ln x) over x in [lo, hi] — the all-logs-positive
+    convention; a single point x is the interval [x, x]."""
+    if hi < lo:
+        raise DomainError("empty enclosure")
     one = Fraction(1)
-    return max(lo, one), max(hi, one)
+    return max(_log_lo(lo, precision), one), max(_log_hi(hi, precision), one)
 
 
 def exp_bounds(lo: Fraction, hi: Fraction, precision: int = 128) -> tuple[Fraction, Fraction]:
@@ -436,77 +434,34 @@ def guarded_floor(
     return f_lo
 
 
-# Prefix tables for log_weight_integral.  Table (d, precision) holds
-# S_d(q) = Σ_{c <= q} lo(c·d) and the same sum of hi(c·d) for q = 0, 1, ...,
-# where [lo(b), hi(b)] is log_bounds(b, precision), as integers on the
-# 2^-(precision + 33) grid: mpmath rounds ln b >= ln 2 > 1/2 to
-# precision + 32 significant bits, so every endpoint is a multiple of
-# 2^-(precision + 32), and the grid keeps a bit to spare.
-# Table (1, precision) is filled from _log_lo and _log_hi; every other
-# table takes its endpoints from it as differences S_1(b) - S_1(b - 1).
-# The tables grow on demand and the least recently used go first once they
-# hold more than LOG_PREFIX_CAP entries (one entry is one q with its two
-# sums).
+# ln b endpoints for log_weight_integral: _log_steps = (precision, lo, hi),
+# lo[b] and hi[b] the ends of log_bounds(b, precision) (0 at b = 0) as
+# integers on the 2^-(precision + 33) grid: mpmath rounds ln b >= ln 2 > 1/2
+# to precision + 32 significant bits, so every endpoint is a multiple of
+# 2^-(precision + 32), and the grid keeps a bit to spare.  One precision at
+# a time, grown on demand: at most INTEGRAL_CAP + 1 entries (b with its ends).
 
-_log_prefix: OrderedDict[tuple[int, int], tuple[list[int], list[int]]] = OrderedDict()
-_log_prefix_entries = 0
-
-
-class LogPrefixInfo(NamedTuple):
-    tables: int
-    entries: int
-    cap: int
-
-
-def log_prefix_info() -> LogPrefixInfo:
-    """Size of log_weight_integral's prefix tables, against LOG_PREFIX_CAP."""
-    return LogPrefixInfo(len(_log_prefix), _log_prefix_entries, LOG_PREFIX_CAP)
+_log_steps: tuple[int | None, list[int], list[int]] = (None, [0], [0])
 
 
 def _on_grid(x: Fraction, bits: int) -> int:
     # x times 2^bits, which must be an integer
     if (1 << bits) % x.denominator:
-        raise PrecisionGuardError(f"log endpoint {x} is off the 2^-{bits} prefix-sum grid")
+        raise PrecisionGuardError(f"log endpoint {x} is off the 2^-{bits} ln-endpoint grid")
     return x.numerator * ((1 << bits) // x.denominator)
 
 
-def _log_prefix_table(d: int, q: int, precision: int) -> tuple[list[int], list[int]]:
-    """Table (d, precision) grown to cover q; for d > 1, table (1, precision)
-    must already cover q·d."""
-    global _log_prefix_entries
-    key = (d, precision)
-    table = _log_prefix.get(key)
-    if table is None:
-        table = _log_prefix[key] = ([0], [0])
-        _log_prefix_entries += 1
-    else:
-        _log_prefix.move_to_end(key)
-    lo, hi = table
-    start = len(lo)
-    if start > q:
-        return table
-    if d == 1:
-        bits = precision + _LOG_GUARD_BITS + 1
-        steps_lo = [_on_grid(_log_lo(b, precision), bits) for b in range(start, q + 1)]
-        steps_hi = [_on_grid(_log_hi(b, precision), bits) for b in range(start, q + 1)]
-    else:
-        ones_lo, ones_hi = _log_prefix[(1, precision)]
-        at, before = slice(start * d, q * d + 1, d), slice(start * d - 1, q * d, d)
-        steps_lo = map(sub, ones_lo[at], ones_lo[before])
-        steps_hi = map(sub, ones_hi[at], ones_hi[before])
-    for sums, steps in ((lo, steps_lo), (hi, steps_hi)):
-        grown = accumulate(steps, initial=sums[-1])
-        next(grown)                     # the initial value is sums[-1] itself
-        sums.extend(grown)
-    _log_prefix_entries += q + 1 - start
-    return table
-
-
-def _trim_log_prefix() -> None:
-    global _log_prefix_entries
-    while _log_prefix_entries > LOG_PREFIX_CAP and len(_log_prefix) > 1:
-        _, (lo, _) = _log_prefix.popitem(last=False)
-        _log_prefix_entries -= len(lo)
+def _log_steps_upto(b_max: int, precision: int) -> tuple[list[int], list[int]]:
+    """The step table at precision, grown to cover b_max."""
+    global _log_steps
+    if _log_steps[0] != precision:
+        _log_steps = (precision, [0], [0])
+    _, lo, hi = _log_steps
+    new = range(len(lo), b_max + 1)
+    bits = precision + _LOG_GUARD_BITS + 1
+    lo.extend(_on_grid(_log_lo(b, precision), bits) for b in new)
+    hi.extend(_on_grid(_log_hi(b, precision), bits) for b in new)
+    return lo, hi
 
 
 def log_weight_integral(t: int, x: RationalLike, precision: int = 128) -> Approx:
@@ -518,8 +473,9 @@ def log_weight_integral(t: int, x: RationalLike, precision: int = 128) -> Approx
 
     The count and the endpoint sums of the ln b are Möbius sums
     Σ_{d | t} μ(d)·S_d(floor(x/d)) over the squarefree divisors d <= x of
-    t, read off the prefix tables: O(2^omega(t)) lookups once the tables
-    cover x.  t is factorized, so like coprime_density it is bounded
+    t, where S_d(q) sums the grid endpoints of ln(c·d) for c <= q: a
+    strided slice of the step table, O(x·Π_{p | t}(1 + 1/p)) integer
+    additions.  t is factorized, so like coprime_density it is bounded
     through SIEVE_CAP.
     """
     if t < 1:
@@ -534,17 +490,13 @@ def log_weight_integral(t: int, x: RationalLike, precision: int = 128) -> Approx
             f"(arith.INTEGRAL_CAP); needed {b_max}"
         )
     lnx_lo, lnx_hi = log_bounds(x, precision)
+    steps_lo, steps_hi = _log_steps_upto(b_max, precision)
     count = sum_lo = sum_hi = 0
     for d, mu in _squarefree_divisors(((p, 1, -1) for p, _ in factorize(t)), b_max):
         q = b_max // d
-        lo, hi = _log_prefix_table(d, q, precision)
         count += mu * q
-        sum_lo += mu * lo[q]
-        sum_hi += mu * hi[q]
-    # table (1, precision) is used first and the others are built from it:
-    # keep it the last to go
-    _log_prefix.move_to_end((1, precision))
-    _trim_log_prefix()
+        sum_lo += mu * sum(steps_lo[d : q * d + 1 : d])
+        sum_hi += mu * sum(steps_hi[d : q * d + 1 : d])
     grid = 1 << (precision + _LOG_GUARD_BITS + 1)
     lo = count * lnx_lo - Fraction(sum_hi, grid)
     hi = count * lnx_hi - Fraction(sum_lo, grid)

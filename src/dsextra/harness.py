@@ -23,8 +23,6 @@ from .arith import (
     Approx,
     RationalLike,
     SCALE_CAP,
-    _log_hi,
-    _log_lo,
     exp_bounds,
     exp_rational,
     floored_log_bounds,
@@ -164,9 +162,8 @@ def divergence_table(
         term = psi.value(n) * totient(n) / n
         plain += term
         if term:
-            l1 = floored_log_bounds(n, precision)                # max(1, ln n)
-            l2_lo = max(_log_lo(l1[0], precision), Fraction(1))  # max(1, ln ln n)
-            l2_hi = max(_log_hi(l1[1], precision), Fraction(1))
+            l1 = floored_log_bounds(n, n, precision)           # max(1, ln n)
+            l2_lo, l2_hi = floored_log_bounds(*l1, precision)  # max(1, ln ln n)
             # (ln n)^epsilon
             f_lo, f_hi = pow_bounds(l1[0], l1[1], epsilon, precision)
             _div_add(acc["damped"], term, f_lo, f_hi, grid_bits)
@@ -176,8 +173,7 @@ def divergence_table(
             )
             _div_add(acc["hpv"], term, f_lo, f_hi, grid_bits)
             # (ln n)^(epsilon * ln ln ln n)
-            l3_lo = max(_log_lo(l2_lo, precision), Fraction(1))
-            l3_hi = max(_log_hi(l2_hi, precision), Fraction(1))
+            l3_lo, l3_hi = floored_log_bounds(l2_lo, l2_hi, precision)
             f_lo, f_hi = exp_bounds(
                 epsilon * l3_lo * l2_lo, epsilon * l3_hi * l2_hi, precision
             )
@@ -665,7 +661,7 @@ def _thinned_audit(
                 if v != psi_n.value(n) / exp_rational(k):
                     value_violations += 1
                 # ratio psi*(n)·(ln n)^eps / psi(n) = (ln n)^eps / ê_k
-                l1 = floored_log_bounds(n, precision)
+                l1 = floored_log_bounds(n, n, precision)
                 p_lo, p_hi = pow_bounds(l1[0], l1[1], spec.epsilon, precision)
                 lo = p_lo / exp_rational(k)
                 hi = p_hi / exp_rational(k)

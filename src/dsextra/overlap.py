@@ -15,8 +15,6 @@ from typing import Sequence
 
 from .arith import (
     Approx,
-    _log_hi,
-    _log_lo,
     exp_rational,
     exponent_split,
     floored_log_bounds,
@@ -55,9 +53,6 @@ class PairDecomposition:
     psi_n: Fraction
     delta: Fraction
     Delta: Fraction
-
-    def phi_t(self) -> int:
-        return totient(self.t)
 
 
 def decompose_pair(m: int, n: int, psi: PsiFunction) -> PairDecomposition:
@@ -127,7 +122,7 @@ def overlap_integral_bound(
     if window <= 1:
         return Approx(Fraction(0), Fraction(0))
     integral = log_weight_integral(dec.t, window, precision)
-    c = exp_rational(k) / (dec.phi_t() * dec.Delta * dec.r)
+    c = exp_rational(k) / (totient(dec.t) * dec.Delta * dec.r)
     return integral.scale(c)
 
 
@@ -206,10 +201,9 @@ def averaging_reference(n: int, top: int, precision: int = 128) -> Approx:
     The comparison value the averaged sum is measured against, under the
     all-logs-positive convention.
     """
-    lk_lo, lk_hi = floored_log_bounds(top, precision)
-    ln_lo, ln_hi = floored_log_bounds(n, precision)
-    lln_lo = max(_log_lo(ln_lo, precision), Fraction(1))
-    lln_hi = max(_log_hi(ln_hi, precision), Fraction(1))
+    lk_lo, lk_hi = floored_log_bounds(top, top, precision)
+    ln = floored_log_bounds(n, n, precision)
+    lln_lo, lln_hi = floored_log_bounds(*ln, precision)
     return Approx.from_bounds(lk_lo * lln_lo, lk_hi * lln_hi)
 
 

@@ -4,7 +4,6 @@ arc-set canonical-form check."""
 import json
 import math
 import os
-from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -91,8 +90,7 @@ def psi_recip_300():
 
 
 @pytest.fixture
-def fresh_log_prefix(monkeypatch):
-    """Empty log_weight_integral prefix tables for one test; the process's
-    tables come back after it."""
-    monkeypatch.setattr(arith, "_log_prefix", OrderedDict())
-    monkeypatch.setattr(arith, "_log_prefix_entries", 0)
+def fresh_log_steps(monkeypatch):
+    """An empty log_weight_integral step table for one test; the process's
+    table comes back after it."""
+    monkeypatch.setattr(arith, "_log_steps", (None, [0], [0]))

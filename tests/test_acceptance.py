@@ -136,7 +136,7 @@ def test_criterion_02_decomposition_identities(psi_half_2000):
             assert math.gcd(m, n) == d.r * d.s
             assert d.t % d.s == 0
             assert (
-                totient(d.s) * totient(d.r) ** 2 * d.phi_t()
+                totient(d.s) * totient(d.r) ** 2 * totient(d.t)
                 == phi_m * totient(n)
             )
     took = time.time() - t0
@@ -283,7 +283,7 @@ def test_criterion_09_thinned_audit(psi_half_2000, block_report, pins):
         assert star.value(n) == expected, n
         if expected:
             support += 1
-            lo, hi = floored_log_bounds(n)
+            lo, hi = floored_log_bounds(n, n)
             plo, phi_ = pow_bounds(lo, hi, F(3))
             ratio_lo = plo * star.value(n) / psi.value(n)
             ratio_hi = phi_ * star.value(n) / psi.value(n)

@@ -5,7 +5,6 @@ Expected values in this file are frozen from independent hand computation
 """
 
 import math
-from collections import OrderedDict
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -18,7 +17,6 @@ from mpmath import iv
 from dsextra import arith
 from dsextra.arith import (
     INTEGRAL_CAP,
-    LOG_PREFIX_CAP,
     SCALE_CAP,
     Approx,
     coprime_density,
@@ -231,10 +229,15 @@ def test_log_bounds_precision_controls_width():
 
 
 def test_floored_log_bounds():
-    assert floored_log_bounds(2) == (F(1), F(1))      # ln 2 < 1 clamps
-    lo, hi = floored_log_bounds(3)
+    assert floored_log_bounds(2, 2) == (F(1), F(1))      # ln 2 < 1 clamps
+    lo, hi = floored_log_bounds(3, 3)
     assert F(1) < lo <= hi
-    assert floored_log_bounds(F(1, 10)) == (F(1), F(1))
+    assert floored_log_bounds(F(1, 10), F(1, 10)) == (F(1), F(1))
+    # an interval: the lower end of ln lo and the upper end of ln hi
+    assert floored_log_bounds(2, 3) == (F(1), hi)
+    assert floored_log_bounds(3, 20, 64) == (log_bounds(3, 64)[0], log_bounds(20, 64)[1])
+    with pytest.raises(DomainError):
+        floored_log_bounds(3, 2)
 
 
 def test_exp_bounds_enclose():
@@ -355,7 +358,7 @@ def test_pow_bounds_match_interval_context(a, b, exponent, precision):
     assert pow_bounds(lo, hi, exponent, precision) == ref
 
 
-def test_enclosures_ignore_mpmath_precision(fresh_log_prefix, monkeypatch):
+def test_enclosures_ignore_mpmath_precision(fresh_log_steps, monkeypatch):
     psi = make_psi("half", 200)
 
     def results():
@@ -374,10 +377,9 @@ def test_enclosures_ignore_mpmath_precision(fresh_log_prefix, monkeypatch):
         assert (iv.prec, mpmath.mp.prec) == (11, 20)
     finally:
         iv.prec, mpmath.mp.prec = saved
-    # the tables filled under the skewed precisions go; the reference
+    # the table filled under the skewed precisions goes; the reference
     # fills its own at the defaults
-    monkeypatch.setattr(arith, "_log_prefix", OrderedDict())
-    monkeypatch.setattr(arith, "_log_prefix_entries", 0)
+    monkeypatch.setattr(arith, "_log_steps", (None, [0], [0]))
     assert results() == skewed
 
 
@@ -430,10 +432,6 @@ def scan_log_weight_integral(t, x, precision):
     return Approx.from_bounds(lo, count * lnx_hi - sum_lo)
 
 
-def _prefix_entries():
-    return sum(len(lo) for lo, _ in arith._log_prefix.values())
-
-
 # t is factorized, so it stays within SIEVE_CAP**2 (9973**3 < 10**12)
 _PRIME_POWERS = st.builds(
     pow, st.sampled_from([2, 3, 5, 7, 11, 13, 9973]), st.integers(1, 12)
@@ -452,41 +450,26 @@ def test_log_weight_integral_matches_scan(t, x, precision):
     )
 
 
-def test_log_weight_integral_independent_of_table_state(fresh_log_prefix):
+def test_log_weight_integral_independent_of_table_state(fresh_log_steps):
     calls = [(1, F(1001, 3)), (12, 97), (30030, F(2999, 2)), (510510, 40)]
     cold = [log_weight_integral(t, x, 64) for t, x in calls]
-    log_weight_integral(510510, 4000, 64)      # grows the tables past every x
+    log_weight_integral(510510, 4000, 64)      # grows the table past every x
     assert [log_weight_integral(t, x, 64) for t, x in calls] == cold
     assert cold == [scan_log_weight_integral(t, x, 64) for t, x in calls]
 
 
-def test_log_prefix_tables_evict_oldest(fresh_log_prefix, monkeypatch):
-    monkeypatch.setattr(arith, "LOG_PREFIX_CAP", 3000)
-    for t in (30030, 510510, 7, 30030):
-        for precision in (64, 128):
-            x = F(2500, 3)
-            assert log_weight_integral(t, x, precision) == scan_log_weight_integral(
-                t, x, precision
-            )
-            info = arith.log_prefix_info()
-            assert info.entries == _prefix_entries() <= info.cap == 3000
-            # the base table of the latest call is the last to go
-            assert next(reversed(arith._log_prefix)) == (1, precision)
-
-
-def test_log_prefix_tables_bounded_at_integral_cap(fresh_log_prefix):
-    # at the cap, t = 510510 fills 121 tables with 170,663 entries and
-    # t = 9699690 208 tables; a second precision pushes the total past
-    # LOG_PREFIX_CAP, and the oldest tables go
-    for precision in (128, 64):
-        for t in (510510, 9699690):
-            log_weight_integral(t, INTEGRAL_CAP, precision)
-            info = arith.log_prefix_info()
-            assert info.entries == _prefix_entries() <= LOG_PREFIX_CAP == info.cap
-            assert info.tables == len(arith._log_prefix)
-    kept = [key for key in arith._log_prefix if key[1] == 128]
-    assert (1, 128) in kept and len(kept) < 208
-    assert sum(key[1] == 64 for key in arith._log_prefix) == 208
+def test_log_steps_one_precision_bounded_at_integral_cap(fresh_log_steps):
+    # the table holds the latest call's precision only, one entry per
+    # b <= INTEGRAL_CAP and b = 0; switching precision replaces it
+    calls = [(510510, INTEGRAL_CAP), (9699690, INTEGRAL_CAP), (30030, F(2999, 2))]
+    before = {}
+    for precision in (128, 64, 128):
+        values = [log_weight_integral(t, x, precision) for t, x in calls]
+        assert before.setdefault(precision, values) == values
+        table_precision, lo, hi = arith._log_steps
+        assert table_precision == precision
+        assert len(lo) == len(hi) == INTEGRAL_CAP + 1
+    assert before[64] != before[128]
 
 
 def test_log_prefix_grid_is_checked():

@@ -373,7 +373,7 @@ def test_run_experiment_max_n_override():
         run_experiment(cfg)
 
 
-def test_run_experiment_jobs_match(tmp_path, fresh_log_prefix):
+def test_run_experiment_jobs_match(tmp_path, fresh_log_steps):
     base = {
         "psi": "recip",
         "k_top": 2,
@@ -384,7 +384,7 @@ def test_run_experiment_jobs_match(tmp_path, fresh_log_prefix):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert one.summary["sweep"] == four.summary["sweep"]
 
-    # with the integral column: from empty prefix tables, from the tables
+    # with the integral column: from an empty step table, from the table
     # the first run left, and across a process pool
     cfg = {**base, "psi": "half", "k_top": 3, "with_integral": True}
     runs = [

@@ -53,7 +53,7 @@ def test_decompose_coprime_pair(psi_half):
     d = decompose_pair(2, 3, psi_half)
     assert (d.r, d.s, d.t, d.gcd) == (1, 1, 6, 1)
     assert (d.delta, d.Delta) == (F(1, 6), F(1, 4))
-    assert d.phi_t() == 2
+    assert totient(d.t) == 2
 
 
 def test_decompose_shared_prime(psi_half):
@@ -86,7 +86,7 @@ def test_decompose_identities(m, n):
     assert m * n == d.r ** 2 * d.s * d.t
     assert math.gcd(m, n) == d.r * d.s
     assert d.t % d.s == 0
-    assert totient(d.s) * totient(d.r) ** 2 * d.phi_t() == totient(m) * totient(n)
+    assert totient(d.s) * totient(d.r) ** 2 * totient(d.t) == totient(m) * totient(n)
     assert d.delta == min(d.psi_m / m, d.psi_n / n)
     assert d.Delta == max(d.psi_m / m, d.psi_n / n)
 
