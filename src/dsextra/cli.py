@@ -109,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--psi", default="half", metavar="GEN")
     p.add_argument("--N", type=int, required=True)
+    p.add_argument("--jobs", type=int, default=1, metavar="W", help="worker processes")
     p.set_defaults(func=cmd_bc)
 
     p = sub.add_parser(
@@ -232,7 +233,7 @@ def cmd_block(args) -> int:
 
 def cmd_bc(args) -> int:
     rows, summary = _one_section(
-        bc_section, {"psi": args.psi, "bc_n": args.N}, args.out
+        bc_section, {"psi": args.psi, "bc_n": args.N, "jobs": args.jobs}, args.out
     )
     n, ms, sm, _ = rows[-1]
     ratio = summary["bc"]["ratio"]

@@ -3,7 +3,9 @@
 Holds the Borel-Cantelli second-moment ratio, the divergence comparison
 table, deterministic pair sampling, the JSON experiment config, one
 section function per workload (with its CSV columns), and the
-config-driven runner with an optional worker pool.
+config-driven runner.  The pair sweep and the Borel-Cantelli rows run on
+one ordered-map worker pool (_ordered_map); blocks and the table are
+serial.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -54,7 +57,7 @@ PAIR_CAP_EXACT = 2000     # exhaustive pair corpora
 PAIR_CAP_SAMPLED = 10_000 # sampled pair corpora
 BC_CAP = 500              # exact Borel-Cantelli series
 TABLE_CAP = 10_000        # divergence table length
-JOBS_CAP = 64             # worker processes, all started at the first task
+JOBS_CAP = 64             # worker processes per pool, all started at once
 MIN_PRECISION = 8         # fewest working bits for certified logs
 
 # Exact partial sums near TABLE_CAP carry lcm-scale denominators whose
@@ -68,7 +71,7 @@ if 0 < sys.get_int_max_str_digits() < 100_000:
 # Borel-Cantelli second-moment ratio
 
 def borel_cantelli_ratio(
-    psi: PsiFunction, n_top: int
+    psi: PsiFunction, n_top: int, jobs: int = 1
 ) -> tuple[Fraction, list[tuple[int, Fraction, Fraction, Fraction | None]]]:
     """(Σ measure)² / Σ pairwise-intersection measures, exact.
 
@@ -76,24 +79,23 @@ def borel_cantelli_ratio(
     diagonal contributing measure(E_n) itself.  Returns the final ratio
     and per-n partial rows (n, measure sum, second moment, ratio so far).
     By Cauchy-Schwarz the ratio always lies in [0, 1].
+
+    Row n's off-diagonal sum depends only on psi, so the rows run on
+    `jobs` worker processes (_ordered_map); the prefix sums are added in
+    n order, so the ratio and the rows are the same at every jobs value.
     """
     if n_top < 1:
         raise DomainError("borel_cantelli_ratio requires N >= 1")
     if not psi.normalized:
         raise DomainError("borel_cantelli_ratio requires a normalized psi")
-    events = []     # (n, (radius,)) of the positive-measure events so far
     measure_sum = Fraction(0)
     second_moment = Fraction(0)
     rows = []
-    for n in range(1, n_top + 1):
-        radius = psi.value(n)
-        mu = coprime_measure(n, radius)
-        second_moment += mu  # diagonal term
-        if mu > 0:
-            row = coprime_intersection_sums(n, (radius,), events)[0]
-            second_moment += 2 * row
-            events.append((n, (radius,)))
+    for n, mu, row in _ordered_map(
+        partial(_bc_rows, psi), range(1, n_top + 1), jobs
+    ):
         measure_sum += mu
+        second_moment += mu + 2 * row  # diagonal and both orders of (m, n)
         ratio = (
             measure_sum * measure_sum / second_moment if second_moment else None
         )
@@ -101,6 +103,23 @@ def borel_cantelli_ratio(
     if second_moment == 0:
         raise UndefinedRatioError("all events have measure zero")
     return measure_sum * measure_sum / second_moment, rows
+
+
+def _bc_rows(psi: PsiFunction, ns: Sequence[int]) -> list[tuple]:
+    # (n, measure(E_n), Σ_{m<n} measure(E_m ∩ E_n)) for each n of the
+    # ascending ns; the events E_m below max(ns) are rebuilt from psi
+    wanted = set(ns)
+    events = []     # (m, (radius,)) of the positive-measure events so far
+    out = []
+    for n in range(1, ns[-1] + 1):
+        radius = psi.value(n)
+        mu = coprime_measure(n, radius)
+        if n in wanted:
+            row = coprime_intersection_sums(n, (radius,), events)[0] if mu else 0
+            out.append((n, mu, row))
+        if mu:
+            events.append((n, (radius,)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +540,29 @@ def _resolve_pairs(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     return sample_pairs(spec.lo, spec.hi, spec.count, spec.seed)
 
 
-def _sweep_chunk(args) -> list[OverlapRecord]:
-    psi, pairs, k_top, precision, with_integral = args
+def _ordered_map(fn, items: Sequence, jobs: int) -> list:
+    """fn(items), for an fn that returns one result per item, computed on
+    `jobs` worker processes in interleaved slices items[i::count] and
+    merged back into item order.  jobs == 1 or at most 64 items run
+    in-process, where a pool costs more than it saves.  The pool pickles
+    fn by reference: a module-level function or a partial of one.
+    """
+    if jobs == 1 or len(items) <= 64:
+        return fn(items)
+    count = min(jobs * 4, len(items))
+    slices = [items[i::count] for i in range(count)]
+    out: list = [None] * len(items)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for i, part in enumerate(pool.map(fn, slices)):
+            out[i::count] = part
+    return out
+
+
+def _sweep_chunk(psi, k_top, precision, with_integral, pairs) -> list:
     ks = range(1, k_top + 1)
     return [
-        rec
+        overlap_records(m, n, psi, ks, precision, with_integral)
         for m, n in pairs
-        for rec in overlap_records(m, n, psi, ks, precision, with_integral)
     ]
 
 
@@ -536,25 +571,11 @@ def run_pair_sweep(
 ) -> list[OverlapRecord]:
     """Overlap records for all pairs and k = 1..k_top, (m, n, k)-sorted.
 
-    With jobs > 1 the pair list is chunked across a process pool; the
-    final sort makes the output independent of scheduling.
+    The pairs run on cfg.jobs worker processes (_ordered_map), which
+    returns their records in pair order at every jobs value.
     """
-    if cfg.jobs > 1 and len(pairs) > 64:
-        chunk_count = cfg.jobs * 4
-        chunks = [pairs[i::chunk_count] for i in range(chunk_count)]
-        payload = [
-            (psi, chunk, cfg.k_top, cfg.precision, cfg.with_integral)
-            for chunk in chunks
-            if chunk
-        ]
-        records: list[OverlapRecord] = []
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for part in pool.map(_sweep_chunk, payload):
-                records.extend(part)
-    else:
-        records = _sweep_chunk(
-            (psi, pairs, cfg.k_top, cfg.precision, cfg.with_integral)
-        )
+    work = partial(_sweep_chunk, psi, cfg.k_top, cfg.precision, cfg.with_integral)
+    records = [rec for part in _ordered_map(work, pairs, cfg.jobs) for rec in part]
     records.sort(key=lambda rec: (rec.m, rec.n, rec.k))
     return records
 
@@ -739,7 +760,7 @@ def bc_section(cfg: ExperimentConfig, path=None) -> tuple[list, dict]:
             f"bc series limited to N <= {limit} (harness.BC_CAP; "
             f"a run config can override it with max_n)"
         )
-    ratio, rows = borel_cantelli_ratio(psi, cfg.bc_n)
+    ratio, rows = borel_cantelli_ratio(psi, cfg.bc_n, cfg.jobs)
     if path is not None:
         write_csv(path, BC_COLUMNS, [
             [

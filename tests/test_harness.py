@@ -3,25 +3,31 @@
 import hashlib
 import json
 import math
+import os
+import pickle
+import time
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsextra import arith, circles
+from dsextra import arith, circles, harness
 from dsextra.arith import frac_str, totient
 from dsextra.circles import coprime_arcs, intersection_measure
 from dsextra.errors import (
     CapExceededError,
     ConfigError,
     DomainError,
+    PrecisionGuardError,
     UndefinedRatioError,
 )
 from dsextra.harness import (
     BC_CAP,
     PAIR_CAP_EXACT,
     _div_add,
+    _ordered_map,
     borel_cantelli_ratio,
     divergence_table,
     load_config,
@@ -88,6 +94,61 @@ def test_bc_ratio_undefined_when_all_zero():
     psi = normalize_psi(PsiFunction(5, "table", base={}))
     with pytest.raises(UndefinedRatioError):
         borel_cantelli_ratio(psi, 5)
+
+
+@pytest.mark.parametrize("gen", ["half", "recip", "primes:1/4"])
+@pytest.mark.parametrize("n_top", [50, 130])
+def test_bc_ratio_independent_of_jobs(gen, n_top):
+    # 50 rows run in-process at every jobs value, 130 on the pool
+    psi = normalize_psi(make_psi(gen, n_top))
+    serial = borel_cantelli_ratio(psi, n_top)
+    for jobs in (2, 4):
+        assert borel_cantelli_ratio(psi, n_top, jobs) == serial
+
+
+# ---------------------------------------------------------------------------
+# the ordered-map worker pool
+
+def _slow_multiples_of_8(items):
+    # slice 0 of 8 holds every multiple of 8 and finishes last
+    for x in items:
+        if x % 8 == 0:
+            time.sleep(0.01)
+    return [(x * x, os.getpid()) for x in items]
+
+
+def _raise_at_77(error, items):
+    if 77 in items:
+        raise error("raised in a worker")
+    return list(items)
+
+
+@pytest.mark.parametrize("count, pooled", [(64, False), (100, True)])
+def test_ordered_map_keeps_item_order(count, pooled):
+    out = _ordered_map(_slow_multiples_of_8, list(range(count)), 2)
+    assert [sq for sq, _ in out] == [x * x for x in range(count)]
+    assert any(pid != os.getpid() for _, pid in out) == pooled
+    assert _ordered_map(_slow_multiples_of_8, list(range(count)), 1) == [
+        (x * x, os.getpid()) for x in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "error", [UndefinedRatioError, PrecisionGuardError, CapExceededError]
+)
+def test_ordered_map_reraises_worker_errors(error):
+    # the exit codes 2, 3 and 4 of `dsextra run` map these types
+    with pytest.raises(error, match="raised in a worker"):
+        _ordered_map(partial(_raise_at_77, error), range(100), 2)
+
+
+def test_pool_workers_are_private_module_functions():
+    # the pool pickles workers by reference, and the benchmark tracer
+    # wraps public names only
+    for fn in (harness._sweep_chunk, harness._bc_rows):
+        assert fn.__name__.startswith("_")
+        assert getattr(harness, fn.__name__) is fn
+        assert pickle.loads(pickle.dumps(fn)) is fn
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +440,12 @@ def test_run_experiment_jobs_match(tmp_path, fresh_log_steps):
         "k_top": 2,
         "pairs": {"mode": "sample", "lo": 2, "hi": 150, "count": 80, "seed": 3},
     }
-    one = run_experiment(parse_config({**base, "jobs": 1, "out": str(tmp_path / "a.csv")}))
-    four = run_experiment(parse_config({**base, "jobs": 4, "out": str(tmp_path / "b.csv")}))
+    both = {**base, "bc_n": 90}
+    one = run_experiment(parse_config({**both, "jobs": 1, "out": str(tmp_path / "a.csv")}))
+    four = run_experiment(parse_config({**both, "jobs": 4, "out": str(tmp_path / "b.csv")}))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert one.summary["sweep"] == four.summary["sweep"]
+    assert (tmp_path / "a.bc.csv").read_bytes() == (tmp_path / "b.bc.csv").read_bytes()
+    assert one.summary == four.summary
 
     # with the integral column: from an empty step table, from the table
     # the first run left, and across a process pool
