@@ -223,9 +223,9 @@ def test_unread_flags_are_gone(argv):
     (["block", "--h", "1", "--base", "2", "--eps", "3"],
      {"blocks": {"base": 2, "h_list": [1], "epsilon": "3"}}, "blocks"),
     (["bc", "--N", "20"], {"bc_n": 20}, "bc"),
-    (["bc", "--N", "80", "--jobs", "2"], {"bc_n": 80, "jobs": 2}, "bc"),
     (["table", "--eps", "1", "--N", "16", "--psi", "primes:1"],
      {"psi": "primes:1", "table": {"epsilon": "1", "n_top": 16}}, "table"),
+    (["bc", "--N", "80", "--jobs", "2"], {"bc_n": 80, "jobs": 2}, "bc"),
 ])
 def test_cli_csv_matches_run_section(capsys, tmp_path, argv, doc, tag):
     # a single-workload command and its one-section run config must
