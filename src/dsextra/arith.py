@@ -130,28 +130,6 @@ def totient(n: int) -> int:
     return phi
 
 
-def exponent_split(m: int, n: int) -> tuple[int, int, int]:
-    """(r, s, t) for m, n >= 1, split by prime exponents.
-
-    r collects the primes with equal exponents in m and n; for the others
-    s takes the smaller and t the larger power.  So m*n = r^2*s*t,
-    gcd(m, n) = r*s, lcm(m, n) = r*t, and s | t.
-    """
-    em = dict(factorize(m))
-    en = dict(factorize(n))
-    r = s = t = 1
-    for p in em.keys() | en.keys():
-        a = em.get(p, 0)
-        b = en.get(p, 0)
-        if a == b:
-            r *= p ** a
-        else:
-            lo, hi = (a, b) if a < b else (b, a)
-            s *= p ** lo
-            t *= p ** hi
-    return r, s, t
-
-
 # ---------------------------------------------------------------------------
 # Euler products and coprime sums
 
@@ -304,9 +282,6 @@ class Approx:
     def scale(self, c: Fraction) -> "Approx":
         return Approx(self.value * c, self.err * abs(c))
 
-    def __float__(self) -> float:
-        return float(self.value)
-
     def __str__(self) -> str:
         return f"{float(self.value):.12g} (±{float(self.err):.3g})"
 
@@ -408,16 +383,14 @@ def pow_bounds(
     )
 
 
-DEFAULT_FLOOR_GUARD = Fraction(1, 1 << 64)
+_FLOOR_GUARD = Fraction(1, 1 << 64)
 
 
-def guarded_floor(
-    lo: Fraction, hi: Fraction, guard: Fraction = DEFAULT_FLOOR_GUARD
-) -> int:
+def guarded_floor(lo: Fraction, hi: Fraction) -> int:
     """floor of the value enclosed by [lo, hi], certified.
 
     Refuses (PrecisionGuardError) when the enclosure straddles an integer or
-    approaches one within `guard`: a floor read off such an enclosure could
+    approaches one within 2^-64: a floor read off such an enclosure could
     silently flip with precision.
     """
     if hi < lo:
@@ -427,7 +400,7 @@ def guarded_floor(
         raise PrecisionGuardError(
             "enclosure straddles an integer; floor not certified (retry with more bits)"
         )
-    if lo - f_lo < guard or f_lo + 1 - hi < guard:
+    if lo - f_lo < _FLOOR_GUARD or f_lo + 1 - hi < _FLOOR_GUARD:
         raise PrecisionGuardError(
             "value within guard distance of an integer; floor not certified"
         )

@@ -1,10 +1,10 @@
-"""Unions of half-open arcs on the unit circle with exact rational endpoints.
+"""Coprime arc systems on the unit circle and their exact overlaps.
 
-The primary representation is integer endpoints over one common denominator
-(made minimal by a global gcd reduction), so bulk measure and intersection
-work stays in pure integer arithmetic; Fraction views are materialized
-lazily.  Canonical form: arcs [lo, hi) with 0 <= lo < hi <= D, sorted,
-pairwise separated (touching arcs are merged).
+Production code uses only the measure law (coprime_measure) and the
+closed-form overlap kernel (coprime_intersection_sums), which build no
+arcs.  The arc sets (CircleIntervalSet: sorted, merged integer endpoints
+over one gcd-reduced denominator) and intersect, intersection_measure and
+midpoint_grid_measure are the tests' independent reference routes.
 """
 
 from __future__ import annotations
@@ -152,39 +152,41 @@ def coprime_measure(n: int, radius: RationalLike) -> Fraction:
 
 def _pair_weights(
     fm: tuple[tuple[int, int], ...], fn: tuple[tuple[int, int], ...]
-) -> tuple[int, int, int, list[tuple[int, int, int]]]:
-    """(P, base, w(0)/base, factors) for the pair with factorizations fm, fn.
+) -> tuple[int, int, int, int, list[tuple[int, int, int]]]:
+    """(r, t, base, w(0)/base, factors) for the pair with factorizations fm, fn.
 
-    The centres a/m and b/n of two arcs differ by j/P mod 1, P = lcm(m, n).
-    With (r, s, t) = exponent_split(m, n), the number of pairs of units
-    a mod m, b mod n at offset j is w(j) = base * [gcd(j, t) = 1] *
-    prod over p | r of (p - 2 + [p | j]), base = phi(s) * r / rad(r).
-    The factors (p, a_p, b_p), in no particular order, give that product
-    as prod of (a_p + b_p * [p | j]) over the primes of r*t, for
-    _squarefree_divisors to expand.
+    The exponent split of m, n: r collects the primes with equal exponents;
+    for the others s takes the smaller and t the larger power.  So
+    m*n = r^2*s*t, gcd(m, n) = r*s, lcm(m, n) = r*t = P and s | t.  The
+    centres a/m and b/n of two arcs differ by j/P mod 1, and the number of
+    pairs of units a mod m, b mod n at offset j is w(j) = base *
+    [gcd(j, t) = 1] * prod over p | r of (p - 2 + [p | j]), base =
+    phi(s) * r / rad(r).  The factors (p, a_p, b_p), in no particular
+    order, give that product as prod of (a_p + b_p * [p | j]) over the
+    primes of r*t, for _squarefree_divisors to expand.
     """
     em = dict(fm)
-    period = base = w0 = 1
+    r = t = base = w0 = 1
     factors = []
     for p, b in fn:
         a = em.pop(p, 0)
         if a == b:              # p | r
-            period *= p ** a
+            r *= p ** a
             base *= p ** (a - 1)
             w0 *= p - 1
             factors.append((p, p - 2, 1))
         else:                   # p | t, and p | s when both exponents are > 0
             lo, hi = (a, b) if a < b else (b, a)
-            period *= p ** hi
+            t *= p ** hi
             if lo:
                 base *= (p - 1) * p ** (lo - 1)
             w0 = 0
             factors.append((p, 1, -1))
     for p, a in em.items():     # the primes of m alone: p | t
-        period *= p ** a
+        t *= p ** a
         w0 = 0
         factors.append((p, 1, -1))
-    return period, base, w0, factors
+    return r, t, base, w0, factors
 
 
 def _half_widths(
@@ -261,7 +263,8 @@ def coprime_intersection_sums(
             raise DomainError(
                 f"event {m} has {len(rads_m)} radii for {len(rads_n)} columns"
             )
-        period, base, w0, factors = _pair_weights(factorize(m), fn)
+        r, t, base, w0, factors = _pair_weights(factorize(m), fn)
+        period = r * t
         widths = []
         limit = 0
         for i, rad_m in enumerate(rads_m):

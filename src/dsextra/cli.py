@@ -152,7 +152,7 @@ def _pair_psi(args):
         raise ConfigError(
             f"precision: must be >= {MIN_PRECISION}, got {args.precision}"
         )
-    return normalize_psi(make_psi(args.psi, max(args.M, args.N)))
+    return normalize_psi(make_psi(args.psi, max(args.M, args.N, 1)))
 
 
 def cmd_pair(args) -> int:
@@ -190,9 +190,7 @@ def cmd_avgsum(args) -> int:
     if args.K < 1:
         raise DomainError("K must be >= 1")
     psi = _pair_psi(args)
-    total, records, reference = averaged_sum(
-        args.M, args.N, psi, args.K, args.precision, with_integral=True
-    )
+    total, records, reference = averaged_sum(args.M, args.N, psi, args.K, args.precision)
     for rec in records:
         print(
             f"k = {rec.k}: P = {rec.p_exact}  bound = {rec.pv_product}  "

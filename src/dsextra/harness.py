@@ -46,7 +46,6 @@ from .schedule import (
     BlockReport,
     block_bounds,
     block_of,
-    even_blocks_upto,
     select_scale,
     thinned_psi,
 )
@@ -140,10 +139,9 @@ def divergence_table(
     psi: PsiFunction,
     precision: int = 128,
     hpv_c: RationalLike = 1,
-    checkpoints: Sequence[int] | None = None,
 ) -> list[DivergenceRow]:
     """Partial sums of the divergence series under the competing damping
-    factors, at the given checkpoints (default: powers of two and n_top).
+    factors, one row at each power of two below n_top and one at n_top.
 
     All logs follow the all-logs-positive convention max(1, ln x); the
     damped sums are certified enclosures, the plain sum is exact.
@@ -159,16 +157,7 @@ def divergence_table(
             f"divergence table limited to {TABLE_CAP} (harness.TABLE_CAP); "
             f"needed {n_top}"
         )
-    if checkpoints is None:
-        checkpoints = sorted(
-            {1 << j for j in range(1, n_top.bit_length()) if (1 << j) <= n_top}
-            | {n_top}
-        )
-    else:
-        checkpoints = sorted(set(checkpoints))
-        if any(c < 1 or c > n_top for c in checkpoints):
-            raise DomainError("checkpoints outside 1..N")
-    marks = set(checkpoints)
+    marks = {1 << j for j in range(1, n_top.bit_length())} | {n_top}
     plain = Fraction(0)
     grid_bits = precision + 16      # rounding grid for the running bounds
     acc = {
@@ -569,15 +558,14 @@ def _sweep_chunk(psi, k_top, precision, with_integral, pairs) -> list:
 def run_pair_sweep(
     psi: PsiFunction, cfg: ExperimentConfig, pairs: list[tuple[int, int]]
 ) -> list[OverlapRecord]:
-    """Overlap records for all pairs and k = 1..k_top, (m, n, k)-sorted.
+    """Overlap records for all pairs and k = 1..k_top, in pair order and
+    then k order: (m, n, k)-sorted for the sorted pairs of _resolve_pairs.
 
     The pairs run on cfg.jobs worker processes (_ordered_map), which
     returns their records in pair order at every jobs value.
     """
     work = partial(_sweep_chunk, psi, cfg.k_top, cfg.precision, cfg.with_integral)
-    records = [rec for part in _ordered_map(work, pairs, cfg.jobs) for rec in part]
-    records.sort(key=lambda rec: (rec.m, rec.n, rec.k))
-    return records
+    return [rec for part in _ordered_map(work, pairs, cfg.jobs) for rec in part]
 
 
 def _sweep_summary(records: list[OverlapRecord], k_top: int) -> dict:
@@ -629,18 +617,13 @@ def sweep_section(
     return records, {"sweep": summary}
 
 
-def _block_pairs(
-    cfg: ExperimentConfig, h: int
-) -> tuple[list[tuple[int, int]], bool]:
+def _block_pairs(cfg: ExperimentConfig, h: int) -> list[tuple[int, int]]:
     spec = cfg.blocks
     assert spec is not None
     lo, hi = block_bounds(h, spec.base)
     exhaustive_limit = cfg.cap(PAIR_CAP_EXACT)
     if hi - 1 <= exhaustive_limit:
-        return (
-            [(m, n) for m in range(lo, hi) for n in range(m + 1, hi)],
-            False,
-        )
+        return [(m, n) for m in range(lo, hi) for n in range(m + 1, hi)]
     sampled_limit = cfg.cap(PAIR_CAP_SAMPLED)
     if lo >= sampled_limit:
         raise CapExceededError(
@@ -653,7 +636,7 @@ def _block_pairs(
             f"set blocks.sample and blocks.seed (CLI: --sample and --seed)"
         )
     top = min(hi, sampled_limit + 1)
-    return sample_pairs(lo, top, spec.sample, spec.seed), True
+    return sample_pairs(lo, top, spec.sample, spec.seed)
 
 
 def _thinned_audit(
@@ -713,19 +696,19 @@ def blocks_section(
         cfg.cap(PAIR_CAP_SAMPLED),
     )
     psi = normalize_psi(make_psi(cfg.psi, n_star))
-    reports = []
-    for h in spec.h_list:
-        pairs, sampled = _block_pairs(cfg, h)
-        reports.append(select_scale(
-            h, psi, spec.epsilon, pairs, spec.base, cfg.precision,
-            seed=spec.seed if sampled else None,
-        ))
+    reports = [
+        select_scale(
+            h, psi, spec.epsilon, _block_pairs(cfg, h), spec.base, cfg.precision
+        )
+        for h in spec.h_list
+    ]
     chosen = {rep.h: rep.chosen_k for rep in reports}
     summary: dict = {
         "blocks": {"base": spec.base, "epsilon": spec.epsilon, "chosen": chosen},
     }
     if spec.thinned:
-        needed = even_blocks_upto(n_star, spec.base)
+        # n_star >= 2: max_n >= 2, and every block starts at 2 or above
+        needed = range(0, block_of(n_star, spec.base) + 1, 2)
         missing = [h for h in needed if h not in chosen]
         if missing:
             raise ConfigError(
@@ -807,17 +790,14 @@ def table_section(
 class RunResult:
     summary: dict
     records: list[OverlapRecord] = field(default_factory=list)
-    block_reports: list[BlockReport] = field(default_factory=list)
-    bc_rows: list = field(default_factory=list)
-    table_rows: list[DivergenceRow] = field(default_factory=list)
     csv_paths: list[str] = field(default_factory=list)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Execute every section the config requests; see README for the schema.
 
-    Returns all data in memory; CSV files are written when cfg.out is set
-    (pair sweep at out itself, other sections at out-derived names).
+    Returns the summary, the sweep's records and the paths of the CSVs written
+    when cfg.out is set (the sweep at out, other sections at derived names).
     """
     out = Path(cfg.out) if cfg.out else None
     result = RunResult(summary={"psi": cfg.psi, "k_top": cfg.k_top})
@@ -835,11 +815,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if cfg.pair_sweep is not None:
         result.records = run(sweep_section, None)
     if cfg.blocks is not None:
-        result.block_reports = run(blocks_section, "blocks")
+        run(blocks_section, "blocks")
     if cfg.bc_n is not None:
-        result.bc_rows = run(bc_section, "bc")
+        run(bc_section, "bc")
     if cfg.table is not None:
-        result.table_rows = run(table_section, "table")
+        run(table_section, "table")
     return result
 
 

@@ -16,14 +16,14 @@ from typing import Sequence
 from .arith import (
     Approx,
     exp_rational,
-    exponent_split,
+    factorize,
     floored_log_bounds,
     frac_str,
     log_weight_integral,
     restricted_prime_product,
     totient,
 )
-from .circles import coprime_intersection_sums, coprime_measure
+from .circles import _pair_weights, coprime_intersection_sums, coprime_measure
 from .errors import DomainError
 from .psi import PsiFunction
 
@@ -56,18 +56,20 @@ class PairDecomposition:
 
 
 def decompose_pair(m: int, n: int, psi: PsiFunction) -> PairDecomposition:
-    """Exponent-comparison decomposition of a distinct pair."""
+    """Exponent-comparison decomposition of a distinct pair: r and t from
+    the kernel's exponent walk (circles._pair_weights), s = gcd(m, n)/r."""
     if m == n:
         raise DomainError("pair decomposition requires m != n")
     if m < 1 or n < 1:
         raise DomainError("pair entries must be >= 1")
-    r, s, t = exponent_split(m, n)
+    r, t = _pair_weights(factorize(m), factorize(n))[:2]
+    gcd = math.gcd(m, n)
     psi_m = psi.value(m)
     psi_n = psi.value(n)
     dm = psi_m / m
     dn = psi_n / n
     return PairDecomposition(
-        m=m, n=n, gcd=math.gcd(m, n), r=r, s=s, t=t,
+        m=m, n=n, gcd=gcd, r=r, s=gcd // r, t=t,
         psi_m=psi_m, psi_n=psi_n,
         delta=min(dm, dn), Delta=max(dm, dn),
     )
@@ -213,15 +215,15 @@ def averaged_sum(
     psi: PsiFunction,
     top: int,
     precision: int = 128,
-    with_integral: bool = False,
 ) -> tuple[Fraction, list[OverlapRecord], Approx]:
     """Σ_{k=1..top} of the exact overlap ratios, with per-k records.
 
     Returns (total, records, reference) where reference is the certified
-    ln(top)*ln(ln(n)) comparison value.
+    ln(top)*ln(ln(n)) comparison value.  Every record carries its certified
+    integral bound.
     """
     if top < 1:
         raise DomainError("averaged_sum requires top >= 1")
-    records = overlap_records(m, n, psi, range(1, top + 1), precision, with_integral)
+    records = overlap_records(m, n, psi, range(1, top + 1), precision)
     total = sum((rec.p_exact for rec in records), Fraction(0))
     return total, records, averaging_reference(n, top, precision)

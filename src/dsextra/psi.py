@@ -71,8 +71,7 @@ class PsiFunction:
 
 
 def _normalize_value(n: int, v: Fraction) -> Fraction:
-    if v < 0:
-        raise DomainError(f"negative psi({n}) = {v}")
+    # v >= 0: PsiFunction.value rejects negative radii before normalizing
     half = Fraction(1, 2)
     if v > half:
         v = half

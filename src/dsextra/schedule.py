@@ -95,12 +95,6 @@ class BlockReport:
     per_k_sums: tuple[tuple[int, Fraction, Fraction], ...]
     chosen_k: int
     pair_count: int
-    seed: int | None = None
-
-    def ratios(self) -> list[tuple[int, Fraction | None]]:
-        return [
-            (k, s1 / s2 if s2 else None) for k, s1, s2 in self.per_k_sums
-        ]
 
 
 def select_scale(
@@ -110,7 +104,6 @@ def select_scale(
     pairs: list[tuple[int, int]],
     base: int = 4,
     precision: int = 128,
-    seed: int | None = None,
 ) -> BlockReport:
     """Pick the damping scale k minimizing the weighted overlap sums.
 
@@ -162,7 +155,7 @@ def select_scale(
     return BlockReport(
         h=h, base=base, lo=lo, hi=hi, epsilon=epsilon,
         scale_count=top, per_k_sums=tuple(sums), chosen_k=chosen,
-        pair_count=len(pairs), seed=seed,
+        pair_count=len(pairs),
     )
 
 
@@ -206,16 +199,3 @@ def thinned_psi(
         psi.n_max, f"thin:{psi.generator}", base=table, normalized=False
     )
 
-
-def even_blocks_upto(n_max: int, base: int = 4) -> list[int]:
-    """Even block indices whose blocks intersect [2, n_max]."""
-    out = []
-    h = 0
-    while True:
-        lo = 1 << base ** h
-        if lo > n_max:
-            break
-        if h % 2 == 0:
-            out.append(h)
-        h += 1
-    return out

@@ -106,6 +106,15 @@ def test_exit_code_2_on_config_error(capsys):
 def test_exit_code_2_on_domain_error(capsys):
     code, _, err = run_cli(capsys, "phi", "0")
     assert code == 2
+    # a pair below 1 is reported as such, not as an empty psi range
+    for argv in (
+        ["pair", "-3", "-5"],
+        ["overlap", "-3", "-5"],
+        ["avgsum", "-3", "-5", "--K", "2"],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "pair entries must be >= 1" in err, argv
 
 
 def test_exit_code_3_on_precision_guard(capsys):

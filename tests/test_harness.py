@@ -174,15 +174,6 @@ def test_divergence_table_damping_brackets(psi_half_300):
     assert rows[-1].damped.hi < rows[-1].plain
 
 
-def test_divergence_table_custom_checkpoints(psi_half_300):
-    rows = divergence_table(1, 20, psi_half_300, checkpoints=[5, 20])
-    assert [row.n for row in rows] == [5, 20]
-    with pytest.raises(DomainError):
-        divergence_table(1, 20, psi_half_300, checkpoints=[0])
-    with pytest.raises(DomainError):
-        divergence_table(1, 20, psi_half_300, checkpoints=[21])
-
-
 def test_divergence_table_domain_and_caps(psi_half_300):
     with pytest.raises(DomainError):
         divergence_table(0, 20, psi_half_300)
@@ -472,8 +463,25 @@ def test_run_experiment_thinned_needs_even_blocks():
         },
         "max_n": 100,
     })
-    with pytest.raises(ConfigError, match="even"):
+    with pytest.raises(ConfigError, match=r"even blocks \[0\];"):
         run_experiment(cfg)
+    # the audit range 1..300 reaches block h = 3 at base 2, so it needs h = 2
+    cfg = parse_config({
+        "psi": "half",
+        "blocks": {
+            "base": 2, "h_list": [0, 1, 3], "epsilon": "3",
+            "sample": 10, "seed": 5, "thinned": True,
+        },
+        "max_n": 300,
+    })
+    with pytest.raises(ConfigError, match=r"even blocks \[2\];"):
+        run_experiment(cfg)
+    # at base 4, block h = 0 is [2, 16): the audit range 1..15 needs only it
+    cfg = parse_config({
+        "psi": "half",
+        "blocks": {"base": 4, "h_list": [0], "epsilon": "3", "thinned": True},
+    })
+    assert run_experiment(cfg).summary["thinned"]["n_star"] == 15
 
 
 def test_run_experiment_thinned_skips_unreached_blocks():

@@ -13,8 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsextra.arith import exp_rational, log_bounds, totient
-from dsextra.circles import coprime_arcs, coprime_measure, intersection_measure
+from dsextra.arith import exp_rational, factorize, log_bounds, totient
+from dsextra.circles import (
+    _pair_weights,
+    coprime_arcs,
+    coprime_measure,
+    intersection_measure,
+)
 from dsextra.errors import DomainError
 from dsextra.overlap import (
     CSV_COLUMNS,
@@ -73,16 +78,49 @@ def test_decompose_rejects_equal(psi_half):
         decompose_pair(7, 7, psi_half)
 
 
-@settings(max_examples=150)
-@given(
-    st.integers(min_value=2, max_value=350),
-    st.integers(min_value=2, max_value=350),
+def exponent_split(m, n):
+    # reference: (r, s, t) with r the primes of equal exponent in m and n,
+    # and s (t) the smaller (larger) power of every other prime
+    em = dict(factorize(m))
+    en = dict(factorize(n))
+    r = s = t = 1
+    for p in em.keys() | en.keys():
+        a = em.get(p, 0)
+        b = en.get(p, 0)
+        if a == b:
+            r *= p ** a
+        else:
+            lo, hi = (a, b) if a < b else (b, a)
+            s *= p ** lo
+            t *= p ** hi
+    return r, s, t
+
+
+# small numbers, prime powers, {2, 3, 5, 7}-smooth numbers (which share
+# primes at equal and unequal exponents) and any n, all up to 10^6
+_split_ints = st.one_of(
+    st.integers(min_value=1, max_value=350),
+    st.sampled_from([
+        p ** e for p in (2, 3, 5, 7, 11, 997) for e in range(1, 20) if p ** e <= 10 ** 6
+    ]),
+    st.builds(
+        lambda a, b, c, d: 2 ** a * 3 ** b * 5 ** c * 7 ** d,
+        st.integers(0, 4), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+    ),
+    st.integers(min_value=1, max_value=10 ** 6),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_ints, _split_ints)
 def test_decompose_identities(m, n):
     if m == n:
         n += 1
-    psi = normalize_psi(make_psi("half", 400))
+    psi = normalize_psi(make_psi("half", max(m, n)))
     d = decompose_pair(m, n, psi)
+    assert (d.r, d.s, d.t) == exponent_split(m, n)
+    r, t = _pair_weights(factorize(m), factorize(n))[:2]
+    assert r * t == math.lcm(m, n)
     assert m * n == d.r ** 2 * d.s * d.t
     assert math.gcd(m, n) == d.r * d.s
     assert d.t % d.s == 0

@@ -16,7 +16,6 @@ from dsextra.psi import PsiFunction, make_psi, normalize_psi
 from dsextra.schedule import (
     block_bounds,
     block_of,
-    even_blocks_upto,
     scale_count,
     select_scale,
     thinned_psi,
@@ -130,7 +129,6 @@ def test_select_scale_zero_s2_degenerates():
     report = select_scale(2, psi, 3, [(17, 19)], base=2)
     assert report.chosen_k == 1
     assert all(s2 == 0 for _, _, s2 in report.per_k_sums)
-    assert report.ratios() == [(k, None) for k in range(1, 9)]
 
 
 def test_select_scale_rejects_bad_pairs():
@@ -205,11 +203,3 @@ def test_thinned_certifies_each_block_once(monkeypatch):
     star = thinned_psi(psi, 3, {0: 1, 2: 6}, base=2)
     assert star.value(255) == F(1, 2) / exp_rational(6)
     assert len(calls) == 1
-
-
-def test_even_blocks_upto():
-    assert even_blocks_upto(256, 2) == [0, 2]
-    assert even_blocks_upto(65536, 2) == [0, 2, 4]
-    assert even_blocks_upto(3, 2) == [0]
-    assert even_blocks_upto(15, 4) == [0]
-    assert even_blocks_upto(1, 2) == []
