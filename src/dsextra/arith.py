@@ -11,9 +11,11 @@ comparisons stay exact.  No mpmath context precision is read or written.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import compress
 from typing import Iterable
 
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_exp, mpf_log
@@ -35,7 +37,7 @@ def frac_str(x: Fraction) -> str:
 # Desk-scale caps.  Exact arithmetic cost grows quickly with these bounds;
 # each cap raises CapExceededError naming the constant so a caller who
 # accepts the cost can raise it deliberately.
-SIEVE_CAP = 4_000_000        # largest prime table we will build
+SIEVE_CAP = 4_000_000        # largest prime sieve bound: factorize n < (cap+1)^2
 HARMONIC_CAP = 5_000         # largest floor(X) for coprime_harmonic
 INTEGRAL_CAP = 50_000        # largest floor(X) for log_weight_integral
 SCALE_CAP = 64               # largest k for exp_rational
@@ -44,53 +46,38 @@ SCALE_CAP = 64               # largest k for exp_rational
 # ---------------------------------------------------------------------------
 # primes and factorization
 
-_spf: list[int] = [0, 1]   # smallest-prime-factor table; _spf[0] unused
+# every prime below _sieved, ascending; grown on demand by doubling
 _primes: list[int] = []
+_sieved = 2
 
 
 def _ensure_sieve(limit: int) -> None:
-    global _spf, _primes
-    if limit < len(_spf):
+    global _primes, _sieved
+    if limit < _sieved:
         return
     if limit > SIEVE_CAP:
         raise CapExceededError(
             f"prime sieve limited to {SIEVE_CAP} (arith.SIEVE_CAP); needed {limit}"
         )
-    size = min(max(limit + 1, 2 * len(_spf), 1 << 16), SIEVE_CAP + 1)
-    spf = list(range(size))
+    size = min(max(limit + 1, 2 * _sieved), SIEVE_CAP + 1)
+    sieve = bytearray([1]) * size
+    sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(size - 1) + 1):
-        if spf[p] == p:
-            for q in range(p * p, size, p):
-                if spf[q] == q:
-                    spf[q] = p
-    _spf = spf
-    _primes = [i for i in range(2, size) if spf[i] == i]
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, size, p)))
+    _primes = list(compress(range(size), sieve))
+    _sieved = size
 
 
 @lru_cache(maxsize=1 << 17)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, multiplicity), ...) ascending.
 
-    Walks the smallest-prime-factor table when it already covers n, and
-    otherwise trial-divides by the sieved primes up to sqrt(n): a large n
-    never grows the table past sqrt(n).
+    Trial division by the sieved primes up to sqrt(n); the prime list grows
+    only as far as sqrt(n) needs, within SIEVE_CAP.
     """
     if n < 1:
         raise DomainError(f"factorize requires n >= 1, got {n}")
-    if n == 1:
-        return ()
-    if n < len(_spf):
-        out = []
-        m = n
-        while m > 1:
-            p = _spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        return tuple(out)
-    # beyond the table: trial division by sieved primes up to sqrt(n)
     _ensure_sieve(math.isqrt(n))
     out = []
     m = n
@@ -113,9 +100,7 @@ def primes_up_to(x: int) -> list[int]:
     if x < 2:
         return []
     _ensure_sieve(x)
-    import bisect
-
-    return _primes[: bisect.bisect_right(_primes, x)]
+    return _primes[: bisect_right(_primes, x)]
 
 
 def is_prime(n: int) -> bool:

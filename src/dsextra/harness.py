@@ -789,15 +789,14 @@ def table_section(
 @dataclass
 class RunResult:
     summary: dict
-    records: list[OverlapRecord] = field(default_factory=list)
     csv_paths: list[str] = field(default_factory=list)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Execute every section the config requests; see README for the schema.
 
-    Returns the summary, the sweep's records and the paths of the CSVs written
-    when cfg.out is set (the sweep at out, other sections at derived names).
+    Returns the summary and the paths of the CSVs written when cfg.out is
+    set (the sweep at out, other sections at derived names).
     """
     out = Path(cfg.out) if cfg.out else None
     result = RunResult(summary={"psi": cfg.psi, "k_top": cfg.k_top})
@@ -806,14 +805,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         path = out
         if out is not None and tag is not None:
             path = out.with_name(f"{out.stem}.{tag}{out.suffix or '.csv'}")
-        rows, summary = section(cfg, path)
+        _, summary = section(cfg, path)
         result.summary.update(summary)
         if path is not None:
             result.csv_paths.append(str(path))
-        return rows
 
     if cfg.pair_sweep is not None:
-        result.records = run(sweep_section, None)
+        run(sweep_section, None)
     if cfg.blocks is not None:
         run(blocks_section, "blocks")
     if cfg.bc_n is not None:
@@ -824,7 +822,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+    try:
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as e:
+        raise ConfigError(f"cannot write CSV {path}: {e}") from e

@@ -94,3 +94,11 @@ def fresh_log_steps(monkeypatch):
     """An empty log_weight_integral step table for one test; the process's
     table comes back after it."""
     monkeypatch.setattr(arith, "_log_steps", (None, [0], [0]))
+
+
+@pytest.fixture
+def fresh_sieve(monkeypatch):
+    """An empty prime list for one test; the process's list comes back
+    after it."""
+    monkeypatch.setattr(arith, "_primes", [])
+    monkeypatch.setattr(arith, "_sieved", 2)

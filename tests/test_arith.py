@@ -18,6 +18,7 @@ from dsextra import arith
 from dsextra.arith import (
     INTEGRAL_CAP,
     SCALE_CAP,
+    SIEVE_CAP,
     Approx,
     coprime_density,
     coprime_harmonic,
@@ -53,22 +54,81 @@ def test_factorize_small_table():
 
 
 def test_factorize_beyond_table_walk():
-    # large enough to take the trial-division branch
+    # trial division leaves a prime factor above sqrt(n) (43,691)
     n = (1 << 18) + 2
     f = factorize(n)
     assert math.prod(p ** e for p, e in f) == n
     assert all(is_prime(p) for p, _ in f)
 
 
-def test_factorize_past_table_keeps_table():
-    # an n the smallest-prime-factor table does not cover is trial-divided
-    # and sieves only up to sqrt(n), so the table stays as it was
-    factorize(12)
-    before = len(arith._spf)
-    n = before + 465          # 65536 + 465 = 70001 for the initial table
-    f = factorize(n)
-    assert math.prod(p ** e for p, e in f) == n
-    assert len(arith._spf) == before
+def _trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
+    # reference: trial division by every d >= 2, independent of arith
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def _ref_is_prime(n: int) -> bool:
+    return n >= 2 and _trial_factorize(n) == ((n, 1),)
+
+
+def test_factorize_sieves_only_to_sqrt(fresh_sieve):
+    # from an empty prime list, a large n grows the list to cover
+    # floor(sqrt(n)) and, doubling, to no more than twice that
+    n = 9973 * 99991
+    root = math.isqrt(n)
+    assert factorize.__wrapped__(n) == ((9973, 1), (99991, 1))
+    assert root < arith._sieved <= 2 * root
+    assert arith._primes == [p for p in range(arith._sieved) if _ref_is_prime(p)]
+    sieved = arith._sieved
+    factorize.__wrapped__(12)               # covered: the list stays as it is
+    assert arith._sieved == sieved
+
+
+def test_factorize_explicit_cases():
+    assert factorize(1) == ()
+    assert factorize(65_535) == ((3, 1), (5, 1), (17, 1), (257, 1))
+    assert factorize(65_536) == ((2, 16),)
+    assert factorize(65_537) == ((65_537, 1),)
+    near_256 = (241, 251, 257, 263)         # around the former table's sqrt
+    for p in near_256:
+        assert factorize(p * p) == ((p, 2),)
+        for q in near_256:
+            if p < q:
+                assert factorize(p * q) == ((p, 1), (q, 1))
+                assert factorize(p * p * q) == ((p, 2), (q, 1))
+
+
+def test_factorize_at_sieve_growth_boundaries(fresh_sieve):
+    # p^2 for the primes just below and just above each size the prime
+    # list grows to: the first is covered, the second makes it grow; the
+    # list holds exactly the primes below its size
+    sizes = []
+    while arith._sieved < 1 << 17:
+        size = arith._sieved
+        sizes.append(size)
+        primes = [p for p in range(size) if _ref_is_prime(p)]
+        assert arith._primes == primes
+        below = primes[-2:]
+        above = next(p for p in range(size, 2 * size + 2) if _ref_is_prime(p))
+        for p in below:
+            assert factorize.__wrapped__(p * p) == ((p, 2),)
+            assert arith._sieved == size
+        assert factorize.__wrapped__(above * above) == ((above, 2),)
+        assert arith._sieved > size
+        for p in below:
+            assert factorize.__wrapped__(p * above) == ((p, 1), (above, 1))
+    assert len(sizes) >= 16
 
 
 def test_factorize_rejects_nonpositive():
@@ -88,12 +148,13 @@ def test_totient_values():
 
 
 @settings(max_examples=200)
-@given(st.integers(min_value=1, max_value=5000))
+@given(st.integers(min_value=1, max_value=10 ** 8))
 def test_factorize_reconstructs(n):
     f = factorize(n)
     assert math.prod(p ** e for p, e in f) == n
     assert list(f) == sorted(f)
-    assert all(e >= 1 and is_prime(p) for p, e in f)
+    assert all(e >= 1 for _, e in f)
+    assert f == _trial_factorize(n)
 
 
 @settings(max_examples=100)
@@ -191,6 +252,8 @@ def test_caps_name_their_constant():
         log_weight_integral(2, 50_001)
     with pytest.raises(CapExceededError, match="SCALE_CAP"):
         exp_rational(65)
+    with pytest.raises(CapExceededError, match="SIEVE_CAP"):
+        factorize((SIEVE_CAP + 1) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,31 @@ def test_run_missing_config_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_bc_out_in_missing_directory(capsys, tmp_path):
+    out = tmp_path / "absent" / "x.csv"
+    code, _, err = run_cli(capsys, "bc", "--N", "3", "--out", str(out))
+    assert code == 2
+    assert str(out) in err
+
+
+def test_overlap_out_is_a_directory(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "overlap", "2", "3", "--out", str(tmp_path))
+    assert code == 2
+    assert str(tmp_path) in err
+
+
+def test_run_out_in_missing_directory(capsys, tmp_path):
+    out = tmp_path / "absent" / "sweep.csv"
+    cfg = _write_config(tmp_path, {
+        "psi": "half",
+        "out": str(out),
+        "pairs": {"mode": "list", "pairs": [[2, 3]]},
+    })
+    code, _, err = run_cli(capsys, "run", cfg)
+    assert code == 2
+    assert str(out) in err
+
+
 # the example config of the README and the SHA-256 of each CSV it writes:
 # refactors must leave these seeded bytes unchanged
 README_EXAMPLE = {

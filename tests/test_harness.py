@@ -1,5 +1,6 @@
 """Second-moment series, divergence table, config parsing, and the runner."""
 
+import csv
 import hashlib
 import json
 import math
@@ -387,7 +388,6 @@ def test_run_experiment_sections_and_csvs(tmp_path):
     assert result.summary["blocks"]["chosen"][0] == 1
     assert result.summary["thinned"]["off_even_violations"] == 0
     assert result.summary["thinned"]["value_violations"] == 0
-    assert len(result.records) == 4     # 2 pairs x k_top
 
     sweep = out.read_text().splitlines()
     assert sweep[0] == ",".join(CSV_COLUMNS)
@@ -449,8 +449,10 @@ def test_run_experiment_jobs_match(tmp_path, fresh_log_steps):
     assert cold == (tmp_path / "warm.csv").read_bytes()
     assert cold == (tmp_path / "pool.csv").read_bytes()
     assert runs[0].summary["sweep"] == runs[1].summary["sweep"] == runs[2].summary["sweep"]
-    assert all(rec.integral is not None for rec in runs[0].records)
-    assert any(rec.integral.value for rec in runs[0].records)
+    with open(tmp_path / "cold.csv", newline="") as f:
+        integrals = [row["integral_bound"] for row in csv.DictReader(f)]
+    assert all(integrals)
+    assert any(F(value) for value in integrals)
 
 
 def test_run_experiment_thinned_needs_even_blocks():
