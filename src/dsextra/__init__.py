@@ -14,7 +14,9 @@ from .arith import (
     totient,
 )
 from .circles import (
+    ArcEvent,
     CircleIntervalSet,
+    arc_event,
     coprime_arcs,
     coprime_intersection_sums,
     coprime_measure,

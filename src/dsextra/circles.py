@@ -2,14 +2,18 @@
 
 Production code uses only the measure law (coprime_measure) and the
 closed-form overlap kernel (coprime_intersection_sums), which build no
-arcs.  The arc sets (CircleIntervalSet: sorted, merged integer endpoints
-over one gcd-reduced denominator) and intersect, intersection_measure and
+arcs.  The kernel reads prepared events: arc_event validates m and its
+radii, factorizes m and stores each half-width as integers, once per
+event, and callers hold the event for every row it joins.  The arc sets
+(CircleIntervalSet: sorted, merged integer endpoints over one gcd-reduced
+denominator) and intersect, intersection_measure and
 midpoint_grid_measure are the tests' independent reference routes.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -150,6 +154,35 @@ def coprime_measure(n: int, radius: RationalLike) -> Fraction:
     return Fraction(2 * radius.numerator * totient(n), radius.denominator * n)
 
 
+@dataclass(frozen=True, slots=True)
+class ArcEvent:
+    """The coprime arc systems E_m(radius) of one m, one per column,
+    prepared for coprime_intersection_sums; built only by arc_event.
+
+    factors is factorize(m); widths[i] is the half-width radius_i/m of
+    column i as the integer pair (numerator, m * denominator).
+    """
+
+    m: int
+    factors: tuple[tuple[int, int], ...]
+    widths: tuple[tuple[int, int], ...]
+
+
+def arc_event(m: int, rads: Sequence[RationalLike]) -> ArcEvent:
+    """The event E_m with column radii rads, for the overlap kernel.
+
+    Validates m and each radius as coprime_arcs does (DomainError outside
+    m >= 1 and [0, 1/2]) and factorizes m, here and only here: callers
+    build one event per m and pass the same object as a row's target and
+    in the event list of every row it joins.
+    """
+    widths = []
+    for radius in rads:
+        radius = _arc_radius(m, radius)
+        widths.append((radius.numerator, m * radius.denominator))
+    return ArcEvent(m, factorize(m), tuple(widths))
+
+
 def _pair_weights(
     fm: tuple[tuple[int, int], ...], fn: tuple[tuple[int, int], ...]
 ) -> tuple[int, int, int, int, list[tuple[int, int, int]]]:
@@ -189,19 +222,6 @@ def _pair_weights(
     return r, t, base, w0, factors
 
 
-def _half_widths(
-    m: int, rad_m: Fraction, n: int, rad_n: Fraction
-) -> tuple[int, int, int]:
-    """(q, a, b) with the half-widths rad_m/m and rad_n/n equal to a/q and
-    b/q in some order, a <= b, over their least common denominator q."""
-    den_m = rad_m.denominator * m
-    den_n = rad_n.denominator * n
-    q = math.lcm(den_m, den_n)
-    a = rad_m.numerator * (q // den_m)
-    b = rad_n.numerator * (q // den_n)
-    return (q, a, b) if a <= b else (q, b, a)
-
-
 def _overlap_sum(
     a: int, b: int, q: int, period: int, w0: int, terms: Iterable[tuple[int, int]]
 ) -> int:
@@ -233,47 +253,57 @@ def _overlap_sum(
 
 
 def coprime_intersection_sums(
-    n: int,
-    rads_n: Sequence[RationalLike],
-    events: Iterable[tuple[int, Sequence[RationalLike]]],
+    target: ArcEvent, events: Iterable[ArcEvent]
 ) -> list[Fraction]:
-    """Column i: the sum over (m, rads_m) in events of
-    measure(coprime_arcs(m, rads_m[i]) ∩ coprime_arcs(n, rads_n[i])).
+    """Column i: the sum over the events E_m of measure(E_m ∩ E_n) at the
+    radii of column i, for the target E_n.
 
     The closed form of the pairwise overlaps, without building arcs: the
     pairs of arcs at each centre offset j/lcm(m, n) are counted from the
     prime exponents of m and n (_pair_weights) and their overlaps summed as
-    arithmetic series (_overlap_sum).  n is factorized once; each event's
-    weights are expanded once for all columns, over the squarefree
-    D <= (h_m + h_n)·P of its widest column; each column adds its pairs as
-    integers over one common denominator, one Fraction per column.  Cost:
-    O(2^omega(r*t)) integer operations per pair and column, whatever m, n
-    and the radii.  The sum runs over all integers j, not over j mod P: it
-    intersects the two systems lifted to the real line, so arcs that meet
-    on both sides of the circle count once at j and once at j - P.  That
-    is exact whenever each system's arcs are disjoint, which holds for
-    every radius in [0, 1/2], the domain of coprime_arcs.
+    arithmetic series (_overlap_sum).  The events come from arc_event,
+    validated and factorized once each, so the loop over pairs and columns
+    reads integers only: per column, the two half-widths over their least
+    common denominator q.  Each event's weights are expanded once for all
+    columns, over the squarefree D <= (h_m + h_n)·P of its widest column;
+    each column adds its pairs as integers over one common denominator,
+    one Fraction per column.  Cost: O(2^omega(r*t)) integer operations per
+    pair and column, whatever m, n and the radii.  The sum runs over all
+    integers j, not over j mod P: it intersects the two systems lifted to
+    the real line, so arcs that meet on both sides of the circle count
+    once at j and once at j - P.  That is exact whenever each system's
+    arcs are disjoint, which holds for every radius in [0, 1/2], the
+    domain of arc_event.
     """
-    rads_n = [_arc_radius(n, r) for r in rads_n]
-    fn = factorize(n)
-    nums = [0] * len(rads_n)
-    dens = [1] * len(rads_n)    # column i sums to 2*nums[i]/dens[i]
-    for m, rads_m in events:
-        if len(rads_m) != len(rads_n):
+    widths_n = target.widths
+    fn = target.factors
+    columns = len(widths_n)
+    nums = [0] * columns
+    dens = [1] * columns        # column i sums to 2*nums[i]/dens[i]
+    for event in events:
+        widths_m = event.widths
+        if len(widths_m) != columns:
             raise DomainError(
-                f"event {m} has {len(rads_m)} radii for {len(rads_n)} columns"
+                f"event {event.m} has {len(widths_m)} radii for {columns} columns"
             )
-        r, t, base, w0, factors = _pair_weights(factorize(m), fn)
+        r, t, base, w0, factors = _pair_weights(event.factors, fn)
         period = r * t
         widths = []
         limit = 0
-        for i, rad_m in enumerate(rads_m):
-            rad_m = _arc_radius(m, rad_m)
-            rad_n = rads_n[i]
-            if rad_m and rad_n:
-                q, a, b = _half_widths(m, rad_m, n, rad_n)
+        for i, ((num_m, den_m), (num_n, den_n)) in enumerate(
+            zip(widths_m, widths_n)
+        ):
+            if num_m and num_n:
+                # the half-widths a/q <= b/q over their least common denominator
+                q = math.lcm(den_m, den_n)
+                a = num_m * (q // den_m)
+                b = num_n * (q // den_n)
+                if a > b:
+                    a, b = b, a
                 widths.append((i, q, a, b))
-                limit = max(limit, (a + b) * period // q)
+                reach = (a + b) * period // q
+                if reach > limit:
+                    limit = reach
         terms = _squarefree_divisors(factors, limit)
         for i, q, a, b in widths:
             acc = _overlap_sum(a, b, q, period, w0, terms)

@@ -26,6 +26,7 @@ from .harness import (
     MIN_PRECISION,
     bc_section,
     blocks_section,
+    check_csv_path,
     load_config,
     parse_config,
     run_experiment,
@@ -152,6 +153,8 @@ def _pair_psi(args):
         raise ConfigError(
             f"precision: must be >= {MIN_PRECISION}, got {args.precision}"
         )
+    if args.out:
+        check_csv_path(args.out)
     return normalize_psi(make_psi(args.psi, max(args.M, args.N, 1)))
 
 
@@ -205,8 +208,12 @@ def cmd_avgsum(args) -> int:
 
 
 def _one_section(section, doc: dict, out: str | None):
-    # a CLI workload is a one-section config run through its section
-    return section(parse_config(doc), out or None)
+    # a CLI workload is a one-section config run through its section, with
+    # its CSV path checked before the section runs
+    cfg = parse_config(doc)
+    if out:
+        check_csv_path(out)
+    return section(cfg, out or None)
 
 
 def cmd_block(args) -> int:

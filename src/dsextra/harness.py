@@ -33,7 +33,7 @@ from .arith import (
     pow_bounds,
     totient,
 )
-from .circles import coprime_intersection_sums, coprime_measure
+from .circles import arc_event, coprime_intersection_sums, coprime_measure
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -106,18 +106,23 @@ def borel_cantelli_ratio(
 
 def _bc_rows(psi: PsiFunction, ns: Sequence[int]) -> list[tuple]:
     # (n, measure(E_n), Σ_{m<n} measure(E_m ∩ E_n)) for each n of the
-    # ascending ns; the events E_m below max(ns) are rebuilt from psi
+    # ascending ns; the events E_m below max(ns) are rebuilt from psi.  Each
+    # positive-measure n gets one arc_event, built once: it is row n's
+    # target, then joins the events of every later row
     wanted = set(ns)
-    events = []     # (m, (radius,)) of the positive-measure events so far
+    events = []     # the events of the positive-measure n so far
     out = []
     for n in range(1, ns[-1] + 1):
         radius = psi.value(n)
         mu = coprime_measure(n, radius)
-        if n in wanted:
-            row = coprime_intersection_sums(n, (radius,), events)[0] if mu else 0
-            out.append((n, mu, row))
+        row = 0
         if mu:
-            events.append((n, (radius,)))
+            event = arc_event(n, (radius,))
+            if n in wanted:
+                row = coprime_intersection_sums(event, events)[0]
+            events.append(event)
+        if n in wanted:
+            out.append((n, mu, row))
     return out
 
 
@@ -796,29 +801,47 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Execute every section the config requests; see README for the schema.
 
     Returns the summary and the paths of the CSVs written when cfg.out is
-    set (the sweep at out, other sections at derived names).
+    set (the sweep at out, other sections at derived names).  Every CSV
+    path is checked before the first section runs.
     """
     out = Path(cfg.out) if cfg.out else None
-    result = RunResult(summary={"psi": cfg.psi, "k_top": cfg.k_top})
 
-    def run(section, tag):
-        path = out
-        if out is not None and tag is not None:
-            path = out.with_name(f"{out.stem}.{tag}{out.suffix or '.csv'}")
+    def csv_path(tag):
+        if out is None or tag is None:
+            return out
+        return out.with_name(f"{out.stem}.{tag}{out.suffix or '.csv'}")
+
+    plan = [
+        (section, csv_path(tag))
+        for section, tag, spec in (
+            (sweep_section, None, cfg.pair_sweep),
+            (blocks_section, "blocks", cfg.blocks),
+            (bc_section, "bc", cfg.bc_n),
+            (table_section, "table", cfg.table),
+        )
+        if spec is not None
+    ]
+    for _, path in plan:
+        if path is not None:
+            check_csv_path(path)
+    result = RunResult(summary={"psi": cfg.psi, "k_top": cfg.k_top})
+    for section, path in plan:
         _, summary = section(cfg, path)
         result.summary.update(summary)
         if path is not None:
             result.csv_paths.append(str(path))
-
-    if cfg.pair_sweep is not None:
-        run(sweep_section, None)
-    if cfg.blocks is not None:
-        run(blocks_section, "blocks")
-    if cfg.bc_n is not None:
-        run(bc_section, "bc")
-    if cfg.table is not None:
-        run(table_section, "table")
     return result
+
+
+def check_csv_path(path) -> None:
+    """Refuse a CSV path that write_csv could not open, before any work is
+    done for it: a directory, or a path whose parent directory is missing.
+    Creates no file."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"cannot write CSV {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"cannot write CSV {path}: no directory {path.parent}")
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]):

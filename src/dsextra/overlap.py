@@ -23,7 +23,12 @@ from .arith import (
     restricted_prime_product,
     totient,
 )
-from .circles import _pair_weights, coprime_intersection_sums, coprime_measure
+from .circles import (
+    _pair_weights,
+    arc_event,
+    coprime_intersection_sums,
+    coprime_measure,
+)
 from .errors import DomainError
 from .psi import PsiFunction
 
@@ -173,15 +178,18 @@ def overlap_records(
     """Overlap records of one pair, one per k in ks, in the order of ks.
 
     P = measure(A ∩ B)/(measure(A)·measure(B)) for the coprime arc systems
-    of m, n with radii psi/ê_k, from one decomposition, one kernel call with
-    a column per k and the measure law.  A zero measure gives P = 0 (the
-    dropped-term convention).  Windows are classified against ê_max(ks).
+    of m, n with radii psi/ê_k, from one decomposition, two events with a
+    column per k, one kernel call and the measure law.  A zero measure
+    gives P = 0 (the dropped-term convention).  Windows are classified
+    against ê_max(ks).
     """
     top = max(ks, default=0)
     dec = decompose_pair(m, n, psi)
     rads_m = [dec.psi_m / exp_rational(k) for k in ks]
     rads_n = [dec.psi_n / exp_rational(k) for k in ks]
-    overlaps = coprime_intersection_sums(n, rads_n, [(m, rads_m)])
+    overlaps = coprime_intersection_sums(
+        arc_event(n, rads_n), [arc_event(m, rads_m)]
+    )
     records = []
     for k, rm, rn, overlap in zip(ks, rads_m, rads_n, overlaps):
         mu = coprime_measure(m, rm) * coprime_measure(n, rn)

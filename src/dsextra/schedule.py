@@ -18,7 +18,7 @@ from .arith import (
     guarded_floor,
     log_bounds,
 )
-from .circles import coprime_intersection_sums, coprime_measure
+from .circles import arc_event, coprime_intersection_sums, coprime_measure
 from .errors import CapExceededError, ConfigError, DomainError
 from .psi import PsiFunction
 
@@ -115,10 +115,11 @@ def select_scale(
 
     The measures come from the measure law (coprime_measure) and the
     intersections from the closed-form kernel coprime_intersection_sums,
-    one call per n with the K scaled radii as columns, so no arc system
-    is built: each pair's offset weights are expanded once, for all k, in
-    O(2^omega(mn)) integer operations whatever the size of m and n, and
-    each k adds its pairs as integers.
+    one call per n over events built once per distinct n (arc_event) with
+    the K scaled radii as columns, so no arc system is built: each pair's
+    offset weights are expanded once, for all k, in O(2^omega(mn)) integer
+    operations whatever the size of m and n, and each k adds its pairs as
+    integers.
     """
     lo, hi = block_bounds(h, base)
     epsilon = Fraction(epsilon)
@@ -133,19 +134,20 @@ def select_scale(
     scales = [exp_rational(k) for k in range(1, top + 1)]
     radius = {x: psi.value(x) for pair in pairs for x in pair}
     mu = {x: coprime_measure(x, v) for x, v in radius.items()}
-    scaled = {x: [v / e for e in scales] for x, v in radius.items()}
 
     # S2 as one integer sum over the lcm of the measures' denominators
     den = math.lcm(*(v.denominator for v in mu.values()))
     num = {x: v.numerator * (den // v.denominator) for x, v in mu.items()}
     s2 = Fraction(sum(num[m] * num[n] for m, n in pairs), den * den)
-    # one kernel call per n, with the K scaled radii as its columns
+    # one event per distinct n, with the K scaled radii as its columns,
+    # and one kernel call per n over the events of its pairs
+    events = {x: arc_event(x, [v / e for e in scales]) for x, v in radius.items()}
     rows: dict[int, list] = {}
     for m, n in pairs:
-        rows.setdefault(n, []).append((m, scaled[m]))
+        rows.setdefault(n, []).append(events[m])
     s1 = [Fraction(0)] * top
-    for n, events in rows.items():
-        for i, x in enumerate(coprime_intersection_sums(n, scaled[n], events)):
+    for n, row in rows.items():
+        for i, x in enumerate(coprime_intersection_sums(events[n], row)):
             s1[i] += x
     sums = [(k, acc * e * e, s2) for k, (acc, e) in enumerate(zip(s1, scales), 1)]
     if not pairs or s2 == 0:

@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from dsextra import CircleIntervalSet, DomainError, arith, make_psi, normalize_psi
+from dsextra import (
+    CircleIntervalSet,
+    DomainError,
+    arith,
+    circles,
+    make_psi,
+    normalize_psi,
+)
 
 PIN_PATH = Path(__file__).parent / "data" / "pins.json"
 
@@ -102,3 +109,18 @@ def fresh_sieve(monkeypatch):
     after it."""
     monkeypatch.setattr(arith, "_primes", [])
     monkeypatch.setattr(arith, "_sieved", 2)
+
+
+@pytest.fixture
+def radius_checks(monkeypatch):
+    """The list of n of every radius validation (circles._arc_radius) made
+    during one test."""
+    calls = []
+    check = circles._arc_radius
+
+    def counted(n, radius):
+        calls.append(n)
+        return check(n, radius)
+
+    monkeypatch.setattr(circles, "_arc_radius", counted)
+    return calls

@@ -13,6 +13,7 @@ from dsextra.circles import (
     EMPTY_SET,
     FULL_SET,
     CircleIntervalSet,
+    arc_event,
     coprime_arcs,
     coprime_intersection_sums,
     coprime_measure,
@@ -180,9 +181,16 @@ def test_grid_measure_error_bound(a, b, m):
 # ---------------------------------------------------------------------------
 # closed-form kernel vs the integer sweep and the Fraction route
 
+def kernel(n, rads_n, events):
+    # the kernel on events freshly built from (m, rads_m) pairs
+    return coprime_intersection_sums(
+        arc_event(n, rads_n), [arc_event(m, rads_m) for m, rads_m in events]
+    )
+
+
 def pair_measure(m, rm, n, rn):
     # the kernel with one event and one column: measure(E_m(rm) ∩ E_n(rn))
-    return coprime_intersection_sums(n, (rn,), [(m, (rm,))])[0]
+    return kernel(n, (rn,), [(m, (rm,))])[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -272,12 +280,12 @@ def test_row_kernel_matches_pair_sums(spec):
                 (intersection_measure(coprime_arcs(m, rm), arcs) for m, (rm,) in events),
                 F(0),
             )
-            assert coprime_intersection_sums(n, (radius,), events) == [sweep_sum]
+            assert kernel(n, (radius,), events) == [sweep_sum]
             events.append((n, (radius,)))
 
 
 def test_row_kernel_domain():
-    row = coprime_intersection_sums
+    row = kernel
     assert row(7, (F(1, 3),), []) == [0]
     assert row(7, (), [(1, ()), (5, ())]) == []
     assert row(7, (0,), [(1, (F(1, 2),))]) == [0]
@@ -319,16 +327,71 @@ def test_columns_match_one_column_calls(n, cols, ms):
     # among the events, so m = n always occurs.  Each column equals its
     # one-column call and the sweep over built arcs.
     events = [(m, tuple(rm for rm, _ in cols)) for m in ms + [n]]
-    got = coprime_intersection_sums(n, [rn for _, rn in cols], events)
+    got = kernel(n, [rn for _, rn in cols], events)
     assert len(got) == len(cols)
     for i, (rm, rn) in enumerate(cols):
-        one = coprime_intersection_sums(n, (rn,), [(m, (rm,)) for m, _ in events])
+        one = kernel(n, (rn,), [(m, (rm,)) for m, _ in events])
         arcs = coprime_arcs(n, rn)
         sweep = sum(
             (intersection_measure(coprime_arcs(m, rm), arcs) for m, _ in events),
             F(0),
         )
         assert got[i] == one[0] == sweep
+
+
+def test_arc_event_domain_and_integers():
+    # built once: m factorized, each half-width radius/m as the integers
+    # (numerator, m * denominator)
+    event = arc_event(12, (F(1, 2), 0, F(2, 7)))
+    assert event.factors == ((2, 2), (3, 1))
+    assert event.widths == ((1, 24), (0, 12), (2, 84))
+    assert arc_event(5, ()).widths == ()
+    # the domain of coprime_arcs, refused when the event is built
+    with pytest.raises(DomainError, match="n >= 1"):
+        arc_event(0, (F(1, 4),))
+    with pytest.raises(DomainError, match="outside"):
+        arc_event(3, (F(1, 4), F(-1, 4)))
+    with pytest.raises(DomainError, match="outside"):
+        arc_event(3, (F(1, 2) + F(1, 10 ** 9),))
+    # the kernel still refuses an event with the wrong number of columns
+    with pytest.raises(DomainError, match="columns"):
+        coprime_intersection_sums(arc_event(3, (F(1, 4),)), [arc_event(2, ())])
+
+
+scaled_radii = st.tuples(radii, st.integers(min_value=0, max_value=8)).map(
+    lambda c: c[0] / exp_rational(c[1])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_events_reused_across_targets(data):
+    # each event is built once and reused: as a target, and in the event
+    # lists of the other targets, which run in shuffled order over their
+    # events in shuffled order.  Every column equals the kernel on freshly
+    # built events and the sweep over built arcs.
+    width = data.draw(st.integers(min_value=1, max_value=3))
+    specs = data.draw(st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=300),
+            st.lists(scaled_radii, min_size=width, max_size=width).map(tuple),
+        ),
+        min_size=2, max_size=6,
+    ))
+    built = [arc_event(m, rads) for m, rads in specs]
+    for t in data.draw(st.permutations(range(len(specs)))):
+        order = [i for i in data.draw(st.permutations(range(len(specs)))) if i != t]
+        got = coprime_intersection_sums(built[t], [built[i] for i in order])
+        n, rads_n = specs[t]
+        others = [specs[i] for i in order]
+        assert got == kernel(n, rads_n, others)
+        for col in range(width):
+            arcs = coprime_arcs(n, rads_n[col])
+            sweep = sum(
+                (intersection_measure(coprime_arcs(m, rads[col]), arcs) for m, rads in others),
+                F(0),
+            )
+            assert got[col] == sweep
 
 
 def test_equality_and_hash():

@@ -278,6 +278,49 @@ def test_run_out_in_missing_directory(capsys, tmp_path):
     assert str(out) in err
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a section ran before its CSV path was checked")
+
+
+def test_bc_out_checked_before_the_series(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "borel_cantelli_ratio", _must_not_run)
+    out = tmp_path / "absent" / "x.csv"
+    code, _, err = run_cli(capsys, "bc", "--N", "300", "--out", str(out))
+    assert code == 2
+    assert str(out) in err
+    assert not out.parent.exists()
+
+
+def test_table_out_checked_before_the_table(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "divergence_table", _must_not_run)
+    code, _, err = run_cli(
+        capsys, "table", "--eps", "3", "--N", "300", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert str(tmp_path) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_checks_every_csv_path_first(capsys, tmp_path, monkeypatch):
+    # the sweep's own path is writable, but the table's derived name is a
+    # directory: no section runs and no CSV is written
+    for name in ("run_pair_sweep", "borel_cantelli_ratio", "divergence_table"):
+        monkeypatch.setattr(harness, name, _must_not_run)
+    table = tmp_path / "sweep.table.csv"
+    table.mkdir()
+    cfg = _write_config(tmp_path, {
+        "psi": "half",
+        "out": str(tmp_path / "sweep.csv"),
+        "pairs": {"mode": "list", "pairs": [[2, 3]]},
+        "bc_n": 20,
+        "table": {"epsilon": "3", "n_top": 64},
+    })
+    code, _, err = run_cli(capsys, "run", cfg)
+    assert code == 2
+    assert str(table) in err
+    assert {p.name for p in tmp_path.iterdir()} == {"cfg.json", "sweep.table.csv"}
+
+
 # the example config of the README and the SHA-256 of each CSV it writes:
 # refactors must leave these seeded bytes unchanged
 README_EXAMPLE = {

@@ -80,6 +80,14 @@ def test_bc_ratio_builds_no_arcs(psi_half_300, monkeypatch):
     assert 0 < ratio <= 1
 
 
+def test_bc_ratio_validates_each_radius_once(radius_checks):
+    # one coprime_measure and one arc_event per n: O(N) validations, where
+    # checking every earlier event's radius again in each row takes ~N^2/2
+    n_top = 60
+    borel_cantelli_ratio(normalize_psi(make_psi("half", n_top)), n_top)
+    assert 0 < len(radius_checks) <= 2 * n_top
+
+
 def test_bc_ratio_in_unit_interval(psi_recip_300):
     ratio, rows = borel_cantelli_ratio(psi_recip_300, 40)
     assert 0 < ratio <= 1

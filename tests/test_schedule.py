@@ -106,6 +106,18 @@ def test_select_scale_tiny_block():
     assert min(ratios, key=lambda k: (ratios[k], k)) == 3
 
 
+def test_select_scale_validates_each_radius_once(radius_checks):
+    # base-2 block h = 1 is [4, 16): every pair of its 12 n, K = 4 at
+    # epsilon 3.  One event per distinct n validates its K scaled radii and
+    # coprime_measure its radius, so at most 12 * (K + 1) validations, where
+    # checking each pair's radii in the kernel takes ~66 * K
+    pairs = [(m, n) for m in range(4, 16) for n in range(m + 1, 16)]
+    top = scale_count(1, 3)
+    report = select_scale(1, normalize_psi(make_psi("half", 15)), 3, pairs, base=2)
+    assert report.scale_count == top == 4
+    assert 0 < len(radius_checks) <= 12 * top + 12
+
+
 def test_select_scale_h0_single_pair():
     psi = normalize_psi(make_psi("half", 4))
     report = select_scale(0, psi, 3, [(2, 3)], base=2)
