@@ -4,8 +4,10 @@ sums over coprime residues, and certified logarithms.
 Everything here is exact (fractions.Fraction over arbitrary-size ints)
 except the log helpers, which return certified enclosures: mpmath's
 directed-rounding ln and exp (mpmath.libmp) at an explicit working
-precision, converted back to exact dyadic rationals, so downstream
-comparisons stay exact.  No mpmath context precision is read or written.
+precision, whose ends are exact dyadic rationals, so downstream
+comparisons stay exact.  One private dyadic core makes every libmp call
+in the library and holds each end as the integer pair (man, exp).  No
+mpmath context precision is read or written.
 """
 
 from __future__ import annotations
@@ -272,13 +274,31 @@ class Approx:
 
 
 _LOG_GUARD_BITS = 32
+MIN_PRECISION = 8         # fewest working bits for certified logs
 
 
-# The enclosures below call libmp at the explicit working precision
+# The enclosures call libmp at the explicit working precision
 # wp = precision + _LOG_GUARD_BITS and read or set no context precision.
 # Their endpoints are those of iv.log and iv.exp at wp bits: libmp's ln or
 # exp, rounded down (up), of the lower (upper) end of iv.mpf(num) /
 # iv.mpf(den), whose operands and quotient libmp rounds outward to wp bits.
+#
+# The dyadic core below holds one end of an enclosure as the integer pair
+# (man, exp), the exact value man·2^exp that libmp returns, and takes its
+# arguments as exact quotients (num, den), den >= 1, in lowest terms as a
+# Fraction holds them.  The public enclosures are thin Fraction wrappers
+# over it; damping_bounds chains it without leaving the integers.
+
+_Dyadic = tuple[int, int]
+_ONE: _Dyadic = (1, 0)
+
+
+def _working_bits(precision: int) -> int:
+    # the libmp working precision; every enclosure checks its precision here
+    if precision < MIN_PRECISION:
+        raise DomainError(f"precision must be >= {MIN_PRECISION}, got {precision}")
+    return precision + _LOG_GUARD_BITS
+
 
 def _quotient_end(num: int, den: int, wp: int, rnd: str):
     # the round_floor (lower) or round_ceiling (upper) end of num/den, den >= 1
@@ -291,19 +311,62 @@ def _quotient_end(num: int, den: int, wp: int, rnd: str):
     return mpf_div(from_int(num, wp, rnd), from_int(den, wp, den_rnd), wp, rnd)
 
 
-def _end(f, x: Fraction, precision: int, rnd: str) -> Fraction:
-    # one end of the enclosure of the increasing libmp function f at x, exactly
-    wp = precision + _LOG_GUARD_BITS
-    sign, man, exp, _ = f(_quotient_end(x.numerator, x.denominator, wp, rnd), wp, rnd)
-    man = -int(man) if sign else int(man)
+def _reduced(num: int, den: int, shift: int = 0) -> tuple[int, int]:
+    # num·2^shift/den, den >= 1, in lowest terms: from_int rounds the
+    # operands, so the quotient must be the one a Fraction holds
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    g = math.gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def _as_quotient(x: _Dyadic) -> tuple[int, int]:
+    # an end as the exact quotient (num, den); libmp's mantissas are odd,
+    # and so are their integer powers, so it is in lowest terms
+    man, exp = x
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def _ln_end(num: int, den: int, wp: int, rnd: str) -> _Dyadic:
+    # one end of ln(num/den) for num/den > 0; ln 1 = 0 takes no call
+    if num == den:
+        return 0, 0
+    sign, man, exp, _ = mpf_log(_quotient_end(num, den, wp, rnd), wp, rnd)
+    return (-int(man) if sign else int(man)), exp
+
+
+def _exp_end(num: int, den: int, wp: int, rnd: str) -> _Dyadic:
+    sign, man, exp, _ = mpf_exp(_quotient_end(num, den, wp, rnd), wp, rnd)
+    return (-int(man) if sign else int(man)), exp
+
+
+def _at_least_one(x: _Dyadic) -> _Dyadic:
+    # max(1, x) for x >= 0: man·2^exp >= 1 exactly when bits(man) + exp >= 1
+    return x if x[0].bit_length() + x[1] > 0 else _ONE
+
+
+def _floored_ln_end(num: int, den: int, wp: int, rnd: str) -> _Dyadic:
+    # one end of max(1, ln(num/den)).  For num/den <= 5/2 it is exactly 1
+    # with no libmp call: the rounded quotient stays <= 5/2 (a dyadic), and
+    # ln(5/2) < 0.92 rounds to below 1 at any wp >= MIN_PRECISION + 32
+    if 2 * num <= 5 * den:
+        return _ONE
+    return _at_least_one(_ln_end(num, den, wp, rnd))
+
+
+def _fraction(x: _Dyadic) -> Fraction:
+    man, exp = x
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _log_end(x: RationalLike, precision: int, rnd: str) -> Fraction:
+    wp = _working_bits(precision)
     x = Fraction(x)
     if x <= 0:
         raise DomainError("log requires x > 0")
-    return Fraction(0) if x == 1 else _end(mpf_log, x, precision, rnd)
+    return _fraction(_ln_end(x.numerator, x.denominator, wp, rnd))
 
 
 # log_bounds(x, precision)[0] and [1], each computed alone
@@ -317,7 +380,7 @@ def log_bounds(x: RationalLike, precision: int = 128) -> tuple[Fraction, Fractio
     libmp's ln of the outward-rounded quotient at the explicit precision
     precision + 32 bits, as mpmath's interval context gives it, with no
     global state; ln 1 is exactly 0.  Fraction endpoints keep all later
-    comparisons exact.
+    comparisons exact.  precision must be at least MIN_PRECISION.
     """
     return _log_lo(x, precision), _log_hi(x, precision)
 
@@ -326,11 +389,18 @@ def floored_log_bounds(
     lo: RationalLike, hi: RationalLike, precision: int = 128
 ) -> tuple[Fraction, Fraction]:
     """Enclosure of max(1, ln x) over x in [lo, hi] — the all-logs-positive
-    convention; a single point x is the interval [x, x]."""
+    convention; a single point x is the interval [x, x].  An end at
+    x <= 5/2 is exactly 1 with no libmp call."""
+    wp = _working_bits(precision)
     if hi < lo:
         raise DomainError("empty enclosure")
-    one = Fraction(1)
-    return max(_log_lo(lo, precision), one), max(_log_hi(hi, precision), one)
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo <= 0:
+        raise DomainError("log requires x > 0")
+    return (
+        _fraction(_floored_ln_end(lo.numerator, lo.denominator, wp, round_floor)),
+        _fraction(_floored_ln_end(hi.numerator, hi.denominator, wp, round_ceiling)),
+    )
 
 
 def exp_bounds(lo: Fraction, hi: Fraction, precision: int = 128) -> tuple[Fraction, Fraction]:
@@ -339,9 +409,13 @@ def exp_bounds(lo: Fraction, hi: Fraction, precision: int = 128) -> tuple[Fracti
     Only exp(lo) rounded down and exp(hi) rounded up are computed, by libmp
     at precision + 32 bits as for log_bounds, with no global state.
     """
+    wp = _working_bits(precision)
     if hi < lo:
         raise DomainError("empty enclosure")
-    return _end(mpf_exp, lo, precision, round_floor), _end(mpf_exp, hi, precision, round_ceiling)
+    return (
+        _fraction(_exp_end(lo.numerator, lo.denominator, wp, round_floor)),
+        _fraction(_exp_end(hi.numerator, hi.denominator, wp, round_ceiling)),
+    )
 
 
 def pow_bounds(
@@ -353,6 +427,7 @@ def pow_bounds(
     exp(exponent * log), outward-rounded, computing only ln(lo) rounded
     down and ln(hi) rounded up.
     """
+    wp = _working_bits(precision)
     if hi < lo:
         raise DomainError("empty enclosure")
     if lo <= 0:
@@ -360,12 +435,74 @@ def pow_bounds(
     exponent = Fraction(exponent)
     if exponent < 0:
         raise DomainError("pow_bounds requires exponent >= 0")
-    if exponent.denominator == 1:
-        e = exponent.numerator
-        return lo ** e, hi ** e
-    return exp_bounds(
-        exponent * _log_lo(lo, precision), exponent * _log_hi(hi, precision), precision
+    p, q = exponent.numerator, exponent.denominator
+    if q == 1:
+        return lo ** p, hi ** p
+    ends = []
+    for x, rnd in ((lo, round_floor), (hi, round_ceiling)):
+        man, exp = _ln_end(x.numerator, x.denominator, wp, rnd)
+        ends.append(_fraction(_exp_end(*_reduced(p * man, q, exp), wp, rnd)))
+    return tuple(ends)
+
+
+def damping_bounds(
+    n: int, epsilon: RationalLike, hpv_c: RationalLike, precision: int = 128
+) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """Certified enclosures of the divergence table's three damping factors
+    at n: (ln n)^epsilon, exp(hpv_c·ln n/ln ln n) and
+    (ln n)^(epsilon·ln ln ln n), every log read as max(1, ln x).
+
+    Each factor is a (lower, upper) pair of dyadic ends, each the exact
+    quotient (num, den) with den a power of two.  The ends are those of
+    pow_bounds and exp_bounds on the floored_log_bounds chain ln n,
+    ln ln n, ln ln ln n, bit for bit, but the chain stays in integers: an
+    integer epsilon raises the ends of ln n exactly, and every other
+    exponent is reduced with one gcd.  A fractional epsilon's power reads
+    ln ln n before the floor, and the other two factors reuse it.
+    """
+    wp = _working_bits(precision)
+    if n < 1:
+        raise DomainError("log requires x > 0")
+    if epsilon < 0:
+        raise DomainError("damping_bounds requires epsilon >= 0")
+    if hpv_c < 0:
+        raise DomainError("damping_bounds requires hpv_c >= 0")
+    ep, eq = epsilon.numerator, epsilon.denominator
+    cp, cq = hpv_c.numerator, hpv_c.denominator
+    down, up = round_floor, round_ceiling
+    l1 = _floored_ln_end(n, 1, wp, down), _floored_ln_end(n, 1, wp, up)
+    (m1, e1), (m1h, e1h) = l1
+    if eq == 1:
+        damped = (m1 ** ep, e1 * ep), (m1h ** ep, e1h * ep)
+        l2 = (
+            _floored_ln_end(*_as_quotient(l1[0]), wp, down),
+            _floored_ln_end(*_as_quotient(l1[1]), wp, up),
+        )
+    else:
+        ln_l1 = (
+            _ln_end(*_as_quotient(l1[0]), wp, down),
+            _ln_end(*_as_quotient(l1[1]), wp, up),
+        )
+        (m, e), (mh, eh) = ln_l1
+        damped = (
+            _exp_end(*_reduced(ep * m, eq, e), wp, down),
+            _exp_end(*_reduced(ep * mh, eq, eh), wp, up),
+        )
+        l2 = _at_least_one(ln_l1[0]), _at_least_one(ln_l1[1])
+    (m2, e2), (m2h, e2h) = l2
+    (m3, e3), (m3h, e3h) = (
+        _floored_ln_end(*_as_quotient(l2[0]), wp, down),
+        _floored_ln_end(*_as_quotient(l2[1]), wp, up),
     )
+    hpv = (
+        _exp_end(*_reduced(cp * m1, cq * m2h, e1 - e2h), wp, down),
+        _exp_end(*_reduced(cp * m1h, cq * m2, e1h - e2), wp, up),
+    )
+    bhhv = (
+        _exp_end(*_reduced(ep * m3 * m2, eq, e3 + e2), wp, down),
+        _exp_end(*_reduced(ep * m3h * m2h, eq, e3h + e2h), wp, up),
+    )
+    return tuple((_as_quotient(lo), _as_quotient(hi)) for lo, hi in (damped, hpv, bhhv))
 
 
 _FLOOR_GUARD = Fraction(1, 1 << 64)

@@ -14,7 +14,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .arith import factorize, frac_str, totient
+from .arith import MIN_PRECISION, factorize, frac_str, totient
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -23,7 +23,6 @@ from .errors import (
     PrecisionGuardError,
 )
 from .harness import (
-    MIN_PRECISION,
     bc_section,
     blocks_section,
     check_csv_path,

@@ -23,10 +23,11 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .arith import (
+    MIN_PRECISION,
     Approx,
     RationalLike,
     SCALE_CAP,
-    exp_bounds,
+    damping_bounds,
     exp_rational,
     floored_log_bounds,
     frac_str,
@@ -57,7 +58,6 @@ PAIR_CAP_SAMPLED = 10_000 # sampled pair corpora
 BC_CAP = 500              # exact Borel-Cantelli series
 TABLE_CAP = 10_000        # divergence table length
 JOBS_CAP = 64             # worker processes per pool, all started at once
-MIN_PRECISION = 8         # fewest working bits for certified logs
 
 # Exact partial sums near TABLE_CAP carry lcm-scale denominators whose
 # decimal form exceeds CPython's default 4300-digit conversion guard.
@@ -149,7 +149,10 @@ def divergence_table(
     factors, one row at each power of two below n_top and one at n_top.
 
     All logs follow the all-logs-positive convention max(1, ln x); the
-    damped sums are certified enclosures, the plain sum is exact.
+    damped sums are certified enclosures, the plain sum is exact.  Each
+    term's three factors come from one arith.damping_bounds call as dyadic
+    ends, and each running bound stays an integer on the 2^-(precision+16)
+    grid (_div_add); Fractions are built only for the checkpoint rows.
     """
     epsilon = Fraction(epsilon)
     hpv_c = Fraction(hpv_c)
@@ -157,6 +160,8 @@ def divergence_table(
         raise DomainError("divergence_table requires N >= 2")
     if epsilon <= 0 or hpv_c <= 0:
         raise DomainError("damping parameters must be > 0")
+    if precision < MIN_PRECISION:
+        raise DomainError(f"precision must be >= {MIN_PRECISION}, got {precision}")
     if n_top > TABLE_CAP:
         raise CapExceededError(
             f"divergence table limited to {TABLE_CAP} (harness.TABLE_CAP); "
@@ -165,76 +170,68 @@ def divergence_table(
     marks = {1 << j for j in range(1, n_top.bit_length())} | {n_top}
     plain = Fraction(0)
     grid_bits = precision + 16      # rounding grid for the running bounds
-    acc = {
-        "damped": [Fraction(0), Fraction(0)],
-        "hpv": [Fraction(0), Fraction(0)],
-        "bhhv": [Fraction(0), Fraction(0)],
-    }
+    # damped, hpv, bhhv: [lower, upper] running bounds, as _div_add keeps them
+    acc = [[0, 0], [0, 0], [0, 0]]
     rows = []
     for n in range(1, n_top + 1):
         term = psi.value(n) * totient(n) / n
         plain += term
         if term:
-            l1 = floored_log_bounds(n, n, precision)           # max(1, ln n)
-            l2_lo, l2_hi = floored_log_bounds(*l1, precision)  # max(1, ln ln n)
-            # (ln n)^epsilon
-            f_lo, f_hi = pow_bounds(l1[0], l1[1], epsilon, precision)
-            _div_add(acc["damped"], term, f_lo, f_hi, grid_bits)
-            # exp(c * ln n / ln ln n)
-            f_lo, f_hi = exp_bounds(
-                hpv_c * l1[0] / l2_hi, hpv_c * l1[1] / l2_lo, precision
-            )
-            _div_add(acc["hpv"], term, f_lo, f_hi, grid_bits)
-            # (ln n)^(epsilon * ln ln ln n)
-            l3_lo, l3_hi = floored_log_bounds(l2_lo, l2_hi, precision)
-            f_lo, f_hi = exp_bounds(
-                epsilon * l3_lo * l2_lo, epsilon * l3_hi * l2_hi, precision
-            )
-            _div_add(acc["bhhv"], term, f_lo, f_hi, grid_bits)
+            for bounds, (f_lo, f_hi) in zip(
+                acc, damping_bounds(n, epsilon, hpv_c, precision)
+            ):
+                _div_add(bounds, term, f_lo, f_hi, grid_bits)
         if n in marks:
-            rows.append(
-                DivergenceRow(
-                    n=n,
-                    plain=plain,
-                    damped=Approx.from_bounds(*acc["damped"]),
-                    hpv=Approx.from_bounds(*acc["hpv"]),
-                    bhhv=Approx.from_bounds(*acc["bhhv"]),
-                )
+            damped, hpv, bhhv = (
+                Approx.from_bounds(*(_bound_value(s, grid_bits) for s in bounds))
+                for bounds in acc
             )
+            rows.append(DivergenceRow(n, plain, damped, hpv, bhhv))
     return rows
 
 
+def _bound_value(s: int | Fraction, bits: int) -> Fraction:
+    # a running bound of _div_add as its exact value
+    return Fraction(s, 1 << bits) if type(s) is int else s
+
+
 def _div_add(
-    acc: list[Fraction],
+    acc: list[int | Fraction],
     term: Fraction,
-    f_lo: Fraction,
-    f_hi: Fraction,
+    f_lo: tuple[int, int],
+    f_hi: tuple[int, int],
     bits: int,
 ):
-    # term > 0 divided by enclosure [f_lo, f_hi] of a factor >= 1.  The
-    # running bounds are rounded outward onto a 2^-bits grid once their
-    # denominators outgrow it: the factor endpoints carry ~160-bit odd
-    # parts, and exact accumulation would compound them into rationals
-    # with thousands of digits.  Outward rounding keeps the enclosure
-    # valid and adds at most 2^-bits width per term.
-    # Fast path: for s on the grid, term = a/b and f = m·2^j with m odd, the
-    # denominator of s + term/f has odd part odd(b)·m/gcd(a, m); if that
-    # exceeds grid, the rounded sum is s plus floor (ceil) of term·grid/f.
+    # term > 0 divided by the enclosure [f_lo, f_hi] of a factor >= 1, each
+    # end an exact quotient (num, den).  A running bound on the 2^-bits
+    # grid is held as the integer s for s·2^-bits, one off it as a Fraction.
+    # The bounds are rounded outward onto the grid once their denominators
+    # outgrow it: the factor ends carry ~160-bit odd parts, and exact
+    # accumulation would compound them into rationals with thousands of
+    # digits.  Outward rounding keeps the enclosure valid and adds at most
+    # 2^-bits width per term.
+    # Fast path: for s on the grid, term = a/b and a dyadic f = m·2^j with
+    # m odd, the denominator of s + term/f has odd part odd(b)·m/gcd(a, m);
+    # if that exceeds grid, the rounded sum is s plus floor (ceil) of
+    # term·grid/f, all in integers.
     grid = 1 << bits
     a, b = term.numerator, term.denominator
-    for i, f, up in ((0, f_hi, False), (1, f_lo, True)):
-        s, fn, fd = acc[i], f.numerator, f.denominator
-        if grid % s.denominator == 0 and fd & (fd - 1) == 0:
+    odd_b = _odd_part(b)
+    for i, (fn, fd), up in ((0, f_hi, False), (1, f_lo, True)):
+        s = acc[i]
+        if type(s) is int and fd & (fd - 1) == 0:
             m = _odd_part(fn)
-            if _odd_part(b) * (m // math.gcd(a, m)) > grid:
-                num, den = a * fd * grid, b * fn
-                step = -(-num // den) if up else num // den
-                acc[i] = Fraction(s.numerator * (grid // s.denominator) + step, grid)
+            if odd_b * (m // math.gcd(a, m)) > grid:
+                num, den = a * fd << bits, b * fn
+                acc[i] = s + (-(-num // den) if up else num // den)
                 continue
-        s += term / f
+        s = _bound_value(s, bits) + Fraction(a * fd, b * fn)
         if s.denominator > grid:
-            s = Fraction(math.ceil(s * grid) if up else math.floor(s * grid), grid)
-        acc[i] = s
+            acc[i] = math.ceil(s * grid) if up else math.floor(s * grid)
+        elif grid % s.denominator == 0:
+            acc[i] = s.numerator * (grid // s.denominator)
+        else:
+            acc[i] = s
 
 
 def _odd_part(k: int) -> int:

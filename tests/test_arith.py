@@ -6,7 +6,7 @@ Expected values in this file are frozen from independent hand computation
 
 import math
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath
 import pytest
@@ -22,6 +22,7 @@ from dsextra.arith import (
     Approx,
     coprime_density,
     coprime_harmonic,
+    damping_bounds,
     exp_bounds,
     exp_rational,
     factorize,
@@ -418,6 +419,123 @@ def test_pow_bounds_match_interval_context(a, b, exponent, precision):
             precision,
         )
     assert pow_bounds(lo, hi, exponent, precision) == ref
+
+
+def iv_floored_log_bounds(lo, hi, precision=128):
+    """Reference route for floored_log_bounds: max(1, ·) of the lower end
+    of iv_log_bounds(lo) and the upper end of iv_log_bounds(hi)."""
+    return (
+        max(iv_log_bounds(lo, precision)[0], F(1)),
+        max(iv_log_bounds(hi, precision)[1], F(1)),
+    )
+
+
+# x = 1, 5/2 and around it: rationals a little below and above, and
+# 160-bit dyadics within 2^-120 of it; then x > e
+_FLOOR_X = st.one_of(
+    st.sampled_from([F(1), F(5, 2)]),
+    st.builds(lambda k: F(5, 2) - F(1, k), st.integers(3, 10 ** 30)),
+    st.builds(lambda k: F(5, 2) + F(1, k), st.integers(1, 10 ** 30)),
+    st.builds(
+        lambda d: F(5, 2) + F(2 * d + 1, 1 << 160), st.integers(-(1 << 39), 1 << 39)
+    ),
+    st.fractions(F(2719, 1000), 10 ** 6, max_denominator=10 ** 6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FLOOR_X, _FLOOR_X, _PRECISION)
+def test_floored_log_shortcut_matches_interval_context(a, b, precision):
+    # an end at x <= 5/2 is exactly 1 with no libmp call; every other end
+    # makes one ln call, and both agree with the interval context
+    lo, hi = min(a, b), max(a, b)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("mpf_log", "mpf_exp"):
+            f = getattr(arith, name)
+
+            def counted(*args, f=f, name=name):
+                calls.append(name)
+                return f(*args)
+
+            mp.setattr(arith, name, counted)
+        got = floored_log_bounds(lo, hi, precision)
+    assert got == iv_floored_log_bounds(lo, hi, precision)
+    assert calls == ["mpf_log"] * ((lo > F(5, 2)) + (hi > F(5, 2)))
+
+
+def iv_damping_bounds(n, epsilon, hpv_c, precision=128):
+    """Reference route for damping_bounds: the floored logs of n, then
+    powers and exps of their Fraction ends, through the interval context."""
+    l1 = iv_floored_log_bounds(n, n, precision)
+    l2 = iv_floored_log_bounds(*l1, precision)
+    l3 = iv_floored_log_bounds(*l2, precision)
+    if epsilon.denominator == 1:
+        damped = l1[0] ** epsilon.numerator, l1[1] ** epsilon.numerator
+    else:
+        damped = iv_exp_bounds(
+            epsilon * iv_log_bounds(l1[0], precision)[0],
+            epsilon * iv_log_bounds(l1[1], precision)[1],
+            precision,
+        )
+    hpv = iv_exp_bounds(hpv_c * l1[0] / l2[1], hpv_c * l1[1] / l2[0], precision)
+    bhhv = iv_exp_bounds(epsilon * l3[0] * l2[0], epsilon * l3[1] * l2[1], precision)
+    return [damped, hpv, bhhv]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # ln ln ln n > 1 needs n > e^(e^e) ~ 3.8 million; ln ln n > 5/2, n > 195,000
+    st.one_of(st.integers(1, 20), st.integers(21, 10 ** 5), st.integers(10 ** 5, 10 ** 12)),
+    st.one_of(st.integers(0, 6).map(F), st.fractions(0, 6, max_denominator=12)),
+    st.fractions(0, 4, max_denominator=12),
+    _PRECISION,
+)
+def test_damping_bounds_match_interval_context(n, epsilon, hpv_c, precision):
+    got = damping_bounds(n, epsilon, hpv_c, precision)
+    # every end is a dyadic quotient (num, den) in lowest terms
+    for lo, hi in got:
+        for num, den in (lo, hi):
+            assert den & (den - 1) == 0 and math.gcd(num, den) == 1
+    assert [(F(*lo), F(*hi)) for lo, hi in got] == iv_damping_bounds(
+        n, epsilon, hpv_c, precision
+    )
+
+
+def test_damping_bounds_domain():
+    for args in ((0, F(1), F(1)), (5, F(-1, 2), F(1)), (5, F(1), F(-1)), (5, F(1), F(1), 7)):
+        with pytest.raises(DomainError):
+            damping_bounds(*args)
+    # epsilon and hpv_c of 0 divide by nothing
+    assert damping_bounds(20, 0, 0, 64) == (((1, 1), (1, 1)),) * 3
+
+
+@pytest.mark.parametrize("precision", [7, 0, -32, -40])
+def test_enclosures_reject_uncertifiable_precision(precision, monkeypatch):
+    # below MIN_PRECISION no libmp call may run: at -32 ln 3 came back as a
+    # zero-width "enclosure", and at -40 it did not return
+    def fail(*args):
+        raise AssertionError("libmp called below MIN_PRECISION")
+
+    assert arith.MIN_PRECISION == MIN_PRECISION
+    psi = make_psi("half", 50)
+    calls = [
+        partial(log_bounds, 3),
+        partial(exp_bounds, F(0), F(1)),
+        partial(floored_log_bounds, 3, 20),
+        partial(pow_bounds, F(2), F(3), F(1, 3)),
+        partial(log_weight_integral, 6, 10),
+        partial(damping_bounds, 20, F(1, 2), F(1)),
+        partial(divergence_table, 1, 50, psi),
+    ]
+    with monkeypatch.context() as mp:
+        mp.setattr(arith, "mpf_log", fail)
+        mp.setattr(arith, "mpf_exp", fail)
+        for call in calls:
+            with pytest.raises(DomainError, match="precision"):
+                call(precision)
+    for call in calls:
+        call(MIN_PRECISION)
 
 
 def test_enclosures_ignore_mpmath_precision(fresh_log_steps, monkeypatch):

@@ -15,7 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsextra import arith, circles, harness
-from dsextra.arith import frac_str, totient
+from dsextra.arith import (
+    MIN_PRECISION,
+    Approx,
+    exp_bounds,
+    floored_log_bounds,
+    frac_str,
+    pow_bounds,
+    totient,
+)
 from dsextra.circles import coprime_arcs, intersection_measure
 from dsextra.errors import (
     CapExceededError,
@@ -27,6 +35,8 @@ from dsextra.errors import (
 from dsextra.harness import (
     BC_CAP,
     PAIR_CAP_EXACT,
+    DivergenceRow,
+    _bound_value,
     _div_add,
     _ordered_map,
     borel_cantelli_ratio,
@@ -220,12 +230,17 @@ def test_divergence_table_golden_digests(config):
 
 @pytest.mark.parametrize(
     "epsilon, logs, exps",
-    # per term: both ends of ln n, one end of each of the two ln ln n and
-    # the two ln ln ln n, one end of each of the two exps of hpv and bhhv;
-    # ln 1 = 0 takes no call, so small n make fewer.  A fractional epsilon
-    # adds one end of each of two logs and two exps.  Two-sided ends made
-    # 9,930 and 8,000 calls at 3, and 13,922 and 12,000 at 1/2.
-    [(F(3), 5964, 4000), (F(1, 2), 7960, 6000)],
+    # half psi, N = 1000: every term is positive.  Per n: both ends of
+    # ln n, except n = 1, 2 <= 5/2, which floor to 1 with no call (1,996);
+    # both ends of ln ln n for n >= 13, since max(1, ln n) <= 5/2 up to
+    # n = 12 (1,976); no ln ln ln n, since ln ln n <= ln ln 1000 < 5/2;
+    # both ends of the exps of hpv and bhhv (4,000).  A fractional epsilon
+    # reads ln ln n before the floor for its power, for every n >= 3, and
+    # the floor reuses it (1,996 + 1,996 logs), and adds both ends of the
+    # power's exp (2,000).  Each end computed with its own floored log made
+    # 5,964 and 4,000 calls at 3, and 7,960 and 6,000 at 1/2; two-sided
+    # ends made 9,930 and 8,000, and 13,922 and 12,000.
+    [(F(3), 3972, 4000), (F(1, 2), 3992, 6000)],
 )
 def test_divergence_table_libmp_call_counts(epsilon, logs, exps, monkeypatch):
     calls = {"mpf_log": 0, "mpf_exp": 0}
@@ -239,6 +254,104 @@ def test_divergence_table_libmp_call_counts(epsilon, logs, exps, monkeypatch):
         monkeypatch.setattr(arith, name, counted)
     divergence_table(epsilon, 1000, make_psi("half", 1000))
     assert calls == {"mpf_log": logs, "mpf_exp": exps}
+
+
+def fraction_divergence_table(epsilon, n_top, psi, precision=128, hpv_c=1):
+    """Reference route for divergence_table: its earlier loop, with the
+    damping factors from floored_log_bounds, pow_bounds and exp_bounds as
+    Fraction ends and every running bound a Fraction (fraction_div_add)."""
+    epsilon, hpv_c = F(epsilon), F(hpv_c)
+    marks = {1 << j for j in range(1, n_top.bit_length())} | {n_top}
+    plain = F(0)
+    grid_bits = precision + 16
+    acc = {"damped": [F(0), F(0)], "hpv": [F(0), F(0)], "bhhv": [F(0), F(0)]}
+    rows = []
+    for n in range(1, n_top + 1):
+        term = psi.value(n) * totient(n) / n
+        plain += term
+        if term:
+            l1 = floored_log_bounds(n, n, precision)
+            l2_lo, l2_hi = floored_log_bounds(*l1, precision)
+            f_lo, f_hi = pow_bounds(l1[0], l1[1], epsilon, precision)
+            fraction_div_add(acc["damped"], term, f_lo, f_hi, grid_bits)
+            f_lo, f_hi = exp_bounds(
+                hpv_c * l1[0] / l2_hi, hpv_c * l1[1] / l2_lo, precision
+            )
+            fraction_div_add(acc["hpv"], term, f_lo, f_hi, grid_bits)
+            l3_lo, l3_hi = floored_log_bounds(l2_lo, l2_hi, precision)
+            f_lo, f_hi = exp_bounds(
+                epsilon * l3_lo * l2_lo, epsilon * l3_hi * l2_hi, precision
+            )
+            fraction_div_add(acc["bhhv"], term, f_lo, f_hi, grid_bits)
+        if n in marks:
+            rows.append(
+                DivergenceRow(
+                    n=n,
+                    plain=plain,
+                    damped=Approx.from_bounds(*acc["damped"]),
+                    hpv=Approx.from_bounds(*acc["hpv"]),
+                    bhhv=Approx.from_bounds(*acc["bhhv"]),
+                )
+            )
+    return rows
+
+
+def fraction_div_add(acc, term, f_lo, f_hi, bits):
+    """Reference route for _div_add on Fraction bounds and factor ends:
+    the exact sum, rounded outward onto the 2^-bits grid when its
+    denominator outgrows it, with the same integer fast path."""
+    grid = 1 << bits
+    a, b = term.numerator, term.denominator
+    for i, f, up in ((0, f_hi, False), (1, f_lo, True)):
+        s, fn, fd = acc[i], f.numerator, f.denominator
+        if grid % s.denominator == 0 and fd & (fd - 1) == 0:
+            m = _odd_part(fn)
+            if _odd_part(b) * (m // math.gcd(a, m)) > grid:
+                num, den = a * fd * grid, b * fn
+                step = -(-num // den) if up else num // den
+                acc[i] = F(s.numerator * (grid // s.denominator) + step, grid)
+                continue
+        s += term / f
+        if s.denominator > grid:
+            s = F(math.ceil(s * grid) if up else math.floor(s * grid), grid)
+        acc[i] = s
+
+
+def _odd_part(k):
+    return k >> ((k & -k).bit_length() - 1)
+
+
+_TABLE_RADII = st.fractions(0, 3, max_denominator=60)
+_TABLE_PSI = st.one_of(
+    st.sampled_from(["half", "recip"]),
+    st.builds("primes:{}".format, _TABLE_RADII),
+    # a file table: absent n are 0, and the table reads psi unnormalized
+    st.dictionaries(st.integers(1, 400), _TABLE_RADII, max_size=40),
+)
+_EPSILON = st.one_of(
+    st.integers(1, 8).map(F),
+    st.fractions(F(1, 12), 8, max_denominator=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _TABLE_PSI,
+    st.integers(2, 400),
+    _EPSILON,
+    st.fractions(F(1, 12), 4, max_denominator=12),
+    st.integers(MIN_PRECISION, 256),
+)
+@example("half", 400, F(3), F(1), 128)
+@example({1: F(1, 3), 2: F(0), 3: F(7, 5), 9: F(2)}, 40, F(1, 2), F(3, 2), 8)
+def test_divergence_table_matches_fraction_route(spec, n_top, epsilon, hpv_c, precision):
+    if isinstance(spec, dict):
+        psi = PsiFunction(n_top, "file:table.csv", base=spec)
+    else:
+        psi = make_psi(spec, n_top)
+    assert divergence_table(epsilon, n_top, psi, precision, hpv_c) == (
+        fraction_divergence_table(epsilon, n_top, psi, precision, hpv_c)
+    )
 
 
 def _dyadic(m, e):
@@ -262,6 +375,10 @@ _BOUND = st.one_of(
 )
 # 17/51 = 1/3: the gcd leaves an odd part 3 <= grid, and 1/4 + 1/3 stays exact
 @example(4, F(1, 4), F(1, 4), F(17), F(51), F(51))
+# sums that land on the grid, from a bound on it (1/4 + 1/8) and from one
+# off it (1/3 + 2/3), are held as grid units again
+@example(8, F(1, 4), F(1, 3), F(3, 8), F(3), F(3))
+@example(8, F(1, 4), F(1, 3), F(2, 3), F(1), F(1))
 def test_div_add_matches_exact_sum_then_round(bits, s_lo, s_hi, term, f_lo, f_hi):
     # the integer fast path against the exact sum rounded outward
     grid = 1 << bits
@@ -271,9 +388,16 @@ def test_div_add_matches_exact_sum_then_round(bits, s_lo, s_hi, term, f_lo, f_hi
             return s
         return F((math.ceil if up else math.floor)(s * grid), grid)
 
-    acc = [s_lo, s_hi]
-    _div_add(acc, term, f_lo, f_hi, bits)
-    assert acc == [rounded(s_lo + term / f_hi, False), rounded(s_hi + term / f_lo, True)]
+    def held(s):
+        # a bound as _div_add holds it: grid units on the grid, else exact
+        return s.numerator * (grid // s.denominator) if grid % s.denominator == 0 else s
+
+    acc = [held(s_lo), held(s_hi)]
+    _div_add(acc, term, (f_lo.numerator, f_lo.denominator),
+             (f_hi.numerator, f_hi.denominator), bits)
+    values = [_bound_value(s, bits) for s in acc]
+    assert values == [rounded(s_lo + term / f_hi, False), rounded(s_hi + term / f_lo, True)]
+    assert acc == [held(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
