@@ -3,14 +3,10 @@ arcs and divergence experiments behind second-moment lower bounds."""
 
 from .arith import (
     Approx,
-    coprime_density,
-    coprime_harmonic,
     exp_rational,
     factorize,
     log_weight_integral,
-    mertens_product,
     restricted_prime_product,
-    sieve_upper_bound,
     totient,
 )
 from .circles import (

