@@ -127,13 +127,17 @@ def _squarefree_divisors(
     The p are distinct primes; d runs over their squarefree products and
     c_d = Π_{p | d} b · Π_{p ∤ d} a.  With (a, b) = (1, -1) for every p,
     c_d = μ(d): the Möbius sum over the squarefree divisors of Π p.  With a
-    limit, only the d <= limit are expanded, d = 1 first.
+    limit, only the d <= limit are expanded, d = 1 first.  A factor with
+    a = 1 keeps the terms it finds and appends the multiples of p.
     """
     terms = [(1, 1)]
     for p, a, b in factors:
-        terms = [(d, c * a) for d, c in terms] + [
+        multiples = [
             (d * p, c * b) for d, c in terms if limit is None or d * p <= limit
         ]
+        if a != 1:
+            terms = [(d, c * a) for d, c in terms]
+        terms += multiples
     return terms
 
 

@@ -160,12 +160,14 @@ class ArcEvent:
     prepared for coprime_intersection_sums; built only by arc_event.
 
     factors is factorize(m); widths[i] is the half-width radius_i/m of
-    column i as the integer pair (numerator, m * denominator).
+    column i as the integer pair (numerator, m * denominator); nonincreasing
+    says that no column is wider than the one before it.
     """
 
     m: int
     factors: tuple[tuple[int, int], ...]
     widths: tuple[tuple[int, int], ...]
+    nonincreasing: bool
 
 
 def arc_event(m: int, rads: Sequence[RationalLike]) -> ArcEvent:
@@ -180,7 +182,11 @@ def arc_event(m: int, rads: Sequence[RationalLike]) -> ArcEvent:
     for radius in rads:
         radius = _arc_radius(m, radius)
         widths.append((radius.numerator, m * radius.denominator))
-    return ArcEvent(m, factorize(m), tuple(widths))
+    nonincreasing = all(
+        num * den_next >= num_next * den
+        for (num, den), (num_next, den_next) in zip(widths, widths[1:])
+    )
+    return ArcEvent(m, factorize(m), tuple(widths), nonincreasing)
 
 
 def _pair_weights(
@@ -223,33 +229,33 @@ def _pair_weights(
 
 
 def _overlap_sum(
-    a: int, b: int, q: int, period: int, w0: int, terms: Iterable[tuple[int, int]]
+    a: int, b: int, q: int, period: int, w0: int, reach: int,
+    terms: Iterable[tuple[int, int]],
 ) -> int:
     """measure(E_m ∩ E_n) times q*P/(2*base), half-widths δ = a/q <= Δ = b/q.
 
     Two arcs whose centres are j/P apart overlap in
     L(j) = max(0, min(2δ, Δ + δ - |j|/P)); the sum of w(j) * L(j) over j is,
     per term (D, c_D) of the weights, an arithmetic series with
-    q1 = floor((Δ - δ)P/D) <= q2 = floor((Δ + δ)P/D) terms.  A term with
-    q2 = 0, D beyond (Δ + δ)P, has q1 = 0 and adds exactly 0; it is
-    skipped, so the terms may come in any order and may be expanded for
-    a wider pair of radii.
+    q1 = floor((Δ - δ)P/D) <= q2 = floor((Δ + δ)P/D) terms.  reach is
+    floor((Δ + δ)P): a term with D > reach has q2 = q1 = 0 and adds exactly
+    0, and the loop stops at the first one, so the terms come sorted by D,
+    or all within reach.  The loop adds up small integers only: c_D·q1,
+    c_D·q2 and c_D·D·(q2(q2 + 1) - q1(q1 + 1)), the last always even; P,
+    a, b and q multiply the three sums once.
     """
-    # half the j = 0 term, then the j > 0 terms, which the j < 0 terms mirror
-    acc = a * w0 * period
-    lo = (b - a) * period
-    hi = (b + a) * period
+    low = (b - a) * period // q
+    s1 = s2 = s3 = 0
     for d, c in terms:
-        qd = q * d
-        q2 = hi // qd
-        if not q2:
-            continue
-        q1 = lo // qd
-        acc += c * (
-            period * (2 * a * q1 + (a + b) * (q2 - q1))
-            - qd * (q2 * (q2 + 1) - q1 * (q1 + 1)) // 2
-        )
-    return acc
+        if d > reach:
+            break
+        q1 = low // d
+        q2 = reach // d
+        s1 += c * q1
+        s2 += c * q2
+        s3 += c * d * (q2 * (q2 + 1) - q1 * (q1 + 1))
+    # half the j = 0 term, then the j > 0 terms, which the j < 0 terms mirror
+    return period * (a * w0 + (a + b) * s2 - (b - a) * s1) - q * s3 // 2
 
 
 def coprime_intersection_sums(
@@ -264,19 +270,31 @@ def coprime_intersection_sums(
     arithmetic series (_overlap_sum).  The events come from arc_event,
     validated and factorized once each, so the loop over pairs and columns
     reads integers only: per column, the two half-widths over their least
-    common denominator q.  Each event's weights are expanded once for all
-    columns, over the squarefree D <= (h_m + h_n)·P of its widest column;
-    each column adds its pairs as integers over one common denominator,
-    one Fraction per column.  Cost: O(2^omega(r*t)) integer operations per
-    pair and column, whatever m, n and the radii.  The sum runs over all
-    integers j, not over j mod P: it intersects the two systems lifted to
-    the real line, so arcs that meet on both sides of the circle count
-    once at j and once at j - P.  That is exact whenever each system's
-    arcs are disjoint, which holds for every radius in [0, 1/2], the
-    domain of arc_event.
+    common denominator q.
+
+    A column is live when both radii are positive and its reach
+    floor((h_m + h_n)·P) is positive or m = n.  Any other column adds
+    exactly 0, at the cost of a few integer operations: a zero radius is
+    the empty set, arcs whose centres are j/P apart with j != 0 do not
+    meet when the reach is 0, and w(0) = 0 unless m = n.  Stop rule: when
+    m != n and both events are nonincreasing, every column after a dead
+    one is no wider, so the pair's first dead column ends its column
+    walk.  A pair with no live column expands nothing.  Otherwise its
+    weights are expanded once for all columns, over the squarefree D up
+    to its widest live reach, and sorted by D when more than one column
+    is live; each live column sums its terms up to its own reach and adds
+    its pairs as integers over one common denominator, one Fraction per
+    column.  Cost: O(2^omega(r*t)) integer operations per pair and live
+    column, whatever m, n and the radii.  The sum runs over all integers
+    j, not over j mod P: it intersects the two systems lifted to the real
+    line, so arcs that meet on both sides of the circle count once at j
+    and once at j - P.  That is exact whenever each system's arcs are
+    disjoint, which holds for every radius in [0, 1/2], the domain of
+    arc_event.
     """
     widths_n = target.widths
     fn = target.factors
+    n = target.m
     columns = len(widths_n)
     nums = [0] * columns
     dens = [1] * columns        # column i sums to 2*nums[i]/dens[i]
@@ -286,9 +304,10 @@ def coprime_intersection_sums(
             raise DomainError(
                 f"event {event.m} has {len(widths_m)} radii for {columns} columns"
             )
-        r, t, base, w0, factors = _pair_weights(event.factors, fn)
-        period = r * t
-        widths = []
+        period = math.lcm(event.m, n)
+        same = event.m == n
+        stop = not same and target.nonincreasing and event.nonincreasing
+        live = []
         limit = 0
         for i, ((num_m, den_m), (num_n, den_n)) in enumerate(
             zip(widths_m, widths_n)
@@ -300,13 +319,22 @@ def coprime_intersection_sums(
                 b = num_n * (q // den_n)
                 if a > b:
                     a, b = b, a
-                widths.append((i, q, a, b))
                 reach = (a + b) * period // q
-                if reach > limit:
-                    limit = reach
+                if reach or same:
+                    live.append((i, q, a, b, reach))
+                    if reach > limit:
+                        limit = reach
+                    continue
+            if stop:
+                break
+        if not live:
+            continue
+        _, _, base, w0, factors = _pair_weights(event.factors, fn)
         terms = _squarefree_divisors(factors, limit)
-        for i, q, a, b in widths:
-            acc = _overlap_sum(a, b, q, period, w0, terms)
+        if len(live) > 1:
+            terms.sort()
+        for i, q, a, b, reach in live:
+            acc = _overlap_sum(a, b, q, period, w0, reach, terms)
             if acc:
                 # add base*acc/(q*P) over the lcm of the column's denominators
                 pair_den = q * period

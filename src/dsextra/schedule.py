@@ -116,10 +116,13 @@ def select_scale(
     The measures come from the measure law (coprime_measure) and the
     intersections from the closed-form kernel coprime_intersection_sums,
     one call per n over events built once per distinct n (arc_event) with
-    the K scaled radii as columns, so no arc system is built: each pair's
-    offset weights are expanded once, for all k, in O(2^omega(mn)) integer
-    operations whatever the size of m and n, and each k adds its pairs as
-    integers.
+    the K scaled radii as columns, so no arc system is built.  The columns
+    psi/ê_k narrow as k grows, so every event is nonincreasing: a pair's
+    walk over k ends at its first k whose arcs cannot meet,
+    (δ + Δ)·lcm(m, n) < 1.  Each pair with an overlapping k has its offset
+    weights expanded once, for all k, in O(2^omega(mn)) integer operations
+    per overlapping k whatever the size of m and n, and each k adds its
+    pairs as integers.
     """
     lo, hi = block_bounds(h, base)
     epsilon = Fraction(epsilon)

@@ -33,6 +33,7 @@ from dsextra.arith import (
     SCALE_CAP,
     SIEVE_CAP,
     Approx,
+    _squarefree_divisors,
     damping_bounds,
     exp_rational,
     factorize,
@@ -188,6 +189,35 @@ def test_mertens_product_is_prime_product():
     for p in primes_up_to(x):
         prod *= F(p, p - 1)
     assert mertens_product(x) == prod
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]), st.booleans()),
+        max_size=9, unique_by=lambda f: f[0],
+    ),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=400)),
+)
+def test_squarefree_divisors_match_subset_expansion(spec, limit):
+    # the kernel's factors (p - 2, 1) and the Möbius factors (1, -1), mixed:
+    # the same multiset of (d, c_d) as a naive sum over every subset of the
+    # primes, filtered by the limit, with d = 1 first
+    factors = [(p, p - 2, 1) if r_side else (p, 1, -1) for p, r_side in spec]
+    naive = []
+    for chosen in range(1 << len(factors)):
+        d = c = 1
+        for bit, (p, a, b) in enumerate(factors):
+            if chosen >> bit & 1:
+                d *= p
+                c *= b
+            else:
+                c *= a
+        if limit is None or d <= limit:
+            naive.append((d, c))
+    got = _squarefree_divisors(iter(factors), limit)
+    assert sorted(got) == sorted(naive)
+    assert got[:1] == [(1, math.prod(a for _, a, _ in factors))]
 
 
 def test_restricted_prime_product_values():

@@ -346,6 +346,15 @@ def test_arc_event_domain_and_integers():
     assert event.factors == ((2, 2), (3, 1))
     assert event.widths == ((1, 24), (0, 12), (2, 84))
     assert arc_event(5, ()).widths == ()
+    # nonincreasing: no column wider than the one before it, decided on
+    # the integer width pairs; a zero column followed by a wider one is not
+    assert not event.nonincreasing
+    assert not arc_event(5, (F(1, 8), F(1, 4))).nonincreasing     # ascending
+    assert arc_event(5, (F(1, 2), F(1, 3), F(1, 7))).nonincreasing
+    assert arc_event(5, (F(1, 4), F(2, 8), F(1, 4))).nonincreasing  # equal
+    assert arc_event(5, (F(1, 3), 0, 0)).nonincreasing             # zero tail
+    assert not arc_event(5, (F(1, 3), 0, F(1, 9))).nonincreasing
+    assert arc_event(5, ()).nonincreasing and arc_event(5, (F(1, 3),)).nonincreasing
     # the domain of coprime_arcs, refused when the event is built
     with pytest.raises(DomainError, match="n >= 1"):
         arc_event(0, (F(1, 4),))
@@ -356,6 +365,45 @@ def test_arc_event_domain_and_integers():
     # the kernel still refuses an event with the wrong number of columns
     with pytest.raises(DomainError, match="columns"):
         coprime_intersection_sums(arc_event(3, (F(1, 4),)), [arc_event(2, ())])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2000),
+    st.integers(min_value=1, max_value=2000),
+    st.fractions(min_value=0, max_value=F(1, 2), max_denominator=60),
+    st.fractions(min_value=0, max_value=F(1, 2), max_denominator=60),
+)
+@example(12, 12, F(1, 2), F(1, 3))
+@example(1, 1, F(1, 2), F(1, 2))
+def test_stop_rule_columns_match_one_column_calls(m, n, psi_m, psi_n):
+    # columns psi/ê_k, k = 0..12, as select_scale and overlap_records build
+    # them: both events nonincreasing, so a pair's first disjoint column
+    # ends its walk when m != n.  Each column equals its one-column call and
+    # the sweep over built arcs.
+    scales = [exp_rational(k) for k in range(13)]
+    rads_m = [psi_m / e for e in scales]
+    rads_n = [psi_n / e for e in scales]
+    assert arc_event(m, rads_m).nonincreasing and arc_event(n, rads_n).nonincreasing
+    got = kernel(n, rads_n, [(m, rads_m)])
+    for rm, rn, col in zip(rads_m, rads_n, got):
+        want = intersection_measure(coprime_arcs(m, rm), coprime_arcs(n, rn))
+        assert col == pair_measure(m, rm, n, rn) == want
+
+
+def test_stop_rule_needs_nonincreasing_columns():
+    # a disjoint column before an overlapping one: the walk must go on
+    rads = (F(1, 10 ** 6), F(1, 2))
+    assert not arc_event(3, rads).nonincreasing
+    want = intersection_measure(coprime_arcs(3, F(1, 2)), coprime_arcs(5, F(1, 2)))
+    assert want > 0
+    assert kernel(5, rads, [(3, rads)]) == [0, want]
+    # one nonincreasing event is not enough: the target's columns are equal
+    flat = (F(1, 10 ** 6), F(1, 10 ** 6))
+    assert arc_event(5, flat).nonincreasing
+    want = intersection_measure(coprime_arcs(3, F(1, 2)), coprime_arcs(5, flat[1]))
+    assert want > 0
+    assert kernel(5, flat, [(3, rads)]) == [0, want]
 
 
 scaled_radii = st.tuples(radii, st.integers(min_value=0, max_value=8)).map(

@@ -1,10 +1,11 @@
 """Block decomposition, scale counts, selection, and the thinned radii."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from dsextra import schedule
+from dsextra import circles, schedule
 from dsextra.arith import exp_rational, log_bounds
 from dsextra.errors import (
     CapExceededError,
@@ -116,6 +117,48 @@ def test_select_scale_validates_each_radius_once(radius_checks):
     report = select_scale(1, normalize_psi(make_psi("half", 15)), 3, pairs, base=2)
     assert report.scale_count == top == 4
     assert 0 < len(radius_checks) <= 12 * top + 12
+
+
+def count_calls(monkeypatch, name):
+    # the argument tuples of every call to circles.<name> during the test
+    calls = []
+    fn = getattr(circles, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(circles, name, counted)
+    return calls
+
+
+def test_select_scale_expands_overlapping_columns_only(monkeypatch):
+    # base-2 block h = 2 at K = 8, the pairs with n < 64: the kernel sums
+    # exactly the (pair, k) cells whose arcs can meet, (δ + Δ)·lcm(m, n) >= 1
+    # with δ = psi(m)/(ê_k·m) and Δ = psi(n)/(ê_k·n), counted here in Fractions
+    calls = count_calls(monkeypatch, "_overlap_sum")
+    psi = normalize_psi(make_psi("half", 255))
+    pairs = [(m, n) for m in range(16, 64) for n in range(m + 1, 64)]
+    report = select_scale(2, psi, 3, pairs, base=2)
+    assert report.scale_count == 8
+    scales = [exp_rational(k) for k in range(1, 9)]
+    overlapping = sum(
+        (psi.value(m) / m + psi.value(n) / n) / e * math.lcm(m, n) >= 1
+        for m, n in pairs for e in scales
+    )
+    assert 0 < len(calls) == overlapping < 8 * len(pairs)
+
+    # a pair whose widest column is disjoint expands no divisors, whether
+    # or not its columns are nonincreasing; an overlapping one does
+    expansions = count_calls(monkeypatch, "_squarefree_divisors")
+    tiny = (F(1, 10 ** 6), F(1, 10 ** 7))
+    target = circles.arc_event(5, tiny)
+    events = [circles.arc_event(3, tiny), circles.arc_event(7, tiny[::-1])]
+    assert circles.coprime_intersection_sums(target, events) == [0, 0]
+    assert expansions == []
+    wide = circles.arc_event(3, (F(1, 2), F(1, 3)))
+    assert circles.coprime_intersection_sums(target, [wide])[0] > 0
+    assert len(expansions) == 1
 
 
 def test_select_scale_h0_single_pair():
