@@ -127,8 +127,8 @@ def _squarefree_divisors(
     The p are distinct primes; d runs over their squarefree products and
     c_d = Π_{p | d} b · Π_{p ∤ d} a.  With (a, b) = (1, -1) for every p,
     c_d = μ(d): the Möbius sum over the squarefree divisors of Π p.  With a
-    limit, only the d <= limit are expanded, d = 1 first.  A factor with
-    a = 1 keeps the terms it finds and appends the multiples of p.
+    limit, only the d <= limit are expanded.  No c_d is 0: a = 0 keeps only
+    the multiples of p, a = 1 keeps the terms too; d = 1 first if c_1 != 0.
     """
     terms = [(1, 1)]
     for p, a, b in factors:
@@ -136,7 +136,7 @@ def _squarefree_divisors(
             (d * p, c * b) for d, c in terms if limit is None or d * p <= limit
         ]
         if a != 1:
-            terms = [(d, c * a) for d, c in terms]
+            terms = [(d, c * a) for d, c in terms] if a else []
         terms += multiples
     return terms
 

@@ -3,7 +3,7 @@
 Production code uses only the measure law (coprime_measure) and the
 closed-form overlap kernel (coprime_intersection_sums), which build no
 arcs.  The kernel reads prepared events: arc_event validates m and its
-radii, factorizes m and stores each half-width as integers, once per
+radii, factorizes m and stores each radius as integers, once per
 event, and callers hold the event for every row it joins.  The arc sets
 (CircleIntervalSet: sorted, merged integer endpoints over one gcd-reduced
 denominator) and intersect, intersection_measure and
@@ -159,34 +159,32 @@ class ArcEvent:
     """The coprime arc systems E_m(radius) of one m, one per column,
     prepared for coprime_intersection_sums; built only by arc_event.
 
-    factors is factorize(m); widths[i] is the half-width radius_i/m of
-    column i as the integer pair (numerator, m * denominator); nonincreasing
-    says that no column is wider than the one before it.
+    factors is factorize(m); radii[i] is the radius of column i in lowest
+    terms, as the integer pair (numerator, denominator); nonincreasing says
+    that no radius, and so no half-width radius/m, exceeds the one before.
     """
 
     m: int
     factors: tuple[tuple[int, int], ...]
-    widths: tuple[tuple[int, int], ...]
+    radii: tuple[tuple[int, int], ...]
     nonincreasing: bool
 
 
 def arc_event(m: int, rads: Sequence[RationalLike]) -> ArcEvent:
-    """The event E_m with column radii rads, for the overlap kernel.
+    """The event E_m with column radii rads, in lowest terms, for the kernel.
 
     Validates m and each radius as coprime_arcs does (DomainError outside
     m >= 1 and [0, 1/2]) and factorizes m, here and only here: callers
     build one event per m and pass the same object as a row's target and
     in the event list of every row it joins.
     """
-    widths = []
-    for radius in rads:
-        radius = _arc_radius(m, radius)
-        widths.append((radius.numerator, m * radius.denominator))
+    checked = [_arc_radius(m, radius) for radius in rads]
+    radii = tuple((r.numerator, r.denominator) for r in checked)
     nonincreasing = all(
-        num * den_next >= num_next * den
-        for (num, den), (num_next, den_next) in zip(widths, widths[1:])
+        x * d_next >= x_next * d
+        for (x, d), (x_next, d_next) in zip(radii, radii[1:])
     )
-    return ArcEvent(m, factorize(m), tuple(widths), nonincreasing)
+    return ArcEvent(m, factorize(m), radii, nonincreasing)
 
 
 def _pair_weights(
@@ -229,22 +227,22 @@ def _pair_weights(
 
 
 def _overlap_sum(
-    a: int, b: int, q: int, period: int, w0: int, reach: int,
+    a: int, b: int, q: int, w0: int, reach: int,
     terms: Iterable[tuple[int, int]],
 ) -> int:
-    """measure(E_m ∩ E_n) times q*P/(2*base), half-widths δ = a/q <= Δ = b/q.
+    """measure(E_m ∩ E_n)·q·P/(2·base), half-widths δ·P = a/q <= Δ·P = b/q.
 
     Two arcs whose centres are j/P apart overlap in
     L(j) = max(0, min(2δ, Δ + δ - |j|/P)); the sum of w(j) * L(j) over j is,
     per term (D, c_D) of the weights, an arithmetic series with
     q1 = floor((Δ - δ)P/D) <= q2 = floor((Δ + δ)P/D) terms.  reach is
-    floor((Δ + δ)P): a term with D > reach has q2 = q1 = 0 and adds exactly
-    0, and the loop stops at the first one, so the terms come sorted by D,
-    or all within reach.  The loop adds up small integers only: c_D·q1,
-    c_D·q2 and c_D·D·(q2(q2 + 1) - q1(q1 + 1)), the last always even; P,
-    a, b and q multiply the three sums once.
+    floor((Δ + δ)P) = floor((a + b)/q): a term with D > reach has
+    q2 = q1 = 0 and adds exactly 0, and the loop stops at the first one, so
+    the terms come sorted by D, or all within reach.  The loop adds up
+    small integers only: c_D·q1, c_D·q2 and c_D·D·(q2(q2 + 1) - q1(q1 + 1)),
+    the last always even; a, b and q multiply the three sums once.
     """
-    low = (b - a) * period // q
+    low = (b - a) // q
     s1 = s2 = s3 = 0
     for d, c in terms:
         if d > reach:
@@ -255,71 +253,70 @@ def _overlap_sum(
         s2 += c * q2
         s3 += c * d * (q2 * (q2 + 1) - q1 * (q1 + 1))
     # half the j = 0 term, then the j > 0 terms, which the j < 0 terms mirror
-    return period * (a * w0 + (a + b) * s2 - (b - a) * s1) - q * s3 // 2
+    return a * w0 + (a + b) * s2 - (b - a) * s1 - q * (s3 // 2)
 
 
 def coprime_intersection_sums(
-    target: ArcEvent, events: Iterable[ArcEvent]
+    target: ArcEvent, events: Sequence[ArcEvent]
 ) -> list[Fraction]:
     """Column i: the sum over the events E_m of measure(E_m ∩ E_n) at the
     radii of column i, for the target E_n.
 
     The closed form of the pairwise overlaps, without building arcs: the
-    pairs of arcs at each centre offset j/lcm(m, n) are counted from the
-    prime exponents of m and n (_pair_weights) and their overlaps summed as
-    arithmetic series (_overlap_sum).  The events come from arc_event,
-    validated and factorized once each, so the loop over pairs and columns
-    reads integers only: per column, the two half-widths over their least
-    common denominator q.
+    pairs of arcs at each centre offset j/P, P = lcm(m, n), are counted
+    from the prime exponents of m and n (_pair_weights) and their overlaps
+    summed as arithmetic series (_overlap_sum).  The events come from
+    arc_event, validated and factorized once each, so the walk reads
+    integers only: with g = gcd(m, n), P = m·(n/g) and a radius x/d of m
+    gives h_m·P = x·(n/g)/d, so per column h_m·P and h_n·P are a/q and b/q
+    over q = lcm(d_m, d_n), which is d_m when the two agree.
 
     A column is live when both radii are positive and its reach
     floor((h_m + h_n)·P) is positive or m = n.  Any other column adds
-    exactly 0, at the cost of a few integer operations: a zero radius is
-    the empty set, arcs whose centres are j/P apart with j != 0 do not
-    meet when the reach is 0, and w(0) = 0 unless m = n.  Stop rule: when
-    m != n and both events are nonincreasing, every column after a dead
-    one is no wider, so the pair's first dead column ends its column
-    walk.  A pair with no live column expands nothing.  Otherwise its
-    weights are expanded once for all columns, over the squarefree D up
-    to its widest live reach, and sorted by D when more than one column
-    is live; each live column sums its terms up to its own reach and adds
-    its pairs as integers over one common denominator, one Fraction per
-    column.  Cost: O(2^omega(r*t)) integer operations per pair and live
-    column, whatever m, n and the radii.  The sum runs over all integers
-    j, not over j mod P: it intersects the two systems lifted to the real
-    line, so arcs that meet on both sides of the circle count once at j
-    and once at j - P.  That is exact whenever each system's arcs are
-    disjoint, which holds for every radius in [0, 1/2], the domain of
-    arc_event.
+    exactly 0 for a few integer operations: a zero radius is the empty
+    set, arcs whose centres are j/P apart with j != 0 do not meet when the
+    reach is 0, and w(0) = 0 unless m = n.  Stop rule: when m != n and
+    both events are nonincreasing, every column after a dead one is no
+    wider, so the pair's first dead column ends its walk.  A pair with a
+    live column has its weights expanded once, over the squarefree D up
+    to its widest live reach, sorted by D when more than one column is
+    live.  Each live column sums its terms up to its own reach, giving an
+    integer over q·P; scaled to q·L, L = lcm(n, every m) (common), it
+    joins the column's sum over the lcm of its q, which takes no gcd while
+    the q agree, as in every column of select_scale.  Cost: O(2^omega(r*t))
+    integer operations per pair and live column, whatever m, n and the
+    radii.  The sum runs over all integers j, not over j mod P: it
+    intersects the two systems lifted to the real line, so arcs that meet
+    on both sides of the circle count once at j and once at j - P.  That
+    is exact whenever each system's arcs are disjoint, which holds for
+    every radius in [0, 1/2], the domain of arc_event.
     """
-    widths_n = target.widths
-    fn = target.factors
+    radii_n = target.radii
     n = target.m
-    columns = len(widths_n)
-    nums = [0] * columns
-    dens = [1] * columns        # column i sums to 2*nums[i]/dens[i]
+    columns = len(radii_n)
+    common = math.lcm(n, *(e.m for e in events))    # L: each P divides it
+    nums, dens = [0] * columns, [1] * columns   # column i: 2*num/(den*common)
     for event in events:
-        widths_m = event.widths
-        if len(widths_m) != columns:
+        radii_m = event.radii
+        if len(radii_m) != columns:
             raise DomainError(
-                f"event {event.m} has {len(widths_m)} radii for {columns} columns"
+                f"event {event.m} has {len(radii_m)} radii for {columns} columns"
             )
-        period = math.lcm(event.m, n)
+        co_m = n // math.gcd(event.m, n)    # the cofactors n/g and m/g
+        period = event.m * co_m
+        co_n = period // n
         same = event.m == n
         stop = not same and target.nonincreasing and event.nonincreasing
-        live = []
-        limit = 0
-        for i, ((num_m, den_m), (num_n, den_n)) in enumerate(
-            zip(widths_m, widths_n)
-        ):
-            if num_m and num_n:
-                # the half-widths a/q <= b/q over their least common denominator
-                q = math.lcm(den_m, den_n)
-                a = num_m * (q // den_m)
-                b = num_n * (q // den_n)
+        live, limit = [], 0
+        for i, ((x_m, d_m), (x_n, d_n)) in enumerate(zip(radii_m, radii_n)):
+            if x_m and x_n:
+                q, a, b = d_m, x_m * co_m, x_n * co_n
+                if d_m != d_n:
+                    q = math.lcm(d_m, d_n)
+                    a, b = a * (q // d_m), b * (q // d_n)
                 if a > b:
                     a, b = b, a
-                reach = (a + b) * period // q
+                reach = (a + b) // q
                 if reach or same:
                     live.append((i, q, a, b, reach))
                     if reach > limit:
@@ -329,19 +326,22 @@ def coprime_intersection_sums(
                 break
         if not live:
             continue
-        _, _, base, w0, factors = _pair_weights(event.factors, fn)
+        _, _, base, w0, factors = _pair_weights(event.factors, target.factors)
+        base *= common // period
         terms = _squarefree_divisors(factors, limit)
         if len(live) > 1:
             terms.sort()
         for i, q, a, b, reach in live:
-            acc = _overlap_sum(a, b, q, period, w0, reach, terms)
+            acc = _overlap_sum(a, b, q, w0, reach, terms)
             if acc:
-                # add base*acc/(q*P) over the lcm of the column's denominators
-                pair_den = q * period
-                g = math.gcd(dens[i], pair_den)
-                nums[i] = nums[i] * (pair_den // g) + base * acc * (dens[i] // g)
-                dens[i] *= pair_den // g
-    return [Fraction(2 * num, den) for num, den in zip(nums, dens)]
+                # add base*acc/q over dens[i], the lcm of the column's q
+                if dens[i] != q:
+                    den = math.lcm(dens[i], q)
+                    nums[i] *= den // dens[i]
+                    dens[i] = den
+                    acc *= den // q
+                nums[i] += base * acc
+    return [Fraction(2 * num, den * common) for num, den in zip(nums, dens)]
 
 
 def intersect(a: CircleIntervalSet, b: CircleIntervalSet) -> CircleIntervalSet:

@@ -116,13 +116,13 @@ def select_scale(
     The measures come from the measure law (coprime_measure) and the
     intersections from the closed-form kernel coprime_intersection_sums,
     one call per n over events built once per distinct n (arc_event) with
-    the K scaled radii as columns, so no arc system is built.  The columns
-    psi/ê_k narrow as k grows, so every event is nonincreasing: a pair's
-    walk over k ends at its first k whose arcs cannot meet,
-    (δ + Δ)·lcm(m, n) < 1.  Each pair with an overlapping k has its offset
-    weights expanded once, for all k, in O(2^omega(mn)) integer operations
-    per overlapping k whatever the size of m and n, and each k adds its
-    pairs as integers.
+    the K scaled radii as columns, so psi is read once per distinct n and
+    no arc system is built.  The columns psi/ê_k narrow as k grows, so
+    every event is nonincreasing: a pair's walk over k ends at its first k
+    whose arcs cannot meet, (δ + Δ)·lcm(m, n) < 1.  A pair with an
+    overlapping k has its weights expanded once, in O(2^omega(mn)) integer
+    operations per overlapping k whatever m and n, and adds an integer over
+    q·lcm(m, n) per k, q = lcm of the radii's denominators.
     """
     lo, hi = block_bounds(h, base)
     epsilon = Fraction(epsilon)
@@ -135,7 +135,7 @@ def select_scale(
             )
     top = scale_count(h, epsilon, precision)
     scales = [exp_rational(k) for k in range(1, top + 1)]
-    radius = {x: psi.value(x) for pair in pairs for x in pair}
+    radius = {x: psi.value(x) for x in {y for pair in pairs for y in pair}}
     mu = {x: coprime_measure(x, v) for x, v in radius.items()}
 
     # S2 as one integer sum over the lcm of the measures' denominators

@@ -10,7 +10,7 @@ from functools import lru_cache, partial
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 from mpmath.libmp import round_ceiling, round_floor
@@ -199,10 +199,13 @@ def test_mertens_product_is_prime_product():
     ),
     st.one_of(st.none(), st.integers(min_value=1, max_value=400)),
 )
+@example([(2, True), (3, True), (5, False)], 12)
 def test_squarefree_divisors_match_subset_expansion(spec, limit):
     # the kernel's factors (p - 2, 1) and the Möbius factors (1, -1), mixed:
-    # the same multiset of (d, c_d) as a naive sum over every subset of the
-    # primes, filtered by the limit, with d = 1 first
+    # the same multiset of (d, c_d) as the nonzero terms of a naive sum over
+    # every subset of the primes, filtered by the limit; (2, 0, 1) zeroes
+    # every odd d, and no zero term is returned.  d = 1 comes first when
+    # its coefficient is nonzero
     factors = [(p, p - 2, 1) if r_side else (p, 1, -1) for p, r_side in spec]
     naive = []
     for chosen in range(1 << len(factors)):
@@ -213,11 +216,14 @@ def test_squarefree_divisors_match_subset_expansion(spec, limit):
                 c *= b
             else:
                 c *= a
-        if limit is None or d <= limit:
+        if (limit is None or d <= limit) and c:
             naive.append((d, c))
     got = _squarefree_divisors(iter(factors), limit)
     assert sorted(got) == sorted(naive)
-    assert got[:1] == [(1, math.prod(a for _, a, _ in factors))]
+    assert all(c for _, c in got)
+    c1 = math.prod(a for _, a, _ in factors)
+    if c1:
+        assert got[:1] == [(1, c1)]
 
 
 def test_restricted_prime_product_values():

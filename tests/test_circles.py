@@ -340,14 +340,14 @@ def test_columns_match_one_column_calls(n, cols, ms):
 
 
 def test_arc_event_domain_and_integers():
-    # built once: m factorized, each half-width radius/m as the integers
-    # (numerator, m * denominator)
+    # built once: m factorized, each radius in lowest terms as the integers
+    # (numerator, denominator)
     event = arc_event(12, (F(1, 2), 0, F(2, 7)))
     assert event.factors == ((2, 2), (3, 1))
-    assert event.widths == ((1, 24), (0, 12), (2, 84))
-    assert arc_event(5, ()).widths == ()
+    assert event.radii == ((1, 2), (0, 1), (2, 7))
+    assert arc_event(5, ()).radii == ()
     # nonincreasing: no column wider than the one before it, decided on
-    # the integer width pairs; a zero column followed by a wider one is not
+    # the integer radius pairs; a zero column followed by a wider one is not
     assert not event.nonincreasing
     assert not arc_event(5, (F(1, 8), F(1, 4))).nonincreasing     # ascending
     assert arc_event(5, (F(1, 2), F(1, 3), F(1, 7))).nonincreasing
@@ -389,6 +389,30 @@ def test_stop_rule_columns_match_one_column_calls(m, n, psi_m, psi_n):
     for rm, rn, col in zip(rads_m, rads_n, got):
         want = intersection_measure(coprime_arcs(m, rm), coprime_arcs(n, rn))
         assert col == pair_measure(m, rm, n, rn) == want
+
+
+def test_columns_with_equal_and_unequal_radius_denominators():
+    # column 0 puts every radius over 5 (q = d_m = d_n); column 1 sets 1/2,
+    # 1/4 and 1/2 against the target's 1/3, so its q run 6, 12, 6 and the
+    # column's sum changes denominator twice.  m = 15 has cofactors n/g = 2
+    # and m/g = 3 with n = 10, and m = n joins in both columns.  Every pair
+    # overlaps in every column.
+    rads_n = (F(2, 5), F(1, 3))
+    events = [
+        (6, (F(1, 5), F(1, 2))),
+        (15, (F(1, 5), F(1, 4))),
+        (10, (F(2, 5), F(1, 2))),
+    ]
+    got = kernel(10, rads_n, events)
+    for col, rn in enumerate(rads_n):
+        arcs = coprime_arcs(10, rn)
+        pairs = [
+            intersection_measure(coprime_arcs(m, rads[col]), arcs)
+            for m, rads in events
+        ]
+        assert all(pairs)
+        assert [pair_measure(m, rads[col], 10, rn) for m, rads in events] == pairs
+        assert got[col] == sum(pairs)
 
 
 def test_stop_rule_needs_nonincreasing_columns():

@@ -63,10 +63,14 @@ def test_bc_ratio_frozen_small(psi_half_300):
     ]
 
 
-def test_bc_ratio_matches_direct_double_sum(psi_half_300):
+@pytest.mark.parametrize("spec", ["half", "recip", "primes:1/4"])
+def test_bc_ratio_matches_direct_double_sum(spec):
+    # half gives every pair equal radius denominators; recip's 1/m and 1/n
+    # differ, so the kernel's q = lcm(d_m, d_n) route is checked too
+    psi = normalize_psi(make_psi(spec, 300))
     n_top = 12
-    ratio, rows = borel_cantelli_ratio(psi_half_300, n_top)
-    sets = [coprime_arcs(n, psi_half_300.value(n)) for n in range(1, n_top + 1)]
+    ratio, rows = borel_cantelli_ratio(psi, n_top)
+    sets = [coprime_arcs(n, psi.value(n)) for n in range(1, n_top + 1)]
     num = sum(s.measure() for s in sets) ** 2
     den = sum(
         intersection_measure(a, b) for a in sets for b in sets
