@@ -127,14 +127,18 @@ def _squarefree_divisors(
     The p are distinct primes; d runs over their squarefree products and
     c_d = Π_{p | d} b · Π_{p ∤ d} a.  With (a, b) = (1, -1) for every p,
     c_d = μ(d): the Möbius sum over the squarefree divisors of Π p.  With a
-    limit, only the d <= limit are expanded.  No c_d is 0: a = 0 keeps only
-    the multiples of p, a = 1 keeps the terms too; d = 1 first if c_1 != 0.
+    limit, only the d <= limit are expanded, and a prime p > limit, of
+    which no multiple fits, adds none.  No c_d is 0: a = 0 keeps only the
+    multiples of p, a = 1 keeps the terms too; d = 1 first if c_1 != 0.
     """
     terms = [(1, 1)]
     for p, a, b in factors:
-        multiples = [
-            (d * p, c * b) for d, c in terms if limit is None or d * p <= limit
-        ]
+        if limit is not None and p > limit:
+            multiples = []
+        else:
+            multiples = [
+                (d * p, c * b) for d, c in terms if limit is None or d * p <= limit
+            ]
         if a != 1:
             terms = [(d, c * a) for d, c in terms] if a else []
         terms += multiples
@@ -197,8 +201,9 @@ MIN_PRECISION = 8         # fewest working bits for certified logs
 # (man, exp), the exact value man·2^exp that libmp returns, and takes its
 # arguments as exact quotients (num, den), den >= 1, in lowest terms as a
 # Fraction holds them.  log_bounds, floored_log_bounds and pow_bounds are
-# thin Fraction wrappers over it; damping_bounds and the step table of
-# log_weight_integral read its ends without leaving the integers.
+# thin Fraction wrappers over it; damping_bounds and log_weight_integral
+# (its ln x ends and its step table) read its ends without leaving the
+# integers.
 
 _Dyadic = tuple[int, int]
 _ONE: _Dyadic = (1, 0)
@@ -418,32 +423,41 @@ def guarded_floor(lo: Fraction, hi: Fraction) -> int:
     return f_lo
 
 
-# ln b endpoints for log_weight_integral: _log_steps = (precision, lo, hi),
-# lo[b] and hi[b] the ends of log_bounds(b, precision) (0 at b = 0) as
-# integers on the 2^-(precision + 33) grid: mpmath rounds ln b >= ln 2 > 1/2
-# to precision + 32 significant bits, so every endpoint is a multiple of
-# 2^-(precision + 32), and the grid keeps a bit to spare.  One precision at
-# a time, grown on demand: at most INTEGRAL_CAP + 1 entries (b with its ends).
+# ln b endpoints for log_weight_integral: _log_steps = (precision, lo, hi,
+# cum_lo, cum_hi), lo[b] and hi[b] the ends of log_bounds(b, precision) (0
+# at b = 0) as integers on the 2^-(precision + 33) grid: mpmath rounds
+# ln b >= ln 2 > 1/2 to precision + 32 significant bits, so every endpoint
+# is a multiple of 2^-(precision + 32), and the grid keeps a bit to spare.
+# cum_lo[b] and cum_hi[b] are the sums of lo and hi over c <= b.  One
+# precision at a time, grown on demand and all four lists in step: at most
+# INTEGRAL_CAP + 1 entries each (b with its ends and their prefix sums).
 
-_log_steps: tuple[int | None, list[int], list[int]] = (None, [0], [0])
+_log_steps: tuple[int | None, list[int], list[int], list[int], list[int]] = (
+    None, [0], [0], [0], [0]
+)
 
 
-def _log_steps_upto(b_max: int, precision: int) -> tuple[list[int], list[int]]:
-    """The step table at precision, grown to cover b_max."""
+def _log_steps_upto(
+    b_max: int, precision: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The step table and its cumulative sums at precision, grown to
+    cover b_max."""
     global _log_steps
     wp = _working_bits(precision)
     if _log_steps[0] != precision:
-        _log_steps = (precision, [0], [0])
-    _, lo, hi = _log_steps
+        _log_steps = (precision, [0], [0], [0], [0])
+    _, lo, hi, cum_lo, cum_hi = _log_steps
     bits = wp + 1
     for b in range(len(lo), b_max + 1):
         ends = [_ln_end(b, 1, wp, rnd) for rnd in (round_floor, round_ceiling)]
         # a nonzero libmp mantissa is odd: an exponent below -bits is off the grid
         if min(exp for _, exp in ends) < -bits:
             raise PrecisionGuardError(f"ln {b} endpoint is off the 2^-{bits} ln grid")
-        for table, (man, exp) in zip((lo, hi), ends):
-            table.append(man << (exp + bits))
-    return lo, hi
+        for table, cum, (man, exp) in zip((lo, hi), (cum_lo, cum_hi), ends):
+            step = man << (exp + bits)
+            table.append(step)
+            cum.append(cum[-1] + step)
+    return lo, hi, cum_lo, cum_hi
 
 
 def log_weight_integral(t: int, x: RationalLike, precision: int = 128) -> Approx:
@@ -455,9 +469,13 @@ def log_weight_integral(t: int, x: RationalLike, precision: int = 128) -> Approx
 
     The count and the endpoint sums of the ln b are Möbius sums
     Σ_{d | t} μ(d)·S_d(floor(x/d)) over the squarefree divisors d <= x of
-    t, where S_d(q) sums the grid endpoints of ln(c·d) for c <= q: a
-    strided slice of the step table, O(x·Π_{p | t}(1 + 1/p)) integer
-    additions.  t is factorized, so it is bounded through SIEVE_CAP.
+    t, where S_d(q) sums the grid endpoints of ln(c·d) for c <= q.  S_1 is
+    one lookup in the step table's cumulative sums; each d > 1 is a
+    strided slice of the table, O(x·(Π_{p | t}(1 + 1/p) - 1)) integer
+    additions in all.  The ends of ln x stay libmp's dyadic (man, exp)
+    pairs, and both bounds are integers on one 2^-S grid, S >= precision
+    + 33, until the result's two Fractions.  t is factorized, so it is
+    bounded through SIEVE_CAP.
     """
     if t < 1:
         raise DomainError("log_weight_integral requires t >= 1")
@@ -470,27 +488,37 @@ def log_weight_integral(t: int, x: RationalLike, precision: int = 128) -> Approx
             f"log_weight_integral limited to {INTEGRAL_CAP} "
             f"(arith.INTEGRAL_CAP); needed {b_max}"
         )
-    lnx_lo, lnx_hi = log_bounds(x, precision)
-    steps_lo, steps_hi = _log_steps_upto(b_max, precision)
+    wp = _working_bits(precision)
+    man_lo, exp_lo = _ln_end(x.numerator, x.denominator, wp, round_floor)
+    man_hi, exp_hi = _ln_end(x.numerator, x.denominator, wp, round_ceiling)
+    steps_lo, steps_hi, cum_lo, cum_hi = _log_steps_upto(b_max, precision)
     count = sum_lo = sum_hi = 0
     for d, mu in _squarefree_divisors(((p, 1, -1) for p, _ in factorize(t)), b_max):
         q = b_max // d
         count += mu * q
-        sum_lo += mu * sum(steps_lo[d : q * d + 1 : d])
-        sum_hi += mu * sum(steps_hi[d : q * d + 1 : d])
-    grid = 1 << (precision + _LOG_GUARD_BITS + 1)
-    lo = count * lnx_lo - Fraction(sum_hi, grid)
-    hi = count * lnx_hi - Fraction(sum_lo, grid)
+        if d == 1:
+            sum_lo += mu * cum_lo[q]
+            sum_hi += mu * cum_hi[q]
+        else:
+            sum_lo += mu * sum(steps_lo[d : q * d + 1 : d])
+            sum_hi += mu * sum(steps_hi[d : q * d + 1 : d])
+    # count·ln x - Σ ln b on the 2^-shift grid: the ln b sums sit on the
+    # 2^-(wp + 1) grid, and the ends of ln x may fall below it
+    grid = wp + 1
+    shift = max(grid, -exp_lo, -exp_hi)
+    lo = (count * man_lo << (exp_lo + shift)) - (sum_hi << (shift - grid))
+    hi = (count * man_hi << (exp_hi + shift)) - (sum_lo << (shift - grid))
     if lo < 0:
-        lo = Fraction(0)  # integrand is nonnegative; rounding can dip below
-    out = Approx.from_bounds(lo, hi)
+        lo = 0  # integrand is nonnegative; rounding can dip below
+    if hi < lo:
+        raise DomainError("empty enclosure")
+    den = 1 << (shift + 1)
+    out = Approx(Fraction(lo + hi, den), Fraction(hi - lo, den))
     ceil_log2 = (count - 1).bit_length() if count else 0
-    if precision > ceil_log2:
-        budget = Fraction(1, 1 << (precision - ceil_log2))
-        if out.err > budget:
-            raise PrecisionGuardError(
-                f"integral error {float(out.err):.3g} exceeds 2^-{precision - ceil_log2}"
-            )
+    if precision > ceil_log2 and hi - lo > 1 << (shift + 1 - precision + ceil_log2):
+        raise PrecisionGuardError(
+            f"integral error {float(out.err):.3g} exceeds 2^-{precision - ceil_log2}"
+        )
     return out
 
 

@@ -283,7 +283,10 @@ def coprime_intersection_sums(
     live.  Each live column sums its terms up to its own reach, giving an
     integer over q·P; scaled to q·L, L = lcm(n, every m) (common), it
     joins the column's sum over the lcm of its q, which takes no gcd while
-    the q agree, as in every column of select_scale.  Cost: O(2^omega(r*t))
+    the q agree, as in every column of select_scale.  A one-column target
+    (every Borel–Cantelli row) takes the same steps without the live list:
+    each pair unpacks its one radius pair, applies the live rule and
+    expands its divisors up to its own reach.  Cost: O(2^omega(r*t))
     integer operations per pair and live column, whatever m, n and the
     radii.  The sum runs over all integers j, not over j mod P: it
     intersects the two systems lifted to the real line, so arcs that meet
@@ -295,6 +298,39 @@ def coprime_intersection_sums(
     n = target.m
     columns = len(radii_n)
     common = math.lcm(n, *(e.m for e in events))    # L: each P divides it
+    if columns == 1:
+        ((x_n, d_n),) = radii_n
+        num, den = 0, 1     # the column: 2*num/(den*common)
+        for event in events:
+            if len(event.radii) != 1:
+                raise DomainError(
+                    f"event {event.m} has {len(event.radii)} radii for 1 columns"
+                )
+            ((x_m, d_m),) = event.radii
+            if not (x_m and x_n):
+                continue
+            co_m = n // math.gcd(event.m, n)
+            period = event.m * co_m
+            q, a, b = d_m, x_m * co_m, x_n * (period // n)
+            if d_m != d_n:
+                q = math.lcm(d_m, d_n)
+                a, b = a * (q // d_m), b * (q // d_n)
+            if a > b:
+                a, b = b, a
+            reach = (a + b) // q
+            if not reach and event.m != n:
+                continue
+            _, _, base, w0, factors = _pair_weights(event.factors, target.factors)
+            terms = _squarefree_divisors(factors, reach)
+            acc = _overlap_sum(a, b, q, w0, reach, terms)
+            if acc:
+                if den != q:
+                    lcm = math.lcm(den, q)
+                    num *= lcm // den
+                    acc *= lcm // q
+                    den = lcm
+                num += base * (common // period) * acc
+        return [Fraction(2 * num, den * common)]
     nums, dens = [0] * columns, [1] * columns   # column i: 2*num/(den*common)
     for event in events:
         radii_m = event.radii

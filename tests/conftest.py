@@ -100,7 +100,7 @@ def psi_recip_300():
 def fresh_log_steps(monkeypatch):
     """An empty log_weight_integral step table for one test; the process's
     table comes back after it."""
-    monkeypatch.setattr(arith, "_log_steps", (None, [0], [0]))
+    monkeypatch.setattr(arith, "_log_steps", (None, [0], [0], [0], [0]))
 
 
 @pytest.fixture

@@ -530,7 +530,7 @@ def test_enclosures_ignore_mpmath_precision(fresh_log_steps, monkeypatch):
         iv.prec, mpmath.mp.prec = saved
     # the table filled under the skewed precisions goes; the reference
     # fills its own at the defaults
-    monkeypatch.setattr(arith, "_log_steps", (None, [0], [0]))
+    monkeypatch.setattr(arith, "_log_steps", (None, [0], [0], [0], [0]))
     assert results() == skewed
 
 
@@ -561,6 +561,33 @@ def test_log_weight_integral_error_contract():
         out = log_weight_integral(t, x, precision)
         count = sum(1 for b in range(1, x + 1) if math.gcd(b, t) == 1)
         assert out.err <= F(1, 1 << (precision - (count - 1).bit_length()))
+
+
+def test_log_weight_integral_error_budget_is_checked(fresh_log_steps, monkeypatch):
+    # at x = 5/2 (count 2) an ln x enclosure widened by w gives
+    # err = w + (width of ln 2)/2: refused just past 2^-(precision - 1),
+    # returned just inside it
+    precision = 64
+    budget = F(1, 1 << (precision - 1))
+    ln_end = arith._ln_end
+
+    def widened(width):
+        def end(num, den, wp, rnd):
+            if (num, den) != (5, 2):
+                return ln_end(num, den, wp, rnd)
+            man, exp = ln_end(num, den, wp, round_floor)
+            if rnd == round_ceiling:
+                man += int(width * (1 << -exp))
+            return man, exp
+
+        return end
+
+    monkeypatch.setattr(arith, "_ln_end", widened(budget))
+    with pytest.raises(PrecisionGuardError, match="integral error"):
+        log_weight_integral(1, F(5, 2), precision)
+    monkeypatch.setattr(arith, "_ln_end", widened(budget - F(1, 1 << (precision + 8))))
+    out = log_weight_integral(1, F(5, 2), precision)
+    assert budget - F(1, 1 << (precision + 7)) < out.err <= budget
 
 
 _log_int = lru_cache(maxsize=None)(log_bounds)
@@ -595,6 +622,11 @@ _PRIME_POWERS = st.builds(
     st.fractions(min_value=1, max_value=5000, max_denominator=50),
     st.sampled_from([32, 64, 128, 200]),
 )
+@example(1, F(1), 128)
+# ln x ends below the ln b grid, so the bounds take a finer one
+@example(2, F(51, 50), 64)
+@example(6, 1 + F(1, 1 << 100), 128)
+@example(30030, F(2999, 2), 64)
 def test_log_weight_integral_matches_scan(t, x, precision):
     assert log_weight_integral(t, x, precision) == scan_log_weight_integral(
         t, x, precision
@@ -612,14 +644,19 @@ def test_log_weight_integral_independent_of_table_state(fresh_log_steps):
 def test_log_steps_one_precision_bounded_at_integral_cap(fresh_log_steps):
     # the table holds the latest call's precision only, one entry per
     # b <= INTEGRAL_CAP and b = 0; switching precision replaces it
+    # with its cumulative sums, no longer than the table and built anew
     calls = [(510510, INTEGRAL_CAP), (9699690, INTEGRAL_CAP), (30030, F(2999, 2))]
     before = {}
+    sums = []
     for precision in (128, 64, 128):
         values = [log_weight_integral(t, x, precision) for t, x in calls]
         assert before.setdefault(precision, values) == values
-        table_precision, lo, hi = arith._log_steps
+        table_precision, lo, hi, cum_lo, cum_hi = arith._log_steps
         assert table_precision == precision
-        assert len(lo) == len(hi) == INTEGRAL_CAP + 1
+        assert len(cum_lo) == len(cum_hi) == len(lo) == len(hi) == INTEGRAL_CAP + 1
+        assert (cum_lo[-1], cum_hi[-1]) == (sum(lo), sum(hi))
+        assert all(cum_lo is not old and cum_hi is not old for old in sums)
+        sums += [cum_lo, cum_hi]
     assert before[64] != before[128]
 
 
@@ -628,7 +665,7 @@ def test_log_steps_match_interval_context(precision, fresh_log_steps):
     # each entry is an end of ln b from the interval context, times the
     # 2^(precision + 33) of the grid
     log_weight_integral(1, 3000, precision)
-    table_precision, lo, hi = arith._log_steps
+    table_precision, lo, hi, _, _ = arith._log_steps
     assert table_precision == precision and len(lo) == len(hi) == 3001
     assert lo[0] == hi[0] == 0
     grid = 1 << (precision + 33)
@@ -639,10 +676,11 @@ def test_log_steps_match_interval_context(precision, fresh_log_steps):
 
 def test_log_prefix_grid_is_checked(fresh_log_steps, monkeypatch):
     # an ln 7 end of 2^-(wp + 1) is on the grid, one of 2^-(wp + 2) is
-    # refused, and the table keeps its lower and upper ends in step
+    # refused, and the table keeps its lower and upper ends and their
+    # cumulative sums in step, so the next call grows it from b = 7
     ln_end = arith._ln_end
     for below, on_grid in ((1, True), (2, False)):
-        monkeypatch.setattr(arith, "_log_steps", (None, [0], [0]))
+        monkeypatch.setattr(arith, "_log_steps", (None, [0], [0], [0], [0]))
         monkeypatch.setattr(
             arith,
             "_ln_end",
@@ -652,13 +690,16 @@ def test_log_prefix_grid_is_checked(fresh_log_steps, monkeypatch):
         )
         if on_grid:
             log_weight_integral(1, 10, 64)
-            _, lo, hi = arith._log_steps
+            _, lo, hi, cum_lo, cum_hi = arith._log_steps
             assert lo[7] == hi[7] == 1
+            assert cum_lo[7] - cum_lo[6] == cum_hi[7] - cum_hi[6] == 1
         else:
             with pytest.raises(PrecisionGuardError, match="grid"):
                 log_weight_integral(1, 10, 64)
-            _, lo, hi = arith._log_steps
-            assert len(lo) == len(hi) == 7
+            _, lo, hi, cum_lo, cum_hi = arith._log_steps
+            assert len(lo) == len(hi) == len(cum_lo) == len(cum_hi) == 7
+    monkeypatch.setattr(arith, "_ln_end", ln_end)
+    assert log_weight_integral(1, 10, 64) == scan_log_weight_integral(1, 10, 64)
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,21 @@ def test_row_kernel_domain():
         row(3, (F(1, 4),), [(2, (F(-1, 4),))])
     with pytest.raises(DomainError):
         row(3, (F(1, 4), F(1, 8)), [(2, (F(1, 4),))])     # one radius short
+    # the one-column walk refuses a two-radius event as the column walk
+    # refuses a short one, zero target radius or not
+    for rads_n in ((F(1, 4),), (0,)):
+        with pytest.raises(DomainError, match=r"^event 2 has 2 radii for 1 columns$"):
+            row(3, rads_n, [(1, (F(1, 2),)), (2, (F(1, 4), F(1, 8)))])
+    with pytest.raises(DomainError, match=r"^event 2 has 1 radii for 2 columns$"):
+        row(3, (F(1, 4), F(1, 8)), [(2, (F(1, 4),))])
+    # a zero target radius is the empty set, whatever the events
+    assert row(6, (0,), [(1, (F(1, 2),)), (4, (F(1, 3),)), (6, (F(1, 4),))]) == [0]
+    # a zero-radius event among live ones, m = n included, adds nothing
+    live = [(1, (F(1, 2),)), (4, (F(1, 3),)), (6, (F(1, 4),))]
+    for dead in ((4, (0,)), (6, (0,)), (5, (0,))):
+        with_dead = row(6, (F(1, 5),), live[:2] + [dead] + live[2:])
+        assert with_dead == row(6, (F(1, 5),), live)
+    assert row(6, (F(1, 5),), live) != [0]
 
 
 radii = st.fractions(min_value=0, max_value=F(1, 2), max_denominator=40)
@@ -325,7 +340,9 @@ def test_columns_match_one_column_calls(n, cols, ms):
     # 1-4 columns (radius of each event, radius of n) in any order, so a
     # narrower column may precede a wider one, zero radii included; n is
     # among the events, so m = n always occurs.  Each column equals its
-    # one-column call and the sweep over built arcs.
+    # one-column call and the sweep over built arcs.  With two or more
+    # columns this is a differential test of the kernel's two walks: the
+    # column walk with its live list against the one-column walk.
     events = [(m, tuple(rm for rm, _ in cols)) for m in ms + [n]]
     got = kernel(n, [rn for _, rn in cols], events)
     assert len(got) == len(cols)
