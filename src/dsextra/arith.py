@@ -127,18 +127,16 @@ def _squarefree_divisors(
     The p are distinct primes; d runs over their squarefree products and
     c_d = Π_{p | d} b · Π_{p ∤ d} a.  With (a, b) = (1, -1) for every p,
     c_d = μ(d): the Möbius sum over the squarefree divisors of Π p.  With a
-    limit, only the d <= limit are expanded, and a prime p > limit, of
-    which no multiple fits, adds none.  No c_d is 0: a = 0 keeps only the
-    multiples of p, a = 1 keeps the terms too; d = 1 first if c_1 != 0.
+    limit, only the d <= limit are expanded, and the terms are not even
+    scanned for a prime p > limit, of which no multiple fits.  No c_d is
+    0: a = 0 keeps only the multiples of p, a = 1 keeps the terms too;
+    d = 1 first if c_1 != 0.
     """
     terms = [(1, 1)]
     for p, a, b in factors:
-        if limit is not None and p > limit:
-            multiples = []
-        else:
-            multiples = [
-                (d * p, c * b) for d, c in terms if limit is None or d * p <= limit
-            ]
+        multiples = [] if limit is not None and p > limit else [
+            (d * p, c * b) for d, c in terms if limit is None or d * p <= limit
+        ]
         if a != 1:
             terms = [(d, c * a) for d, c in terms] if a else []
         terms += multiples

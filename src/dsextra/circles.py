@@ -299,6 +299,10 @@ def coprime_intersection_sums(
     columns = len(radii_n)
     common = math.lcm(n, *(e.m for e in events))    # L: each P divides it
     if columns == 1:
+        # the column walk below without its live list, which costs about a
+        # tenth of a Borel–Cantelli row's time;
+        # test_columns_match_one_column_calls holds the two walks to the
+        # same bits
         ((x_n, d_n),) = radii_n
         num, den = 0, 1     # the column: 2*num/(den*common)
         for event in events:
