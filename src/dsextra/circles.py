@@ -3,8 +3,9 @@
 Production code uses only the measure law (coprime_measure) and the
 closed-form overlap kernel (coprime_intersection_sums), which build no
 arcs.  The kernel reads prepared events: arc_event validates m and its
-radii, factorizes m and stores each radius as integers, once per
-event, and callers hold the event for every row it joins.  The arc sets
+radii, refuses a column wider than the one before it, factorizes m and
+stores each radius as integers, once per event, and callers hold the
+event for every row it joins.  The arc sets
 (CircleIntervalSet: sorted, merged integer endpoints over one gcd-reduced
 denominator) and intersect, intersection_measure and
 midpoint_grid_measure are the tests' independent reference routes.
@@ -160,37 +161,39 @@ class ArcEvent:
     prepared for coprime_intersection_sums; built only by arc_event.
 
     factors is factorize(m); radii[i] is the radius of column i in lowest
-    terms, as the integer pair (numerator, denominator); nonincreasing says
-    that no radius, and so no half-width radius/m, exceeds the one before.
+    terms, as the integer pair (numerator, denominator), and no radius
+    exceeds the one before it.
     """
 
     m: int
     factors: tuple[tuple[int, int], ...]
     radii: tuple[tuple[int, int], ...]
-    nonincreasing: bool
 
 
 def arc_event(m: int, rads: Sequence[RationalLike]) -> ArcEvent:
     """The event E_m with column radii rads, in lowest terms, for the kernel.
 
     Validates m and each radius as coprime_arcs does (DomainError outside
-    m >= 1 and [0, 1/2]) and factorizes m, here and only here: callers
-    build one event per m and pass the same object as a row's target and
-    in the event list of every row it joins.
+    m >= 1 and [0, 1/2]), refuses a radius wider than the column before
+    it (DomainError naming the column) and factorizes m, here and only
+    here: callers build one event per m and pass the same object as a
+    row's target and in the event list of every row it joins.
     """
     checked = [_arc_radius(m, radius) for radius in rads]
     radii = tuple((r.numerator, r.denominator) for r in checked)
-    nonincreasing = all(
-        x * d_next >= x_next * d
-        for (x, d), (x_next, d_next) in zip(radii, radii[1:])
-    )
-    return ArcEvent(m, factorize(m), radii, nonincreasing)
+    for i, ((x, d), (x_next, d_next)) in enumerate(zip(radii, radii[1:]), 1):
+        if x_next * d > x * d_next:
+            raise DomainError(
+                f"event {m}: column {i} radius {checked[i]} is wider than "
+                f"column {i - 1} radius {checked[i - 1]}"
+            )
+    return ArcEvent(m, factorize(m), radii)
 
 
 def _pair_weights(
     fm: tuple[tuple[int, int], ...], fn: tuple[tuple[int, int], ...]
-) -> tuple[int, int, int, int, list[tuple[int, int, int]]]:
-    """(r, t, base, w(0)/base, factors) for the pair with factorizations fm, fn.
+) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """(base, w(0)/base, factors) for the pair with factorizations fm, fn.
 
     The exponent split of m, n: r collects the primes with equal exponents;
     for the others s takes the smaller and t the larger power.  So
@@ -203,27 +206,24 @@ def _pair_weights(
     primes of r*t, for _squarefree_divisors to expand.
     """
     em = dict(fm)
-    r = t = base = w0 = 1
+    base = w0 = 1
     factors = []
     for p, b in fn:
         a = em.pop(p, 0)
         if a == b:              # p | r
-            r *= p ** a
             base *= p ** (a - 1)
             w0 *= p - 1
             factors.append((p, p - 2, 1))
         else:                   # p | t, and p | s when both exponents are > 0
-            lo, hi = (a, b) if a < b else (b, a)
-            t *= p ** hi
+            lo = a if a < b else b
             if lo:
                 base *= (p - 1) * p ** (lo - 1)
             w0 = 0
             factors.append((p, 1, -1))
-    for p, a in em.items():     # the primes of m alone: p | t
-        t *= p ** a
+    for p in em:                # the primes of m alone: p | t
         w0 = 0
         factors.append((p, 1, -1))
-    return r, t, base, w0, factors
+    return base, w0, factors
 
 
 def _overlap_sum(
@@ -271,71 +271,32 @@ def coprime_intersection_sums(
     gives h_m·P = x·(n/g)/d, so per column h_m·P and h_n·P are a/q and b/q
     over q = lcm(d_m, d_n), which is d_m when the two agree.
 
-    A column is live when both radii are positive and its reach
-    floor((h_m + h_n)·P) is positive or m = n.  Any other column adds
-    exactly 0 for a few integer operations: a zero radius is the empty
-    set, arcs whose centres are j/P apart with j != 0 do not meet when the
-    reach is 0, and w(0) = 0 unless m = n.  Stop rule: when m != n and
-    both events are nonincreasing, every column after a dead one is no
-    wider, so the pair's first dead column ends its walk.  A pair with a
-    live column has its weights expanded once, over the squarefree D up
-    to its widest live reach, sorted by D when more than one column is
-    live.  Each live column sums its terms up to its own reach, giving an
-    integer over q·P; scaled to q·L, L = lcm(n, every m) (common), it
-    joins the column's sum over the lcm of its q, which takes no gcd while
-    the q agree, as in every column of select_scale.  A one-column target
-    (every Borel–Cantelli row) takes the same steps without the live list:
-    each pair unpacks its one radius pair, applies the live rule and
-    expands its divisors up to its own reach.  Cost: O(2^omega(r*t))
-    integer operations per pair and live column, whatever m, n and the
-    radii.  The sum runs over all integers j, not over j mod P: it
-    intersects the two systems lifted to the real line, so arcs that meet
-    on both sides of the circle count once at j and once at j - P.  That
-    is exact whenever each system's arcs are disjoint, which holds for
-    every radius in [0, 1/2], the domain of arc_event.
+    Each pair walks its columns in order.  A column is dead when a radius
+    is 0, or when m != n and its reach floor((h_m + h_n)·P) is 0: a zero
+    radius is the empty set, arcs whose centres are j/P apart with j != 0
+    do not meet when the reach is 0, and w(0) = 0 unless m = n.  No column
+    of an event is wider than the one before it (arc_event), so every
+    column after a dead one is dead too, and the pair's first dead column
+    ends its walk.  At column 0, the widest reach, the pair's weights are
+    expanded once over the squarefree D up to that reach, and sorted by D
+    when a second column is live.  Each live column sums its terms up to
+    its own reach, giving an integer over q·P; scaled to q·L,
+    L = lcm(n, every m) (common), it joins the column's sum over the lcm
+    of its q, which takes no gcd while the q agree, as in every column of
+    select_scale.  Cost: O(2^omega(r*t)) integer operations per pair and
+    live column, whatever m, n and the radii.  The sum runs over all
+    integers j, not over j mod P: it intersects the two systems lifted to
+    the real line, so arcs that meet on both sides of the circle count
+    once at j and once at j - P.  That is exact whenever each system's
+    arcs are disjoint, which holds for every radius in [0, 1/2], the
+    domain of arc_event.
     """
     radii_n = target.radii
     n = target.m
     columns = len(radii_n)
     common = math.lcm(n, *(e.m for e in events))    # L: each P divides it
-    if columns == 1:
-        # the column walk below without its live list, which costs about a
-        # tenth of a Borel–Cantelli row's time;
-        # test_columns_match_one_column_calls holds the two walks to the
-        # same bits
-        ((x_n, d_n),) = radii_n
-        num, den = 0, 1     # the column: 2*num/(den*common)
-        for event in events:
-            if len(event.radii) != 1:
-                raise DomainError(
-                    f"event {event.m} has {len(event.radii)} radii for 1 columns"
-                )
-            ((x_m, d_m),) = event.radii
-            if not (x_m and x_n):
-                continue
-            co_m = n // math.gcd(event.m, n)
-            period = event.m * co_m
-            q, a, b = d_m, x_m * co_m, x_n * (period // n)
-            if d_m != d_n:
-                q = math.lcm(d_m, d_n)
-                a, b = a * (q // d_m), b * (q // d_n)
-            if a > b:
-                a, b = b, a
-            reach = (a + b) // q
-            if not reach and event.m != n:
-                continue
-            _, _, base, w0, factors = _pair_weights(event.factors, target.factors)
-            terms = _squarefree_divisors(factors, reach)
-            acc = _overlap_sum(a, b, q, w0, reach, terms)
-            if acc:
-                if den != q:
-                    lcm = math.lcm(den, q)
-                    num *= lcm // den
-                    acc *= lcm // q
-                    den = lcm
-                num += base * (common // period) * acc
-        return [Fraction(2 * num, den * common)]
     nums, dens = [0] * columns, [1] * columns   # column i: 2*num/(den*common)
+    indices = range(columns)    # zipped in: per pair, cheaper than enumerate(zip())
     for event in events:
         radii_m = event.radii
         if len(radii_m) != columns:
@@ -346,32 +307,24 @@ def coprime_intersection_sums(
         period = event.m * co_m
         co_n = period // n
         same = event.m == n
-        stop = not same and target.nonincreasing and event.nonincreasing
-        live, limit = [], 0
-        for i, ((x_m, d_m), (x_n, d_n)) in enumerate(zip(radii_m, radii_n)):
-            if x_m and x_n:
-                q, a, b = d_m, x_m * co_m, x_n * co_n
-                if d_m != d_n:
-                    q = math.lcm(d_m, d_n)
-                    a, b = a * (q // d_m), b * (q // d_n)
-                if a > b:
-                    a, b = b, a
-                reach = (a + b) // q
-                if reach or same:
-                    live.append((i, q, a, b, reach))
-                    if reach > limit:
-                        limit = reach
-                    continue
-            if stop:
+        for i, (x_m, d_m), (x_n, d_n) in zip(indices, radii_m, radii_n):
+            if not (x_m and x_n):
                 break
-        if not live:
-            continue
-        _, _, base, w0, factors = _pair_weights(event.factors, target.factors)
-        base *= common // period
-        terms = _squarefree_divisors(factors, limit)
-        if len(live) > 1:
-            terms.sort()
-        for i, q, a, b, reach in live:
+            q, a, b = d_m, x_m * co_m, x_n * co_n
+            if d_m != d_n:
+                q = math.lcm(d_m, d_n)
+                a, b = a * (q // d_m), b * (q // d_n)
+            if a > b:
+                a, b = b, a
+            reach = (a + b) // q
+            if not (reach or same):
+                break
+            if not i:
+                base, w0, factors = _pair_weights(event.factors, target.factors)
+                base *= common // period
+                terms = _squarefree_divisors(factors, reach)
+            elif i == 1:
+                terms.sort()
             acc = _overlap_sum(a, b, q, w0, reach, terms)
             if acc:
                 # add base*acc/q over dens[i], the lcm of the column's q

@@ -25,6 +25,7 @@ from .errors import (
 from .harness import (
     bc_section,
     blocks_section,
+    check_caps,
     check_csv_path,
     load_config,
     parse_config,
@@ -208,10 +209,11 @@ def cmd_avgsum(args) -> int:
 
 def _one_section(section, doc: dict, out: str | None):
     # a CLI workload is a one-section config run through its section, with
-    # its CSV path checked before the section runs
+    # its CSV path and its caps checked before the section runs
     cfg = parse_config(doc)
     if out:
         check_csv_path(out)
+    check_caps(cfg)
     return section(cfg, out or None)
 
 

@@ -2,10 +2,10 @@
 
 Holds the Borel-Cantelli second-moment ratio, the divergence comparison
 table, deterministic pair sampling, the JSON experiment config, one
-section function per workload (with its CSV columns), and the
-config-driven runner.  The pair sweep and the Borel-Cantelli rows run on
-one ordered-map worker pool (_ordered_map); blocks and the table are
-serial.
+section function per workload (with its CSV columns), the cap checks
+that run before any section, and the config-driven runner.  The pair
+sweep and the Borel-Cantelli rows run on one ordered-map worker pool
+(_ordered_map); blocks and the table are serial.
 """
 
 from __future__ import annotations
@@ -485,36 +485,72 @@ TABLE_COLUMNS = (
 )
 
 
+def check_caps(cfg: ExperimentConfig) -> None:
+    """Refuse every corpus cap the config's sections would exceed, and a
+    block too large for exhaustive pairs with no sample to take instead,
+    before any section runs: CapExceededError past PAIR_CAP_EXACT,
+    PAIR_CAP_SAMPLED or BC_CAP (each replaced by max_n when set) or
+    TABLE_CAP, ConfigError for the missing sample."""
+    exact, sampled = cfg.cap(PAIR_CAP_EXACT), cfg.cap(PAIR_CAP_SAMPLED)
+    spec = cfg.pair_sweep
+    if spec is not None:
+        if spec.mode == "list":
+            worst = max(n for _, n in spec.pairs)
+            if worst > sampled:
+                raise CapExceededError(
+                    f"pair list reaches n = {worst}, beyond the cap {sampled} "
+                    f"(override with max_n)"
+                )
+        elif spec.mode == "exhaustive":
+            if spec.hi - 1 > exact:
+                raise CapExceededError(
+                    f"exhaustive pairs up to {spec.hi - 1} exceed the cap "
+                    f"{exact} (sample instead, or override with max_n)"
+                )
+        elif spec.hi - 1 > sampled:
+            raise CapExceededError(
+                f"sampled pairs up to {spec.hi - 1} exceed the cap {sampled} "
+                f"(override with max_n)"
+            )
+    blocks = cfg.blocks
+    for h in blocks.h_list if blocks is not None else ():
+        lo, hi = block_bounds(h, blocks.base)
+        if hi - 1 <= exact:
+            continue
+        if lo >= sampled:
+            raise CapExceededError(
+                f"block h={h} starts at {lo}, beyond the sampled cap "
+                f"{sampled} (a run config can override it with max_n)"
+            )
+        if blocks.sample is None or blocks.seed is None:
+            raise ConfigError(
+                f"block h={h} is too large for exhaustive pairs; "
+                f"set blocks.sample and blocks.seed (CLI: --sample and --seed)"
+            )
+    if cfg.bc_n is not None and cfg.bc_n > cfg.cap(BC_CAP):
+        raise CapExceededError(
+            f"bc series limited to N <= {cfg.cap(BC_CAP)} (harness.BC_CAP; "
+            f"a run config can override it with max_n)"
+        )
+    if cfg.table is not None and cfg.table.n_top > TABLE_CAP:
+        raise CapExceededError(
+            f"divergence table limited to {TABLE_CAP} (harness.TABLE_CAP); "
+            f"needed {cfg.table.n_top}"
+        )
+
+
 def _resolve_pairs(cfg: ExperimentConfig) -> list[tuple[int, int]]:
+    # the sweep's pairs, within the caps that check_caps enforces
     spec = cfg.pair_sweep
     assert spec is not None
     if spec.mode == "list":
-        limit = cfg.cap(PAIR_CAP_SAMPLED)
-        worst = max(n for _, n in spec.pairs)
-        if worst > limit:
-            raise CapExceededError(
-                f"pair list reaches n = {worst}, beyond the cap {limit} "
-                f"(override with max_n)"
-            )
         return list(spec.pairs)
     if spec.mode == "exhaustive":
-        limit = cfg.cap(PAIR_CAP_EXACT)
-        if spec.hi - 1 > limit:
-            raise CapExceededError(
-                f"exhaustive pairs up to {spec.hi - 1} exceed the cap {limit} "
-                f"(sample instead, or override with max_n)"
-            )
         return [
             (m, n)
             for m in range(spec.lo, spec.hi)
             for n in range(m + 1, spec.hi)
         ]
-    limit = cfg.cap(PAIR_CAP_SAMPLED)
-    if spec.hi - 1 > limit:
-        raise CapExceededError(
-            f"sampled pairs up to {spec.hi - 1} exceed the cap {limit} "
-            f"(override with max_n)"
-        )
     assert spec.seed is not None
     return sample_pairs(spec.lo, spec.hi, spec.count, spec.seed)
 
@@ -608,24 +644,14 @@ def sweep_section(
 
 
 def _block_pairs(cfg: ExperimentConfig, h: int) -> list[tuple[int, int]]:
+    # block h's pairs, within the caps that check_caps enforces
     spec = cfg.blocks
     assert spec is not None
     lo, hi = block_bounds(h, spec.base)
-    exhaustive_limit = cfg.cap(PAIR_CAP_EXACT)
-    if hi - 1 <= exhaustive_limit:
+    if hi - 1 <= cfg.cap(PAIR_CAP_EXACT):
         return [(m, n) for m in range(lo, hi) for n in range(m + 1, hi)]
-    sampled_limit = cfg.cap(PAIR_CAP_SAMPLED)
-    if lo >= sampled_limit:
-        raise CapExceededError(
-            f"block h={h} starts at {lo}, beyond the sampled cap "
-            f"{sampled_limit} (a run config can override it with max_n)"
-        )
-    if spec.sample is None or spec.seed is None:
-        raise ConfigError(
-            f"block h={h} is too large for exhaustive pairs; "
-            f"set blocks.sample and blocks.seed (CLI: --sample and --seed)"
-        )
-    top = min(hi, sampled_limit + 1)
+    assert spec.sample is not None and spec.seed is not None
+    top = min(hi, cfg.cap(PAIR_CAP_SAMPLED) + 1)
     return sample_pairs(lo, top, spec.sample, spec.seed)
 
 
@@ -727,12 +753,6 @@ def bc_section(cfg: ExperimentConfig, path=None) -> tuple[list, dict]:
     """The exact Borel-Cantelli series up to bc_n, within BC_CAP."""
     assert cfg.bc_n is not None
     psi = normalize_psi(make_psi(cfg.psi, cfg.bc_n))
-    limit = cfg.cap(BC_CAP)
-    if cfg.bc_n > limit:
-        raise CapExceededError(
-            f"bc series limited to N <= {limit} (harness.BC_CAP; "
-            f"a run config can override it with max_n)"
-        )
     ratio, rows = borel_cantelli_ratio(psi, cfg.bc_n, cfg.jobs)
     if path is not None:
         write_csv(path, BC_COLUMNS, [
@@ -787,7 +807,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     Returns the summary and the paths of the CSVs written when cfg.out is
     set (the sweep at out, other sections at derived names).  Every CSV
-    path is checked before the first section runs.
+    path and every cap (check_caps) is checked before the first section
+    runs.
     """
     out = Path(cfg.out) if cfg.out else None
 
@@ -809,6 +830,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     for _, path in plan:
         if path is not None:
             check_csv_path(path)
+    check_caps(cfg)
     result = RunResult(summary={"psi": cfg.psi, "k_top": cfg.k_top})
     for section, path in plan:
         _, summary = section(cfg, path)

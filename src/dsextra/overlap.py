@@ -23,12 +23,7 @@ from .arith import (
     restricted_prime_product,
     totient,
 )
-from .circles import (
-    _pair_weights,
-    arc_event,
-    coprime_intersection_sums,
-    coprime_measure,
-)
+from .circles import arc_event, coprime_intersection_sums, coprime_measure
 from .errors import DomainError
 from .psi import PsiFunction
 
@@ -61,20 +56,22 @@ class PairDecomposition:
 
 
 def decompose_pair(m: int, n: int, psi: PsiFunction) -> PairDecomposition:
-    """Exponent-comparison decomposition of a distinct pair: r and t from
-    the kernel's exponent walk (circles._pair_weights), s = gcd(m, n)/r."""
+    """Exponent-comparison decomposition of a distinct pair: r = Π p^e over
+    the primes p whose exponent e is the same in m and n, t = lcm(m, n)/r
+    and s = gcd(m, n)/r."""
     if m == n:
         raise DomainError("pair decomposition requires m != n")
     if m < 1 or n < 1:
         raise DomainError("pair entries must be >= 1")
-    r, t = _pair_weights(factorize(m), factorize(n))[:2]
+    em = dict(factorize(m))
+    r = math.prod(p ** e for p, e in factorize(n) if em.get(p) == e)
     gcd = math.gcd(m, n)
     psi_m = psi.value(m)
     psi_n = psi.value(n)
     dm = psi_m / m
     dn = psi_n / n
     return PairDecomposition(
-        m=m, n=n, gcd=gcd, r=r, s=gcd // r, t=t,
+        m=m, n=n, gcd=gcd, r=r, s=gcd // r, t=m // gcd * n // r,
         psi_m=psi_m, psi_n=psi_n,
         delta=min(dm, dn), Delta=max(dm, dn),
     )
@@ -179,30 +176,35 @@ def overlap_records(
 
     P = measure(A ∩ B)/(measure(A)·measure(B)) for the coprime arc systems
     of m, n with radii psi/ê_k, from one decomposition, two events with a
-    column per k, one kernel call and the measure law.  A zero measure
-    gives P = 0 (the dropped-term convention).  Windows are classified
-    against ê_max(ks).
+    column per distinct k in ascending order (so no column is wider than
+    the one before it), one kernel call and the measure law.  A zero
+    measure gives P = 0 (the dropped-term convention).  Windows are
+    classified against ê_max(ks).
     """
     top = max(ks, default=0)
     dec = decompose_pair(m, n, psi)
-    rads_m = [dec.psi_m / exp_rational(k) for k in ks]
-    rads_n = [dec.psi_n / exp_rational(k) for k in ks]
+    scales = sorted(set(ks))
+    rads_m = [dec.psi_m / exp_rational(k) for k in scales]
+    rads_n = [dec.psi_n / exp_rational(k) for k in scales]
     overlaps = coprime_intersection_sums(
         arc_event(n, rads_n), [arc_event(m, rads_m)]
     )
-    records = []
-    for k, rm, rn, overlap in zip(ks, rads_m, rads_n, overlaps):
+    p_exact = {}
+    for k, rm, rn, overlap in zip(scales, rads_m, rads_n, overlaps):
         mu = coprime_measure(m, rm) * coprime_measure(n, rn)
-        integ = overlap_integral_bound(dec, k, precision) if with_integral else None
-        records.append(OverlapRecord(
+        p_exact[k] = overlap / mu if mu else Fraction(0)
+    return [
+        OverlapRecord(
             m=m, n=n, k=k, r=dec.r, s=dec.s, t=dec.t, gcd=dec.gcd,
             delta=dec.delta, Delta=dec.Delta,
             cutoff=overlap_cutoff(dec, k), pv_product=prime_product_bound(dec, k),
-            p_exact=overlap / mu if mu else Fraction(0), integral=integ,
+            p_exact=p_exact[k],
+            integral=overlap_integral_bound(dec, k, precision) if with_integral else None,
             disjoint_pred=disjoint_predicted(dec, k),
             threshold_class=threshold_class(dec, k, top),
-        ))
-    return records
+        )
+        for k in ks
+    ]
 
 
 def averaging_reference(n: int, top: int, precision: int = 128) -> Approx:

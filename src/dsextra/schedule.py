@@ -117,11 +117,11 @@ def select_scale(
     intersections from the closed-form kernel coprime_intersection_sums,
     one call per n over events built once per distinct n (arc_event) with
     the K scaled radii as columns, so psi is read once per distinct n and
-    no arc system is built.  The columns psi/ê_k narrow as k grows, so
-    every event is nonincreasing: a pair's walk over k ends at its first k
-    whose arcs cannot meet, (δ + Δ)·lcm(m, n) < 1.  A pair with an
-    overlapping k has its weights expanded once, in O(2^omega(mn)) integer
-    operations per overlapping k whatever m and n, and adds an integer over
+    no arc system is built.  The columns psi/ê_k narrow as k grows, as
+    arc_event requires, so a pair's walk over k ends at its first k whose
+    arcs cannot meet, (δ + Δ)·lcm(m, n) < 1.  A pair that overlaps at k = 1
+    has its weights expanded once, in O(2^omega(mn)) integer operations per
+    overlapping k whatever m and n, and adds an integer over
     q·lcm(m, n) per k, q = lcm of the radii's denominators.
     """
     lo, hi = block_bounds(h, base)

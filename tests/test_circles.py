@@ -299,7 +299,7 @@ def test_row_kernel_domain():
         row(3, (F(1, 4),), [(2, (F(-1, 4),))])
     with pytest.raises(DomainError, match=r"^event 2 has 1 radii for 2 columns$"):
         row(3, (F(1, 4), F(1, 8)), [(2, (F(1, 4),))])     # one radius short
-    # the one-column walk refuses a two-radius event as the column walk
+    # a one-column target refuses a two-radius event as a two-column target
     # refuses a one-radius event, zero target radius or not
     for rads_n in ((F(1, 4),), (0,)):
         with pytest.raises(DomainError, match=r"^event 2 has 2 radii for 1 columns$"):
@@ -315,12 +315,14 @@ def test_row_kernel_domain():
 
 
 radii = st.fractions(min_value=0, max_value=F(1, 2), max_denominator=40)
+# columns (radius of each event, radius of n), each side no wider than the
+# column before it, as arc_event requires: both sides sorted descending
 columns = st.lists(
     st.tuples(radii, radii, st.integers(min_value=0, max_value=8)).map(
         lambda c: (c[0] / exp_rational(c[2]), c[1] / exp_rational(c[2]))
     ),
     min_size=1, max_size=4,
-)
+).map(lambda cols: list(zip(*(sorted(side, reverse=True) for side in zip(*cols)))))
 
 
 @settings(max_examples=100, deadline=None)
@@ -331,16 +333,16 @@ columns = st.lists(
 )
 @example(
     12,
-    [(F(1, 2) / exp_rational(6), F(1, 3) / exp_rational(6)), (0, F(1, 2)), (F(1, 2), F(2, 5))],
+    [(F(1, 2), F(1, 2)), (F(1, 2) / exp_rational(6), F(2, 5)), (0, F(1, 3) / exp_rational(6))],
     [1, 18, 12],
 )
 def test_columns_match_one_column_calls(n, cols, ms):
-    # 1-4 columns (radius of each event, radius of n) in any order, so a
-    # narrower column may precede a wider one, zero radii included; n is
-    # among the events, so m = n always occurs.  Each column equals its
-    # one-column call and the sweep over built arcs.  With two or more
-    # columns this is a differential test of the kernel's two walks: the
-    # column walk with its live list against the one-column walk.
+    # 1-4 non-widening columns, zero radii included (on one side or both);
+    # n is among the events, so m = n always occurs.  Each column equals
+    # its one-column call and the sweep over built arcs.  With two or more
+    # columns this is a differential test of the walk's reuse: later
+    # columns sum the sorted terms that column 0 expanded up to its own
+    # reach, a one-column call expands its own.
     events = [(m, tuple(rm for rm, _ in cols)) for m in ms + [n]]
     got = kernel(n, [rn for _, rn in cols], events)
     assert len(got) == len(cols)
@@ -357,19 +359,21 @@ def test_columns_match_one_column_calls(n, cols, ms):
 def test_arc_event_domain_and_integers():
     # built once: m factorized, each radius in lowest terms as the integers
     # (numerator, denominator)
-    event = arc_event(12, (F(1, 2), 0, F(2, 7)))
+    event = arc_event(12, (F(1, 2), F(2, 7), 0))
     assert event.factors == ((2, 2), (3, 1))
-    assert event.radii == ((1, 2), (0, 1), (2, 7))
+    assert event.radii == ((1, 2), (2, 7), (0, 1))
     assert arc_event(5, ()).radii == ()
-    # nonincreasing: no column wider than the one before it, decided on
-    # the integer radius pairs; a zero column followed by a wider one is not
-    assert not event.nonincreasing
-    assert not arc_event(5, (F(1, 8), F(1, 4))).nonincreasing     # ascending
-    assert arc_event(5, (F(1, 2), F(1, 3), F(1, 7))).nonincreasing
-    assert arc_event(5, (F(1, 4), F(2, 8), F(1, 4))).nonincreasing  # equal
-    assert arc_event(5, (F(1, 3), 0, 0)).nonincreasing             # zero tail
-    assert not arc_event(5, (F(1, 3), 0, F(1, 9))).nonincreasing
-    assert arc_event(5, ()).nonincreasing and arc_event(5, (F(1, 3),)).nonincreasing
+    # no column wider than the one before it: a widening column is refused
+    # by name, after a zero column too
+    with pytest.raises(DomainError, match=r"^event 5: column 1 radius 1/4 "):
+        arc_event(5, (F(1, 8), F(1, 4)))
+    with pytest.raises(DomainError, match=r"^event 5: column 2 radius 1/9 "):
+        arc_event(5, (F(1, 3), 0, F(1, 9)))
+    # descending, equal (in any spelling) and zero-tailed columns are taken
+    assert arc_event(5, (F(1, 2), F(1, 3), F(1, 7))).radii == ((1, 2), (1, 3), (1, 7))
+    assert arc_event(5, (F(1, 4), F(2, 8), F(1, 4))).radii == ((1, 4),) * 3
+    assert arc_event(5, (F(1, 3), 0, 0)).radii == ((1, 3), (0, 1), (0, 1))
+    assert arc_event(5, (F(1, 3),)).radii == ((1, 3),)
     # the domain of coprime_arcs, refused when the event is built
     with pytest.raises(DomainError, match="n >= 1"):
         arc_event(0, (F(1, 4),))
@@ -393,13 +397,11 @@ def test_arc_event_domain_and_integers():
 @example(1, 1, F(1, 2), F(1, 2))
 def test_stop_rule_columns_match_one_column_calls(m, n, psi_m, psi_n):
     # columns psi/ê_k, k = 0..12, as select_scale and overlap_records build
-    # them: both events nonincreasing, so a pair's first disjoint column
-    # ends its walk when m != n.  Each column equals its one-column call and
-    # the sweep over built arcs.
+    # them, so a pair's first disjoint column ends its walk when m != n.
+    # Each column equals its one-column call and the sweep over built arcs.
     scales = [exp_rational(k) for k in range(13)]
     rads_m = [psi_m / e for e in scales]
     rads_n = [psi_n / e for e in scales]
-    assert arc_event(m, rads_m).nonincreasing and arc_event(n, rads_n).nonincreasing
     got = kernel(n, rads_n, [(m, rads_m)])
     for rm, rn, col in zip(rads_m, rads_n, got):
         want = intersection_measure(coprime_arcs(m, rm), coprime_arcs(n, rn))
@@ -407,16 +409,16 @@ def test_stop_rule_columns_match_one_column_calls(m, n, psi_m, psi_n):
 
 
 def test_columns_with_equal_and_unequal_radius_denominators():
-    # column 0 puts every radius over 5 (q = d_m = d_n); column 1 sets 1/2,
-    # 1/4 and 1/2 against the target's 1/3, so its q run 6, 12, 6 and the
-    # column's sum changes denominator twice.  m = 15 has cofactors n/g = 2
-    # and m/g = 3 with n = 10, and m = n joins in both columns.  Every pair
-    # overlaps in every column.
-    rads_n = (F(2, 5), F(1, 3))
+    # column 0 sets 1/2, 5/12 and 1/2 against the target's 1/3, so its q
+    # run 6, 12, 6 and the column's sum changes denominator twice; column 1
+    # puts every radius over 5 (q = d_m = d_n).  m = 15 has cofactors
+    # n/g = 2 and m/g = 3 with n = 10, and m = n joins in both columns.
+    # Every pair overlaps in every column.
+    rads_n = (F(1, 3), F(1, 5))
     events = [
-        (6, (F(1, 5), F(1, 2))),
-        (15, (F(1, 5), F(1, 4))),
-        (10, (F(2, 5), F(1, 2))),
+        (6, (F(1, 2), F(2, 5))),
+        (15, (F(5, 12), F(2, 5))),
+        (10, (F(1, 2), F(2, 5))),
     ]
     got = kernel(10, rads_n, events)
     for col, rn in enumerate(rads_n):
@@ -431,18 +433,24 @@ def test_columns_with_equal_and_unequal_radius_denominators():
 
 
 def test_stop_rule_needs_nonincreasing_columns():
-    # a disjoint column before an overlapping one: the walk must go on
+    # a disjoint column before an overlapping one would end the walk too
+    # early, so a widening event is refused, as the target or among the
+    # events, before the kernel runs
     rads = (F(1, 10 ** 6), F(1, 2))
-    assert not arc_event(3, rads).nonincreasing
+    flat = (F(1, 10 ** 6), F(1, 10 ** 6))
+    with pytest.raises(DomainError, match="column 1"):
+        kernel(5, rads, [(3, flat)])
+    with pytest.raises(DomainError, match="column 1"):
+        kernel(5, flat, [(3, rads)])
+    # the same columns narrowing: the overlapping column comes first, and
+    # the disjoint one after it ends the walk, against equal target columns
+    narrow = rads[::-1]
     want = intersection_measure(coprime_arcs(3, F(1, 2)), coprime_arcs(5, F(1, 2)))
     assert want > 0
-    assert kernel(5, rads, [(3, rads)]) == [0, want]
-    # one nonincreasing event is not enough: the target's columns are equal
-    flat = (F(1, 10 ** 6), F(1, 10 ** 6))
-    assert arc_event(5, flat).nonincreasing
-    want = intersection_measure(coprime_arcs(3, F(1, 2)), coprime_arcs(5, flat[1]))
+    assert kernel(5, narrow, [(3, narrow)]) == [want, 0]
+    want = intersection_measure(coprime_arcs(3, F(1, 2)), coprime_arcs(5, flat[0]))
     assert want > 0
-    assert kernel(5, flat, [(3, rads)]) == [0, want]
+    assert kernel(5, flat, [(3, narrow)]) == [want, 0]
 
 
 scaled_radii = st.tuples(radii, st.integers(min_value=0, max_value=8)).map(
@@ -453,7 +461,8 @@ scaled_radii = st.tuples(radii, st.integers(min_value=0, max_value=8)).map(
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_events_reused_across_targets(data):
-    # each event is built once and reused: as a target, and in the event
+    # each event, its columns drawn and sorted so none widens, is built
+    # once and reused: as a target, and in the event
     # lists of the other targets, which run in shuffled order over their
     # events in shuffled order.  Every column equals the kernel on freshly
     # built events and the sweep over built arcs.
@@ -461,7 +470,9 @@ def test_events_reused_across_targets(data):
     specs = data.draw(st.lists(
         st.tuples(
             st.integers(min_value=1, max_value=300),
-            st.lists(scaled_radii, min_size=width, max_size=width).map(tuple),
+            st.lists(scaled_radii, min_size=width, max_size=width).map(
+                lambda rads: tuple(sorted(rads, reverse=True))
+            ),
         ),
         min_size=2, max_size=6,
     ))

@@ -321,6 +321,27 @@ def test_run_checks_every_csv_path_first(capsys, tmp_path, monkeypatch):
     assert {p.name for p in tmp_path.iterdir()} == {"cfg.json", "sweep.table.csv"}
 
 
+@pytest.mark.parametrize("later, code, text", [
+    ({"bc_n": 600}, 4, "BC_CAP"),
+    ({"blocks": {"base": 4, "h_list": [0, 2], "epsilon": "3"}}, 4, "sampled cap"),
+    ({"blocks": {"base": 4, "h_list": [0, 1], "epsilon": "3"}}, 2, "blocks.sample"),
+    ({"table": {"epsilon": "3", "n_top": 10_001}}, 4, "TABLE_CAP"),
+])
+def test_run_checks_every_cap_first(capsys, tmp_path, later, code, text):
+    # the sweep is within its cap, but a later section is not: the run
+    # exits before the sweep writes its CSV
+    cfg = _write_config(tmp_path, {
+        "psi": "half",
+        "pairs": {"mode": "exhaustive", "lo": 2, "hi": 60},
+        "out": str(tmp_path / "out.csv"),
+        **later,
+    })
+    exit_code, _, err = run_cli(capsys, "run", cfg)
+    assert exit_code == code
+    assert text in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 # the example config of the README and the SHA-256 of each CSV it writes:
 # refactors must leave these seeded bytes unchanged
 README_EXAMPLE = {

@@ -10,16 +10,11 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsextra.arith import exp_rational, factorize, log_bounds, totient
-from dsextra.circles import (
-    _pair_weights,
-    coprime_arcs,
-    coprime_measure,
-    intersection_measure,
-)
+from dsextra.circles import coprime_arcs, coprime_measure, intersection_measure
 from dsextra.errors import DomainError
 from dsextra.overlap import (
     CSV_COLUMNS,
@@ -119,8 +114,7 @@ def test_decompose_identities(m, n):
     psi = normalize_psi(make_psi("half", max(m, n)))
     d = decompose_pair(m, n, psi)
     assert (d.r, d.s, d.t) == exponent_split(m, n)
-    r, t = _pair_weights(factorize(m), factorize(n))[:2]
-    assert r * t == math.lcm(m, n)
+    assert d.r * d.t == math.lcm(m, n)
     assert m * n == d.r ** 2 * d.s * d.t
     assert math.gcd(m, n) == d.r * d.s
     assert d.t % d.s == 0
@@ -233,8 +227,10 @@ PSI_TABLE = normalize_psi(PsiFunction(
     st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),
     st.sampled_from(["half", "recip", "table"]),
 )
+@example(14, 30, [2, 0, 2, 1], "half")
 def test_overlap_records_match_one_k_calls_and_sweep(m, n, ks, spec):
-    # one kernel call with a column per k gives each k's one-k record, and
+    # one kernel call with a column per distinct k, in ascending order,
+    # gives each k's one-k record in the order of ks, repeats included, and
     # P agrees with the sweep over built arcs (0 on a zero measure)
     if m == n:
         n = n % 150 + 1

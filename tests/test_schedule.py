@@ -148,12 +148,16 @@ def test_select_scale_expands_overlapping_columns_only(monkeypatch):
     )
     assert 0 < len(calls) == overlapping < 8 * len(pairs)
 
-    # a pair whose widest column is disjoint expands no divisors, whether
-    # or not its columns are nonincreasing; an overlapping one does
+    # a pair whose widest column is disjoint expands no divisors, with
+    # narrowing, equal or zero-tailed columns; an overlapping one does
     expansions = count_calls(monkeypatch, "_squarefree_divisors")
     tiny = (F(1, 10 ** 6), F(1, 10 ** 7))
     target = circles.arc_event(5, tiny)
-    events = [circles.arc_event(3, tiny), circles.arc_event(7, tiny[::-1])]
+    events = [
+        circles.arc_event(3, tiny),
+        circles.arc_event(7, (F(1, 10 ** 6),) * 2),
+        circles.arc_event(9, (F(1, 10 ** 6), 0)),
+    ]
     assert circles.coprime_intersection_sums(target, events) == [0, 0]
     assert expansions == []
     wide = circles.arc_event(3, (F(1, 2), F(1, 3)))
