@@ -110,15 +110,6 @@ def totient(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Euler products and coprime sums
 
-def _euler_product(primes: Iterable[int]) -> Fraction:
-    """Exact Π p/(p - 1) = Π (1 - 1/p)^(-1) over the given primes."""
-    num = den = 1
-    for p in primes:
-        num *= p
-        den *= p - 1
-    return Fraction(num, den)
-
-
 def _squarefree_divisors(
     factors: Iterable[tuple[int, int, int]], limit: int | None = None
 ) -> list[tuple[int, int]]:
@@ -147,7 +138,12 @@ def restricted_prime_product(t: int, lower: RationalLike) -> Fraction:
     """Exact Π (1 - 1/p)^(-1) over distinct primes p | t with p > lower."""
     if t < 1:
         raise DomainError("restricted_prime_product requires t >= 1")
-    return _euler_product(p for p, _ in factorize(t) if p > lower)
+    num = den = 1
+    for p, _ in factorize(t):
+        if p > lower:
+            num *= p
+            den *= p - 1
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +194,10 @@ MIN_PRECISION = 8         # fewest working bits for certified logs
 # The dyadic core below holds one end of an enclosure as the integer pair
 # (man, exp), the exact value man·2^exp that libmp returns, and takes its
 # arguments as exact quotients (num, den), den >= 1, in lowest terms as a
-# Fraction holds them.  log_bounds, floored_log_bounds and pow_bounds are
-# thin Fraction wrappers over it; damping_bounds and log_weight_integral
-# (its ln x ends and its step table) read its ends without leaving the
-# integers.
+# Fraction holds them.  log_bounds and floored_log_bounds are thin
+# Fraction wrappers over it; log_power_bounds, damping_bounds and
+# log_weight_integral (its ln x ends and its step table) read its ends
+# without leaving the integers.
 
 _Dyadic = tuple[int, int]
 _ONE: _Dyadic = (1, 0)
@@ -310,62 +306,20 @@ def floored_log_bounds(
     return _log_ends(_floored_ln_end, lo, hi, precision)
 
 
-def pow_bounds(
-    lo: Fraction, hi: Fraction, exponent: Fraction, precision: int = 128
-) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of [lo, hi]^exponent for 0 < lo, exponent >= 0.
-
-    Integer exponents stay exact; fractional ones go through
-    exp(exponent * log), outward-rounded, computing only ln(lo) rounded
-    down and ln(hi) rounded up.
-    """
-    wp = _working_bits(precision)
-    if hi < lo:
-        raise DomainError("empty enclosure")
-    if lo <= 0:
-        raise DomainError("pow_bounds requires a positive base interval")
-    exponent = Fraction(exponent)
-    if exponent < 0:
-        raise DomainError("pow_bounds requires exponent >= 0")
-    p, q = exponent.numerator, exponent.denominator
-    if q == 1:
-        return lo ** p, hi ** p
-    ends = []
-    for x, rnd in ((lo, round_floor), (hi, round_ceiling)):
-        man, exp = _ln_end(x.numerator, x.denominator, wp, rnd)
-        ends.append(_fraction(_exp_end(*_reduced(p * man, q, exp), wp, rnd)))
-    return tuple(ends)
-
-
-def damping_bounds(
-    n: int, epsilon: RationalLike, hpv_c: RationalLike, precision: int = 128
-) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    """Certified enclosures of the divergence table's three damping factors
-    at n: (ln n)^epsilon, exp(hpv_c·ln n/ln ln n) and
-    (ln n)^(epsilon·ln ln ln n), every log read as max(1, ln x).
-
-    Each factor is a (lower, upper) pair of dyadic ends, each the exact
-    quotient (num, den) with den a power of two.  The ends are those of
-    pow_bounds and of the interval context's exp on the floored_log_bounds
-    chain ln n, ln ln n, ln ln ln n, bit for bit, but the chain stays in
-    integers: an integer epsilon raises the ends of ln n exactly, and every
-    other exponent is reduced with one gcd.  A fractional epsilon's power
-    reads ln ln n before the floor, and the other two factors reuse it.
-    """
+def _log_power(n: int, epsilon: RationalLike, precision: int):
+    # wp and the dyadic ends of (ln n)^epsilon, max(1, ln n) and
+    # max(1, ln ln n), for log_power_bounds and damping_bounds
     wp = _working_bits(precision)
     if n < 1:
         raise DomainError("log requires x > 0")
     if epsilon < 0:
-        raise DomainError("damping_bounds requires epsilon >= 0")
-    if hpv_c < 0:
-        raise DomainError("damping_bounds requires hpv_c >= 0")
+        raise DomainError("(ln n)^epsilon requires epsilon >= 0")
     ep, eq = epsilon.numerator, epsilon.denominator
-    cp, cq = hpv_c.numerator, hpv_c.denominator
     down, up = round_floor, round_ceiling
     l1 = _floored_ln_end(n, 1, wp, down), _floored_ln_end(n, 1, wp, up)
     (m1, e1), (m1h, e1h) = l1
     if eq == 1:
-        damped = (m1 ** ep, e1 * ep), (m1h ** ep, e1h * ep)
+        power = (m1 ** ep, e1 * ep), (m1h ** ep, e1h * ep)
         l2 = (
             _floored_ln_end(*_as_quotient(l1[0]), wp, down),
             _floored_ln_end(*_as_quotient(l1[1]), wp, up),
@@ -376,11 +330,53 @@ def damping_bounds(
             _ln_end(*_as_quotient(l1[1]), wp, up),
         )
         (m, e), (mh, eh) = ln_l1
-        damped = (
+        power = (
             _exp_end(*_reduced(ep * m, eq, e), wp, down),
             _exp_end(*_reduced(ep * mh, eq, eh), wp, up),
         )
         l2 = _at_least_one(ln_l1[0]), _at_least_one(ln_l1[1])
+    return wp, power, l1, l2
+
+
+def log_power_bounds(
+    n: int, epsilon: RationalLike, precision: int = 128
+) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """Certified enclosures of (ln n)^epsilon and of the two floored logs
+    it comes with, max(1, ln n) and max(1, ln ln n); every log is read as
+    max(1, ln x).
+
+    Each is a (lower, upper) pair of dyadic ends, each the exact quotient
+    (num, den) with den a power of two.  The ends are those of the
+    interval context on the floored_log_bounds chain, bit for bit, but
+    the chain stays in integers: an integer epsilon raises the ends of
+    ln n exactly, and a fractional one is exp(epsilon·ln ln n) on ln ln n
+    before the floor, which max(1, ln ln n) then reuses.  damping_bounds
+    reads the same ends (_log_power) as (man, exp) pairs.
+    """
+    _, *ends = _log_power(n, epsilon, precision)
+    return tuple((_as_quotient(lo), _as_quotient(hi)) for lo, hi in ends)
+
+
+def damping_bounds(
+    n: int, epsilon: RationalLike, hpv_c: RationalLike, precision: int = 128
+) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """Certified enclosures of the divergence table's three damping factors
+    at n: (ln n)^epsilon, exp(hpv_c·ln n/ln ln n) and
+    (ln n)^(epsilon·ln ln ln n), every log read as max(1, ln x).
+
+    Each factor is a (lower, upper) pair of dyadic quotient ends, as in
+    log_power_bounds, whose ends give the first factor and the floored
+    logs ln n and ln ln n that the other two reuse.  They are the
+    interval context's exps on the floored_log_bounds chain ln n,
+    ln ln n, ln ln ln n, bit for bit, with every end an integer pair and
+    each exponent reduced with one gcd.
+    """
+    if hpv_c < 0:
+        raise DomainError("damping_bounds requires hpv_c >= 0")
+    wp, damped, ((m1, e1), (m1h, e1h)), l2 = _log_power(n, epsilon, precision)
+    ep, eq = epsilon.numerator, epsilon.denominator
+    cp, cq = hpv_c.numerator, hpv_c.denominator
+    down, up = round_floor, round_ceiling
     (m2, e2), (m2h, e2h) = l2
     (m3, e3), (m3h, e3h) = (
         _floored_ln_end(*_as_quotient(l2[0]), wp, down),

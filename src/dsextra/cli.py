@@ -208,13 +208,12 @@ def cmd_avgsum(args) -> int:
 
 
 def _one_section(section, doc: dict, out: str | None):
-    # a CLI workload is a one-section config run through its section, with
-    # its CSV path and its caps checked before the section runs
+    # a CLI workload is a one-section config run through its section, on
+    # the corpus of check_caps, with its CSV path checked first
     cfg = parse_config(doc)
     if out:
         check_csv_path(out)
-    check_caps(cfg)
-    return section(cfg, out or None)
+    return section(cfg, check_caps(cfg), out or None)
 
 
 def cmd_block(args) -> int:

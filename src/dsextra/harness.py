@@ -2,10 +2,12 @@
 
 Holds the Borel-Cantelli second-moment ratio, the divergence comparison
 table, deterministic pair sampling, the JSON experiment config, one
-section function per workload (with its CSV columns), the cap checks
-that run before any section, and the config-driven runner.  The pair
-sweep and the Borel-Cantelli rows run on one ordered-map worker pool
-(_ordered_map); blocks and the table are serial.
+section function per workload (with its CSV columns), the preflight
+check_caps, which refuses every cap and bad config and resolves the
+corpus of each pair section before any section runs, and the
+config-driven runner.  The pair sweep and the Borel-Cantelli rows run
+on one ordered-map worker pool (_ordered_map); blocks and the table are
+serial.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,9 +32,8 @@ from .arith import (
     SCALE_CAP,
     damping_bounds,
     exp_rational,
-    floored_log_bounds,
     frac_str,
-    pow_bounds,
+    log_power_bounds,
     totient,
 )
 from .circles import ArcEvent, arc_event, coprime_intersection_sums, coprime_measure
@@ -47,6 +49,7 @@ from .schedule import (
     BlockReport,
     block_bounds,
     block_of,
+    scale_count,
     select_scale,
     thinned_psi,
 )
@@ -324,17 +327,37 @@ def _as_int(value, where: str, minimum: int | None = None) -> int:
     return value
 
 
+def _opt_int(value, where: str, minimum: int | None = None) -> int | None:
+    return None if value is None else _as_int(value, where, minimum)
+
+
+def _object(value, where: str, known: Iterable[str]) -> dict:
+    # a config object, refused if it is not one or has a key outside known
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(value) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return value
+
+
+# the keys of each pairs mode besides "mode"
+_PAIR_KEYS = {
+    "exhaustive": ("lo", "hi"),
+    "sample": ("lo", "hi", "count", "seed"),
+    "list": ("pairs",),
+}
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a JSON config document into an ExperimentConfig."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {
+    """Validate a JSON config document into an ExperimentConfig.
+
+    An unknown key is refused at every level, the pairs keys per mode.
+    """
+    _object(doc, "config", (
         "psi", "k_top", "precision", "jobs", "out", "with_integral",
         "pairs", "blocks", "bc_n", "table", "max_n",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    ))
     psi = doc.get("psi")
     if not isinstance(psi, str):
         raise ConfigError("config needs a psi generator string")
@@ -351,31 +374,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
     with_integral = doc.get("with_integral", False)
     if not isinstance(with_integral, bool):
         raise ConfigError("with_integral must be a boolean")
-    max_n = doc.get("max_n")
-    if max_n is not None:
-        max_n = _as_int(max_n, "max_n", 2)
+    max_n = _opt_int(doc.get("max_n"), "max_n", 2)
 
     pair_sweep = None
     if "pairs" in doc:
         p = doc["pairs"]
-        if not isinstance(p, dict) or "mode" not in p:
-            raise ConfigError("pairs must be an object with a mode")
-        mode = p["mode"]
-        if mode == "exhaustive":
-            lo = _as_int(p.get("lo", 2), "pairs.lo", 1)
-            hi = _as_int(p.get("hi", 0), "pairs.hi", lo + 2)
-            pair_sweep = PairSweepSpec(mode=mode, lo=lo, hi=hi)
-        elif mode == "sample":
-            lo = _as_int(p.get("lo", 2), "pairs.lo", 1)
-            hi = _as_int(p.get("hi", 0), "pairs.hi", lo + 2)
-            count = _as_int(p.get("count", 0), "pairs.count", 1)
-            if "seed" not in p:
-                raise ConfigError("sampled pairs require a seed")
-            seed = _as_int(p["seed"], "pairs.seed")
-            pair_sweep = PairSweepSpec(
-                mode=mode, lo=lo, hi=hi, count=count, seed=seed
+        mode = p.get("mode") if isinstance(p, dict) else None
+        if mode not in _PAIR_KEYS:
+            raise ConfigError(
+                f"pairs must be an object with a mode among {list(_PAIR_KEYS)}, "
+                f"got {mode!r}"
             )
-        elif mode == "list":
+        _object(p, f"{mode} pairs", ("mode", *_PAIR_KEYS[mode]))
+        if mode == "list":
             raw = p.get("pairs")
             if not isinstance(raw, list) or not raw:
                 raise ConfigError("pairs.pairs must be a nonempty list")
@@ -393,13 +404,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 pairs.append((min(m, n), max(m, n)))
             pair_sweep = PairSweepSpec(mode=mode, pairs=tuple(sorted(set(pairs))))
         else:
-            raise ConfigError(f"unknown pairs mode {mode!r}")
+            lo = _as_int(p.get("lo", 2), "pairs.lo", 1)
+            hi = _as_int(p.get("hi", 0), "pairs.hi", lo + 2)
+            count, seed = 0, None
+            if mode == "sample":
+                count = _as_int(p.get("count", 0), "pairs.count", 1)
+                if "seed" not in p:
+                    raise ConfigError("sampled pairs require a seed")
+                seed = _as_int(p["seed"], "pairs.seed")
+            pair_sweep = PairSweepSpec(mode, lo, hi, count, seed)
 
     blocks = None
     if "blocks" in doc:
-        b = doc["blocks"]
-        if not isinstance(b, dict):
-            raise ConfigError("blocks must be an object")
+        b = _object(doc["blocks"], "blocks", (
+            "base", "h_list", "epsilon", "sample", "seed", "thinned",
+        ))
         base = _as_int(b.get("base", 4), "blocks.base", 2)
         h_raw = b.get("h_list")
         if not isinstance(h_raw, list) or not h_raw:
@@ -408,12 +427,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         eps = _as_fraction(b.get("epsilon", "1"), "blocks.epsilon")
         if eps <= 0:
             raise ConfigError("blocks.epsilon must be > 0")
-        sample = b.get("sample")
-        if sample is not None:
-            sample = _as_int(sample, "blocks.sample", 1)
-        seed = b.get("seed")
-        if seed is not None:
-            seed = _as_int(seed, "blocks.seed")
+        sample = _opt_int(b.get("sample"), "blocks.sample", 1)
+        seed = _opt_int(b.get("seed"), "blocks.seed")
         thinned = b.get("thinned", False)
         if not isinstance(thinned, bool):
             raise ConfigError("blocks.thinned must be a boolean")
@@ -422,15 +437,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
             sample=sample, seed=seed, thinned=thinned,
         )
 
-    bc_n = doc.get("bc_n")
-    if bc_n is not None:
-        bc_n = _as_int(bc_n, "bc_n", 1)
+    bc_n = _opt_int(doc.get("bc_n"), "bc_n", 1)
 
     table = None
     if "table" in doc:
-        t = doc["table"]
-        if not isinstance(t, dict):
-            raise ConfigError("table must be an object")
+        t = _object(doc["table"], "table", ("epsilon", "n_top", "hpv_c"))
         table = TableSpec(
             epsilon=_as_fraction(t.get("epsilon", "1"), "table.epsilon"),
             n_top=_as_int(t.get("n_top", 0), "table.n_top", 2),
@@ -469,10 +480,11 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # sections: one function per workload, shared by `dsextra run` and the
-# single-workload CLI commands.  Each takes the validated config and an
-# optional CSV path, builds its own psi over exactly the n it reaches, and
-# returns its rows and its summary entries.  Every section but the table
-# normalizes psi.
+# single-workload CLI commands.  Each takes the validated config, the
+# Corpus that check_caps resolved (the pair sweep and the blocks run on
+# it) and an optional CSV path, builds its own psi over exactly the n it
+# reaches, and returns its rows and its summary entries.  Every section
+# but the table normalizes psi.
 
 BLOCK_COLUMNS = (
     "h", "base", "lo", "hi", "epsilon", "K", "k",
@@ -485,48 +497,83 @@ TABLE_COLUMNS = (
 )
 
 
-def check_caps(cfg: ExperimentConfig) -> None:
-    """Refuse every corpus cap the config's sections would exceed, and a
-    block too large for exhaustive pairs with no sample to take instead,
-    before any section runs: CapExceededError past PAIR_CAP_EXACT,
-    PAIR_CAP_SAMPLED or BC_CAP (each replaced by max_n when set) or
-    TABLE_CAP, ConfigError for the missing sample."""
+@dataclass(frozen=True)
+class Corpus:
+    """What check_caps resolves for the pair sections: the sweep's (top,
+    pairs) and the blocks' (n_star, {h: pairs}), None if not requested."""
+
+    sweep: tuple[int, list[tuple[int, int]]] | None
+    blocks: tuple[int, dict[int, list[tuple[int, int]]]] | None
+
+
+def check_caps(cfg: ExperimentConfig) -> Corpus:
+    """The preflight: refuse every cap and every config that a section
+    would refuse, and resolve the corpus each pair section runs on.
+
+    CapExceededError past PAIR_CAP_EXACT (exhaustive pairs) or
+    PAIR_CAP_SAMPLED (other pairs) or BC_CAP, each replaced by max_n when
+    set, or past TABLE_CAP, or a block's scale count past SCALE_CAP;
+    ConfigError for a block past PAIR_CAP_EXACT with no sample, a sample
+    larger than its range, or a thinned psi without the scale of an even
+    block up to n_star.  The blocks share one psi on 1..n_star, the end of
+    the last block within the sampled cap: thinned_psi walks all of it.
+    """
     exact, sampled = cfg.cap(PAIR_CAP_EXACT), cfg.cap(PAIR_CAP_SAMPLED)
+    sweep = blocks = None
     spec = cfg.pair_sweep
     if spec is not None:
-        if spec.mode == "list":
-            worst = max(n for _, n in spec.pairs)
-            if worst > sampled:
-                raise CapExceededError(
-                    f"pair list reaches n = {worst}, beyond the cap {sampled} "
-                    f"(override with max_n)"
-                )
-        elif spec.mode == "exhaustive":
-            if spec.hi - 1 > exact:
-                raise CapExceededError(
-                    f"exhaustive pairs up to {spec.hi - 1} exceed the cap "
-                    f"{exact} (sample instead, or override with max_n)"
-                )
-        elif spec.hi - 1 > sampled:
+        top = max(n for _, n in spec.pairs) if spec.mode == "list" else spec.hi - 1
+        cap = exact if spec.mode == "exhaustive" else sampled
+        if top > cap:
             raise CapExceededError(
-                f"sampled pairs up to {spec.hi - 1} exceed the cap {sampled} "
+                f"{spec.mode} pairs reach n = {top}, beyond the cap {cap} "
                 f"(override with max_n)"
             )
-    blocks = cfg.blocks
-    for h in blocks.h_list if blocks is not None else ():
-        lo, hi = block_bounds(h, blocks.base)
-        if hi - 1 <= exact:
-            continue
-        if lo >= sampled:
-            raise CapExceededError(
-                f"block h={h} starts at {lo}, beyond the sampled cap "
-                f"{sampled} (a run config can override it with max_n)"
-            )
-        if blocks.sample is None or blocks.seed is None:
-            raise ConfigError(
-                f"block h={h} is too large for exhaustive pairs; "
-                f"set blocks.sample and blocks.seed (CLI: --sample and --seed)"
-            )
+        if spec.mode == "list":
+            pairs = list(spec.pairs)
+        elif spec.mode == "exhaustive":
+            pairs = list(combinations(range(spec.lo, spec.hi), 2))
+        else:
+            pairs = sample_pairs(spec.lo, spec.hi, spec.count, spec.seed)
+        sweep = top, pairs
+    spec = cfg.blocks
+    if spec is not None:
+        block_pairs = {}
+        for h in spec.h_list:
+            lo, hi = block_bounds(h, spec.base)
+            k_top = scale_count(h, spec.epsilon, cfg.precision)
+            if k_top > SCALE_CAP:
+                raise CapExceededError(
+                    f"block h={h} has K = {k_top} scales at epsilon = "
+                    f"{spec.epsilon}, beyond {SCALE_CAP} (arith.SCALE_CAP)"
+                )
+            if hi - 1 <= exact:
+                block_pairs[h] = list(combinations(range(lo, hi), 2))
+            elif lo >= sampled:
+                raise CapExceededError(
+                    f"block h={h} starts at {lo}, beyond the sampled cap "
+                    f"{sampled} (a run config can override it with max_n)"
+                )
+            elif spec.sample is None or spec.seed is None:
+                raise ConfigError(
+                    f"block h={h} is too large for exhaustive pairs; "
+                    f"set blocks.sample and blocks.seed (CLI: --sample and --seed)"
+                )
+            else:
+                block_pairs[h] = sample_pairs(
+                    lo, min(hi, sampled + 1), spec.sample, spec.seed
+                )
+        n_star = min(block_bounds(spec.h_list[-1], spec.base)[1] - 1, sampled)
+        if spec.thinned:
+            # n_star >= 2: max_n >= 2, and every block starts at 2 or above
+            needed = range(0, block_of(n_star, spec.base) + 1, 2)
+            missing = [h for h in needed if h not in block_pairs]
+            if missing:
+                raise ConfigError(
+                    f"thinned psi needs chosen scales for even blocks {missing}; "
+                    f"add them to blocks.h_list"
+                )
+        blocks = n_star, block_pairs
     if cfg.bc_n is not None and cfg.bc_n > cfg.cap(BC_CAP):
         raise CapExceededError(
             f"bc series limited to N <= {cfg.cap(BC_CAP)} (harness.BC_CAP; "
@@ -537,22 +584,7 @@ def check_caps(cfg: ExperimentConfig) -> None:
             f"divergence table limited to {TABLE_CAP} (harness.TABLE_CAP); "
             f"needed {cfg.table.n_top}"
         )
-
-
-def _resolve_pairs(cfg: ExperimentConfig) -> list[tuple[int, int]]:
-    # the sweep's pairs, within the caps that check_caps enforces
-    spec = cfg.pair_sweep
-    assert spec is not None
-    if spec.mode == "list":
-        return list(spec.pairs)
-    if spec.mode == "exhaustive":
-        return [
-            (m, n)
-            for m in range(spec.lo, spec.hi)
-            for n in range(m + 1, spec.hi)
-        ]
-    assert spec.seed is not None
-    return sample_pairs(spec.lo, spec.hi, spec.count, spec.seed)
+    return Corpus(sweep, blocks)
 
 
 def _ordered_map(fn, items: Sequence, jobs: int) -> list:
@@ -585,7 +617,7 @@ def run_pair_sweep(
     psi: PsiFunction, cfg: ExperimentConfig, pairs: list[tuple[int, int]]
 ) -> list[OverlapRecord]:
     """Overlap records for all pairs and k = 1..k_top, in pair order and
-    then k order: (m, n, k)-sorted for the sorted pairs of _resolve_pairs.
+    then k order: (m, n, k)-sorted for the sorted pairs of check_caps.
 
     The pairs run on cfg.jobs worker processes (_ordered_map), which
     returns their records in pair order at every jobs value.
@@ -627,32 +659,17 @@ def _sweep_summary(records: list[OverlapRecord], k_top: int) -> dict:
 
 
 def sweep_section(
-    cfg: ExperimentConfig, path=None
+    cfg: ExperimentConfig, corpus: Corpus, path=None
 ) -> tuple[list[OverlapRecord], dict]:
-    """The pair sweep: overlap records for every resolved pair and k."""
-    spec = cfg.pair_sweep
-    assert spec is not None
-    top = max(n for _, n in spec.pairs) if spec.mode == "list" else spec.hi - 1
-    psi = normalize_psi(make_psi(cfg.psi, top))
-    records = run_pair_sweep(psi, cfg, _resolve_pairs(cfg))
+    """The pair sweep: overlap records for every pair of the corpus and k."""
+    top, pairs = corpus.sweep
+    records = run_pair_sweep(normalize_psi(make_psi(cfg.psi, top)), cfg, pairs)
     summary = _sweep_summary(records, cfg.k_top)
-    if spec.mode == "sample":
-        summary["seed"] = spec.seed
+    if cfg.pair_sweep.mode == "sample":
+        summary["seed"] = cfg.pair_sweep.seed
     if path is not None:
         write_csv(path, CSV_COLUMNS, [rec.csv_row() for rec in records])
     return records, {"sweep": summary}
-
-
-def _block_pairs(cfg: ExperimentConfig, h: int) -> list[tuple[int, int]]:
-    # block h's pairs, within the caps that check_caps enforces
-    spec = cfg.blocks
-    assert spec is not None
-    lo, hi = block_bounds(h, spec.base)
-    if hi - 1 <= cfg.cap(PAIR_CAP_EXACT):
-        return [(m, n) for m in range(lo, hi) for n in range(m + 1, hi)]
-    assert spec.sample is not None and spec.seed is not None
-    top = min(hi, cfg.cap(PAIR_CAP_SAMPLED) + 1)
-    return sample_pairs(lo, top, spec.sample, spec.seed)
 
 
 def _thinned_audit(
@@ -681,10 +698,9 @@ def _thinned_audit(
                 if v != psi_n.value(n) / exp_rational(k):
                     value_violations += 1
                 # ratio psi*(n)·(ln n)^eps / psi(n) = (ln n)^eps / ê_k
-                l1 = floored_log_bounds(n, n, precision)
-                p_lo, p_hi = pow_bounds(l1[0], l1[1], spec.epsilon, precision)
-                lo = p_lo / exp_rational(k)
-                hi = p_hi / exp_rational(k)
+                p_lo, p_hi = log_power_bounds(n, spec.epsilon, precision)[0]
+                lo = Fraction(*p_lo) / exp_rational(k)
+                hi = Fraction(*p_hi) / exp_rational(k)
                 window_lo = lo if window_lo is None or lo < window_lo else window_lo
                 window_hi = hi if window_hi is None or hi > window_hi else window_hi
         elif on_even and psi_n.value(n) > 0:
@@ -698,39 +714,22 @@ def _thinned_audit(
 
 
 def blocks_section(
-    cfg: ExperimentConfig, path=None
+    cfg: ExperimentConfig, corpus: Corpus, path=None
 ) -> tuple[list[BlockReport], dict]:
-    """Scale selection on every block of h_list, then the thinned audit.
-
-    Both use one psi on 1..n_star, the end of the last block within the
-    sampled cap, since thinned_psi walks all of its input.
-    """
+    """Scale selection on every block of the corpus, then the thinned
+    audit, both on one psi over 1..n_star."""
     spec = cfg.blocks
-    assert spec is not None
-    n_star = min(
-        max(block_bounds(h, spec.base)[1] for h in spec.h_list) - 1,
-        cfg.cap(PAIR_CAP_SAMPLED),
-    )
+    n_star, block_pairs = corpus.blocks
     psi = normalize_psi(make_psi(cfg.psi, n_star))
     reports = [
-        select_scale(
-            h, psi, spec.epsilon, _block_pairs(cfg, h), spec.base, cfg.precision
-        )
-        for h in spec.h_list
+        select_scale(h, psi, spec.epsilon, pairs, spec.base, cfg.precision)
+        for h, pairs in block_pairs.items()
     ]
     chosen = {rep.h: rep.chosen_k for rep in reports}
     summary: dict = {
         "blocks": {"base": spec.base, "epsilon": spec.epsilon, "chosen": chosen},
     }
     if spec.thinned:
-        # n_star >= 2: max_n >= 2, and every block starts at 2 or above
-        needed = range(0, block_of(n_star, spec.base) + 1, 2)
-        missing = [h for h in needed if h not in chosen]
-        if missing:
-            raise ConfigError(
-                f"thinned psi needs chosen scales for even blocks {missing}; "
-                f"add them to blocks.h_list"
-            )
         audit = _thinned_audit(psi, spec, chosen, n_star, cfg.precision)
         audit["n_star"] = n_star
         summary["thinned"] = audit
@@ -749,9 +748,8 @@ def blocks_section(
     return reports, summary
 
 
-def bc_section(cfg: ExperimentConfig, path=None) -> tuple[list, dict]:
+def bc_section(cfg: ExperimentConfig, corpus: Corpus, path=None) -> tuple[list, dict]:
     """The exact Borel-Cantelli series up to bc_n, within BC_CAP."""
-    assert cfg.bc_n is not None
     psi = normalize_psi(make_psi(cfg.psi, cfg.bc_n))
     ratio, rows = borel_cantelli_ratio(psi, cfg.bc_n, cfg.jobs)
     if path is not None:
@@ -766,11 +764,10 @@ def bc_section(cfg: ExperimentConfig, path=None) -> tuple[list, dict]:
 
 
 def table_section(
-    cfg: ExperimentConfig, path=None
+    cfg: ExperimentConfig, corpus: Corpus, path=None
 ) -> tuple[list[DivergenceRow], dict]:
     """The divergence table; the series uses psi as given, unnormalized."""
     spec = cfg.table
-    assert spec is not None
     rows = divergence_table(
         spec.epsilon, spec.n_top, make_psi(cfg.psi, spec.n_top),
         cfg.precision, spec.hpv_c,
@@ -807,8 +804,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     Returns the summary and the paths of the CSVs written when cfg.out is
     set (the sweep at out, other sections at derived names).  Every CSV
-    path and every cap (check_caps) is checked before the first section
-    runs.
+    path, every cap and every config a section would refuse (check_caps)
+    is checked before the first section runs.
     """
     out = Path(cfg.out) if cfg.out else None
 
@@ -830,10 +827,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     for _, path in plan:
         if path is not None:
             check_csv_path(path)
-    check_caps(cfg)
+    corpus = check_caps(cfg)
     result = RunResult(summary={"psi": cfg.psi, "k_top": cfg.k_top})
     for section, path in plan:
-        _, summary = section(cfg, path)
+        _, summary = section(cfg, corpus, path)
         result.summary.update(summary)
         if path is not None:
             result.csv_paths.append(str(path))

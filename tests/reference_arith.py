@@ -4,7 +4,9 @@ The sieve-chain helpers (Mertens products, coprime densities, coprime
 harmonic sums and the factored sieve upper bound) are exact quantities
 that the tests check against gcd scans and against one another.  The
 iv_* routes compute each certified enclosure with mpmath's interval
-context, independently of arith's dyadic core.
+context, independently of arith's dyadic core.  pow_bounds raises a
+Fraction enclosure to a power on arith's dyadic core, the route that
+arith.log_power_bounds keeps in integers.
 """
 
 import math
@@ -12,8 +14,17 @@ from fractions import Fraction as F
 from itertools import compress
 
 from mpmath import iv
+from mpmath.libmp import round_ceiling, round_floor
 
-from dsextra.arith import _euler_product, _squarefree_divisors, factorize
+from dsextra.arith import (
+    _exp_end,
+    _fraction,
+    _ln_end,
+    _reduced,
+    _squarefree_divisors,
+    _working_bits,
+    factorize,
+)
 from dsextra.errors import CapExceededError, DomainError
 
 HARMONIC_CAP = 5_000         # largest floor(X) for coprime_harmonic
@@ -21,6 +32,15 @@ HARMONIC_CAP = 5_000         # largest floor(X) for coprime_harmonic
 
 # ---------------------------------------------------------------------------
 # sieve-chain helpers
+
+def _euler_product(primes) -> F:
+    """Exact Π p/(p - 1) = Π (1 - 1/p)^(-1) over the given primes."""
+    num = den = 1
+    for p in primes:
+        num *= p
+        den *= p - 1
+    return F(num, den)
+
 
 def primes_up_to(x: int) -> list[int]:
     """All primes p <= x, ascending, from a plain sieve of Eratosthenes."""
@@ -183,3 +203,28 @@ def iv_damping_bounds(n, epsilon, hpv_c, precision=128):
     hpv = iv_exp_bounds(hpv_c * l1[0] / l2[1], hpv_c * l1[1] / l2[0], precision)
     bhhv = iv_exp_bounds(epsilon * l3[0] * l2[0], epsilon * l3[1] * l2[1], precision)
     return [damped, hpv, bhhv]
+
+
+def pow_bounds(lo, hi, exponent, precision=128):
+    """Certified enclosure of [lo, hi]^exponent for 0 < lo, exponent >= 0.
+
+    Integer exponents stay exact; fractional ones go through
+    exp(exponent * log), outward-rounded, computing only ln(lo) rounded
+    down and ln(hi) rounded up.
+    """
+    wp = _working_bits(precision)
+    if hi < lo:
+        raise DomainError("empty enclosure")
+    if lo <= 0:
+        raise DomainError("pow_bounds requires a positive base interval")
+    exponent = F(exponent)
+    if exponent < 0:
+        raise DomainError("pow_bounds requires exponent >= 0")
+    p, q = exponent.numerator, exponent.denominator
+    if q == 1:
+        return lo ** p, hi ** p
+    ends = []
+    for x, rnd in ((lo, round_floor), (hi, round_ceiling)):
+        man, exp = _ln_end(x.numerator, x.denominator, wp, rnd)
+        ends.append(_fraction(_exp_end(*_reduced(p * man, q, exp), wp, rnd)))
+    return tuple(ends)

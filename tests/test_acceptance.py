@@ -20,9 +20,9 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from reference_arith import coprime_harmonic, sieve_upper_bound
+from reference_arith import coprime_harmonic, pow_bounds, sieve_upper_bound
 
-from dsextra.arith import exp_rational, totient
+from dsextra.arith import exp_rational, floored_log_bounds, totient
 from dsextra.circles import (
     coprime_arcs,
     intersect,
@@ -266,7 +266,6 @@ def test_criterion_09_thinned_audit(psi_half_2000, block_report, pins):
     chosen = {0: report0.chosen_k, 2: block_report.chosen_k}
     star = thinned_psi(psi, 3, chosen, base=2)
 
-    from dsextra.arith import pow_bounds, floored_log_bounds
     from dsextra.schedule import block_of
 
     window_lo = window_hi = None

@@ -23,6 +23,7 @@ from reference_arith import (
     iv_floored_log_bounds,
     iv_log_bounds,
     mertens_product,
+    pow_bounds,
     primes_up_to,
     sieve_upper_bound,
 )
@@ -41,8 +42,8 @@ from dsextra.arith import (
     guarded_floor,
     is_prime,
     log_bounds,
+    log_power_bounds,
     log_weight_integral,
-    pow_bounds,
     restricted_prime_product,
     totient,
 )
@@ -397,7 +398,7 @@ def test_log_bounds_match_interval_context(x, precision):
 @settings(max_examples=300, deadline=None)
 @given(_EXP_ARG, _EXP_ARG, _PRECISION)
 def test_exp_ends_match_interval_context(a, b, precision):
-    # the dyadic core's exp ends, which pow_bounds and damping_bounds read
+    # the dyadic core's exp ends, which log_power_bounds and damping_bounds read
     lo, hi = min(a, b), max(a, b)
     wp = arith._working_bits(precision)
     got = (
@@ -420,6 +421,28 @@ def test_pow_bounds_match_interval_context(a, b, exponent, precision):
             precision,
         )
     assert pow_bounds(lo, hi, exponent, precision) == ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # max(1, ln n) = 1 up to n = 2, max(1, ln ln n) = 1 up to n = 12
+    st.one_of(st.integers(1, 20), st.integers(21, 10 ** 5), st.integers(10 ** 5, 10 ** 12)),
+    st.one_of(st.integers(0, 6).map(F), st.fractions(0, 6, max_denominator=12)),
+    st.sampled_from([64, 128]),
+)
+@example(1000, F(3), 64)
+@example(1000, F(3), 128)
+@example(1000, F(1, 2), 64)
+@example(1000, F(1, 2), 128)
+def test_log_power_bounds_match_pow_bounds(n, epsilon, precision):
+    # the table's and the thinned audit's (ln n)^epsilon, and the floored
+    # logs it comes with, against pow_bounds on the floored_log_bounds chain
+    power, l1, l2 = (
+        (F(*lo), F(*hi)) for lo, hi in log_power_bounds(n, epsilon, precision)
+    )
+    assert l1 == floored_log_bounds(n, n, precision)
+    assert l2 == floored_log_bounds(*l1, precision)
+    assert power == pow_bounds(*l1, epsilon, precision)
 
 
 # x = 1, 5/2 and around it: rationals a little below and above, and
@@ -495,7 +518,7 @@ def test_enclosures_reject_uncertifiable_precision(precision, monkeypatch):
     calls = [
         partial(log_bounds, 3),
         partial(floored_log_bounds, 3, 20),
-        partial(pow_bounds, F(2), F(3), F(1, 3)),
+        partial(log_power_bounds, 20, F(1, 3)),
         partial(log_weight_integral, 6, 10),
         partial(damping_bounds, 20, F(1, 2), F(1)),
         partial(divergence_table, 1, 50, psi),
@@ -516,7 +539,7 @@ def test_enclosures_ignore_mpmath_precision(fresh_log_steps, monkeypatch):
     def results():
         return [
             log_bounds(F(10, 7), 64),
-            pow_bounds(F(2), F(3), F(1, 3), 64),
+            log_power_bounds(20, F(1, 3), 64),
             log_weight_integral(30030, F(2999, 2), 64),
             divergence_table(F(1, 2), 200, psi, 64, F(3, 2)),
         ]

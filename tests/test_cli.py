@@ -326,9 +326,16 @@ def test_run_checks_every_csv_path_first(capsys, tmp_path, monkeypatch):
     ({"blocks": {"base": 4, "h_list": [0, 2], "epsilon": "3"}}, 4, "sampled cap"),
     ({"blocks": {"base": 4, "h_list": [0, 1], "epsilon": "3"}}, 2, "blocks.sample"),
     ({"table": {"epsilon": "3", "n_top": 10_001}}, 4, "TABLE_CAP"),
+    # block h = 3 at base 2 starts at 256: max_n = 300 leaves 990 pairs
+    ({"blocks": {"base": 2, "h_list": [3], "epsilon": "3", "sample": 5000, "seed": 1},
+      "max_n": 300}, 2, "cannot sample 5000"),
+    ({"blocks": {"base": 2, "h_list": [1], "epsilon": "3", "thinned": True}},
+     2, "even blocks [0]"),
+    # K(1) = floor(100·ln 4) = 138 scales
+    ({"blocks": {"base": 2, "h_list": [1], "epsilon": "100"}}, 4, "SCALE_CAP"),
 ])
 def test_run_checks_every_cap_first(capsys, tmp_path, later, code, text):
-    # the sweep is within its cap, but a later section is not: the run
+    # the sweep is within its cap, but a later section is refused: the run
     # exits before the sweep writes its CSV
     cfg = _write_config(tmp_path, {
         "psi": "half",

@@ -13,7 +13,7 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_arith import iv_exp_bounds
+from reference_arith import iv_exp_bounds, pow_bounds
 
 from dsextra import arith, circles, harness
 from dsextra.arith import (
@@ -21,7 +21,6 @@ from dsextra.arith import (
     Approx,
     floored_log_bounds,
     frac_str,
-    pow_bounds,
     totient,
 )
 from dsextra.circles import coprime_arcs, intersection_measure
@@ -228,7 +227,7 @@ def test_divergence_table_domain_and_caps(psi_half_300):
 
 
 # SHA-256 of every row field as exact text, for (psi spec, epsilon, hpv_c,
-# N, precision).  The recip row takes pow_bounds' fractional path.
+# N, precision).  The recip row takes log_power_bounds' fractional path.
 TABLE_SHA256 = {
     ("half", F(3), F(1), 3000, 128):
         "72dd47de7272c001336686b8c58d638516fdca8aaf2a7c3eb62db794859ddc6e",
@@ -472,10 +471,17 @@ def test_parse_config_full_document():
 
 
 def test_parse_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown"):
-        parse_config({"psi": "half", "psy": 1})
-    with pytest.raises(ConfigError):
-        parse_config({"psi": "half", "pairs": {"mode": "sample", "typo": 1}})
+    # GOOD_DOC with one unknown key, at the top level, in a section, or
+    # outside its pairs mode: the key alone is refused, by name
+    for key, doc in [
+        ("psy", {**GOOD_DOC, "psy": 1}),
+        ("typo", {**GOOD_DOC, "pairs": {**GOOD_DOC["pairs"], "typo": 1}}),
+        ("seed", {**GOOD_DOC, "pairs": {"mode": "exhaustive", "lo": 2, "hi": 50, "seed": 1}}),
+        ("thined", {**GOOD_DOC, "blocks": {**GOOD_DOC["blocks"], "thined": True}}),
+        ("hpv-c", {**GOOD_DOC, "table": {**GOOD_DOC["table"], "hpv-c": "2"}}),
+    ]:
+        with pytest.raises(ConfigError, match=f"unknown .* keys: \\['{key}'\\]"):
+            parse_config(doc)
 
 
 def test_parse_config_rejects_float_numerics():
