@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterable
 
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_exp, mpf_log
+from mpmath.libmp import MPZ, from_int, from_man_exp, mpf_div, mpf_exp, mpf_log
 from mpmath.libmp import round_ceiling, round_floor
 
 from .errors import CapExceededError, DomainError, PrecisionGuardError
@@ -194,10 +194,11 @@ MIN_PRECISION = 8         # fewest working bits for certified logs
 # The dyadic core below holds one end of an enclosure as the integer pair
 # (man, exp), the exact value man·2^exp that libmp returns, and takes its
 # arguments as exact quotients (num, den), den >= 1, in lowest terms as a
-# Fraction holds them.  log_bounds and floored_log_bounds are thin
-# Fraction wrappers over it; log_power_bounds, damping_bounds and
-# log_weight_integral (its ln x ends and its step table) read its ends
-# without leaving the integers.
+# Fraction holds them.  An end that libmp returned feeds the next ln as
+# the libmp value it came from (_mpf), with no quotient in between.
+# log_bounds and floored_log_bounds are thin Fraction wrappers over it;
+# log_power_bounds, damping_bounds and log_weight_integral (its ln x ends
+# and its step table) read its ends without leaving the integers.
 
 _Dyadic = tuple[int, int]
 _ONE: _Dyadic = (1, 0)
@@ -210,26 +211,17 @@ def _working_bits(precision: int) -> int:
     return precision + _LOG_GUARD_BITS
 
 
-def _quotient_end(num: int, den: int, wp: int, rnd: str):
-    # the round_floor (lower) or round_ceiling (upper) end of num/den, den >= 1
+def _quotient_end(num: int, den: int, wp: int, rnd: str, shift: int = 0):
+    # the round_floor (lower) or round_ceiling (upper) end of num·2^shift/den,
+    # den >= 1, for num/den in lowest terms up to powers of two: from_int
+    # rounds the operands, and only a power of two commutes with that
     if den & (den - 1) == 0:
         # den = 2^k is exact at any precision, so rounding num and then
         # dividing by 2^k rounds num·2^-k once, as from_man_exp does
-        return from_man_exp(num, 1 - den.bit_length(), wp, rnd)
+        return from_man_exp(num, shift + 1 - den.bit_length(), wp, rnd)
     # num/den falls as den grows when num >= 0, and rises when num < 0
     den_rnd = rnd if num < 0 else (round_ceiling if rnd == round_floor else round_floor)
-    return mpf_div(from_int(num, wp, rnd), from_int(den, wp, den_rnd), wp, rnd)
-
-
-def _reduced(num: int, den: int, shift: int = 0) -> tuple[int, int]:
-    # num·2^shift/den, den >= 1, in lowest terms: from_int rounds the
-    # operands, so the quotient must be the one a Fraction holds
-    if shift >= 0:
-        num <<= shift
-    else:
-        den <<= -shift
-    g = math.gcd(num, den)
-    return (num // g, den // g) if g != 1 else (num, den)
+    return mpf_div(from_man_exp(num, shift, wp, rnd), from_int(den, wp, den_rnd), wp, rnd)
 
 
 def _as_quotient(x: _Dyadic) -> tuple[int, int]:
@@ -239,17 +231,42 @@ def _as_quotient(x: _Dyadic) -> tuple[int, int]:
     return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
+def _dyadic(x) -> _Dyadic:
+    # a libmp value as (man, exp), the sign on man
+    sign, man, exp, _ = x
+    return (-int(man) if sign else int(man)), exp
+
+
+def _mpf(x: _Dyadic):
+    # an end x >= 0 that libmp returned, or 0 or 1, as its libmp value: the
+    # mantissa is odd (or 0) and at most wp bits, so it needs no rounding,
+    # only libmp's own integer type (gmpy's mpz when mpmath runs on gmpy)
+    man, exp = x
+    return 0, MPZ(man), exp, man.bit_length()
+
+
 def _ln_end(num: int, den: int, wp: int, rnd: str) -> _Dyadic:
     # one end of ln(num/den) for num/den > 0; ln 1 = 0 takes no call
     if num == den:
         return 0, 0
-    sign, man, exp, _ = mpf_log(_quotient_end(num, den, wp, rnd), wp, rnd)
-    return (-int(man) if sign else int(man)), exp
+    return _dyadic(mpf_log(_quotient_end(num, den, wp, rnd), wp, rnd))
 
 
-def _exp_end(num: int, den: int, wp: int, rnd: str) -> _Dyadic:
-    sign, man, exp, _ = mpf_exp(_quotient_end(num, den, wp, rnd), wp, rnd)
-    return (-int(man) if sign else int(man)), exp
+def _ln_of_end(x: _Dyadic, wp: int, rnd: str) -> _Dyadic:
+    # _ln_end of an end x > 0 that libmp returned, or 1
+    if x == _ONE:
+        return 0, 0
+    return _dyadic(mpf_log(_mpf(x), wp, rnd))
+
+
+def _exp_end(num: int, den: int, wp: int, rnd: str, shift: int = 0) -> _Dyadic:
+    # one end of exp(num·2^shift/den), den >= 1; num/den is put in lowest
+    # terms here, as a Fraction holds it
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return _dyadic(mpf_exp(_quotient_end(num, den, wp, rnd, shift), wp, rnd))
 
 
 def _at_least_one(x: _Dyadic) -> _Dyadic:
@@ -264,6 +281,15 @@ def _floored_ln_end(num: int, den: int, wp: int, rnd: str) -> _Dyadic:
     if 2 * num <= 5 * den:
         return _ONE
     return _at_least_one(_ln_end(num, den, wp, rnd))
+
+
+def _floored_ln_of_end(x: _Dyadic, wp: int, rnd: str) -> _Dyadic:
+    # _floored_ln_end of an end x that libmp returned, or 1, with the 5/2
+    # test on (man, exp): man·2^exp <= 5/2 exactly when man·2^(exp+1) <= 5
+    man, exp = x
+    if (man << exp + 1 <= 5) if exp >= -1 else (man <= 5 << -1 - exp):
+        return _ONE
+    return _at_least_one(_dyadic(mpf_log(_mpf(x), wp, rnd)))
 
 
 def _fraction(x: _Dyadic) -> Fraction:
@@ -320,20 +346,11 @@ def _log_power(n: int, epsilon: RationalLike, precision: int):
     (m1, e1), (m1h, e1h) = l1
     if eq == 1:
         power = (m1 ** ep, e1 * ep), (m1h ** ep, e1h * ep)
-        l2 = (
-            _floored_ln_end(*_as_quotient(l1[0]), wp, down),
-            _floored_ln_end(*_as_quotient(l1[1]), wp, up),
-        )
+        l2 = _floored_ln_of_end(l1[0], wp, down), _floored_ln_of_end(l1[1], wp, up)
     else:
-        ln_l1 = (
-            _ln_end(*_as_quotient(l1[0]), wp, down),
-            _ln_end(*_as_quotient(l1[1]), wp, up),
-        )
+        ln_l1 = _ln_of_end(l1[0], wp, down), _ln_of_end(l1[1], wp, up)
         (m, e), (mh, eh) = ln_l1
-        power = (
-            _exp_end(*_reduced(ep * m, eq, e), wp, down),
-            _exp_end(*_reduced(ep * mh, eq, eh), wp, up),
-        )
+        power = _exp_end(ep * m, eq, wp, down, e), _exp_end(ep * mh, eq, wp, up, eh)
         l2 = _at_least_one(ln_l1[0]), _at_least_one(ln_l1[1])
     return wp, power, l1, l2
 
@@ -368,8 +385,9 @@ def damping_bounds(
     log_power_bounds, whose ends give the first factor and the floored
     logs ln n and ln ln n that the other two reuse.  They are the
     interval context's exps on the floored_log_bounds chain ln n,
-    ln ln n, ln ln ln n, bit for bit, with every end an integer pair and
-    each exponent reduced with one gcd.
+    ln ln n, ln ln ln n, bit for bit.  Each log of the chain takes the
+    (man, exp) end before it straight into libmp, and each exponent is
+    reduced with one gcd; only the six returned ends become quotients.
     """
     if hpv_c < 0:
         raise DomainError("damping_bounds requires hpv_c >= 0")
@@ -379,16 +397,15 @@ def damping_bounds(
     down, up = round_floor, round_ceiling
     (m2, e2), (m2h, e2h) = l2
     (m3, e3), (m3h, e3h) = (
-        _floored_ln_end(*_as_quotient(l2[0]), wp, down),
-        _floored_ln_end(*_as_quotient(l2[1]), wp, up),
+        _floored_ln_of_end(l2[0], wp, down), _floored_ln_of_end(l2[1], wp, up)
     )
     hpv = (
-        _exp_end(*_reduced(cp * m1, cq * m2h, e1 - e2h), wp, down),
-        _exp_end(*_reduced(cp * m1h, cq * m2, e1h - e2), wp, up),
+        _exp_end(cp * m1, cq * m2h, wp, down, e1 - e2h),
+        _exp_end(cp * m1h, cq * m2, wp, up, e1h - e2),
     )
     bhhv = (
-        _exp_end(*_reduced(ep * m3 * m2, eq, e3 + e2), wp, down),
-        _exp_end(*_reduced(ep * m3h * m2h, eq, e3h + e2h), wp, up),
+        _exp_end(ep * m3 * m2, eq, wp, down, e3 + e2),
+        _exp_end(ep * m3h * m2h, eq, wp, up, e3h + e2h),
     )
     return tuple((_as_quotient(lo), _as_quotient(hi)) for lo, hi in (damped, hpv, bhhv))
 

@@ -137,13 +137,15 @@ def divergence_table(
     hpv_c: RationalLike = 1,
 ) -> list[DivergenceRow]:
     """Partial sums of the divergence series under the competing damping
-    factors, one row at each power of two below n_top and one at n_top.
+    factors, one row at each power of two <= n_top and one at n_top.
 
     All logs follow the all-logs-positive convention max(1, ln x); the
     damped sums are certified enclosures, the plain sum is exact.  Each
-    term's three factors come from one arith.damping_bounds call as dyadic
-    ends, and each running bound stays an integer on the 2^-(precision+16)
-    grid (_div_add); Fractions are built only for the checkpoint rows.
+    term is the integer quotient a/b in lowest terms, and the plain sum
+    one integer over the lcm of the term denominators so far.  The term's
+    three factors come from one arith.damping_bounds call as dyadic ends,
+    and each running bound stays an integer on the 2^-(precision+16) grid
+    (_div_add); Fractions are built only for the checkpoint rows.
     """
     epsilon = Fraction(epsilon)
     hpv_c = Fraction(hpv_c)
@@ -159,25 +161,32 @@ def divergence_table(
             f"needed {n_top}"
         )
     marks = {1 << j for j in range(1, n_top.bit_length())} | {n_top}
-    plain = Fraction(0)
+    plain, lcm = 0, 1               # the plain sum is plain/lcm
     grid_bits = precision + 16      # rounding grid for the running bounds
     # damped, hpv, bhhv: [lower, upper] running bounds, as _div_add keeps them
     acc = [[0, 0], [0, 0], [0, 0]]
     rows = []
     for n in range(1, n_top + 1):
-        term = psi.value(n) * totient(n) / n
-        plain += term
-        if term:
+        v = psi.value(n)
+        if v:
+            a, b = v.numerator * totient(n), v.denominator * n
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            k = b // math.gcd(lcm, b)   # lcm·k = lcm(lcm, b)
+            if k != 1:
+                plain *= k
+                lcm *= k
+            plain += a * (lcm // b)
             for bounds, (f_lo, f_hi) in zip(
                 acc, damping_bounds(n, epsilon, hpv_c, precision)
             ):
-                _div_add(bounds, term, f_lo, f_hi, grid_bits)
+                _div_add(bounds, a, b, f_lo, f_hi, grid_bits)
         if n in marks:
             damped, hpv, bhhv = (
                 Approx.from_bounds(*(_bound_value(s, grid_bits) for s in bounds))
                 for bounds in acc
             )
-            rows.append(DivergenceRow(n, plain, damped, hpv, bhhv))
+            rows.append(DivergenceRow(n, Fraction(plain, lcm), damped, hpv, bhhv))
     return rows
 
 
@@ -188,32 +197,35 @@ def _bound_value(s: int | Fraction, bits: int) -> Fraction:
 
 def _div_add(
     acc: list[int | Fraction],
-    term: Fraction,
+    a: int,
+    b: int,
     f_lo: tuple[int, int],
     f_hi: tuple[int, int],
     bits: int,
 ):
-    # term > 0 divided by the enclosure [f_lo, f_hi] of a factor >= 1, each
-    # end an exact quotient (num, den).  A running bound on the 2^-bits
-    # grid is held as the integer s for s·2^-bits, one off it as a Fraction.
-    # The bounds are rounded outward onto the grid once their denominators
-    # outgrow it: the factor ends carry ~160-bit odd parts, and exact
-    # accumulation would compound them into rationals with thousands of
-    # digits.  Outward rounding keeps the enclosure valid and adds at most
-    # 2^-bits width per term.
-    # Fast path: for s on the grid, term = a/b and a dyadic f = m·2^j with
-    # m odd, the denominator of s + term/f has odd part odd(b)·m/gcd(a, m);
-    # if that exceeds grid, the rounded sum is s plus floor (ceil) of
-    # term·grid/f, all in integers.
+    # the term a/b > 0, in lowest terms, divided by the enclosure
+    # [f_lo, f_hi] of a factor >= 1, each end an exact quotient (num, den).
+    # A running bound on the 2^-bits grid is held as the integer s for
+    # s·2^-bits, one off it as a Fraction.  The bounds are rounded outward
+    # onto the grid once their denominators outgrow it: the factor ends
+    # carry ~160-bit odd parts, and exact accumulation would compound them
+    # into rationals with thousands of digits.  Outward rounding keeps the
+    # enclosure valid and adds at most 2^-bits width per term.
+    # Fast path: for s on the grid and a dyadic f = m·2^j with m odd, the
+    # denominator of s + a/(b·f) has odd part odd(b)·m/gcd(a, m) >=
+    # odd(b)·m/a; if that exceeds grid, the rounded sum is s plus floor
+    # (ceil) of a·grid/(b·f), all in integers.  The multiply-compare
+    # odd(b)·m > a·grid settles it without the gcd for nearly every end.
     grid = 1 << bits
-    a, b = term.numerator, term.denominator
     odd_b = _odd_part(b)
+    a_grid = a << bits
     for i, (fn, fd), up in ((0, f_hi, False), (1, f_lo, True)):
         s = acc[i]
         if type(s) is int and fd & (fd - 1) == 0:
-            m = _odd_part(fn)
-            if odd_b * (m // math.gcd(a, m)) > grid:
-                num, den = a * fd << bits, b * fn
+            # fn/fd is in lowest terms, so fn is odd when fd > 1
+            m = fn if fd > 1 else _odd_part(fn)
+            if odd_b * m > a_grid or odd_b * (m // math.gcd(a, m)) > grid:
+                num, den = a_grid * fd, b * fn
                 acc[i] = s + (-(-num // den) if up else num // den)
                 continue
         s = _bound_value(s, bits) + Fraction(a * fd, b * fn)
@@ -515,8 +527,10 @@ def check_caps(cfg: ExperimentConfig) -> Corpus:
     set, or past TABLE_CAP, or a block's scale count past SCALE_CAP;
     ConfigError for a block past PAIR_CAP_EXACT with no sample, a sample
     larger than its range, or a thinned psi without the scale of an even
-    block up to n_star.  The blocks share one psi on 1..n_star, the end of
-    the last block within the sampled cap: thinned_psi walks all of it.
+    block up to n_star; UndefinedRatioError for a bc series whose
+    normalized psi is 0 on all of 1..bc_n, read up to its first nonzero
+    value.  The blocks share one psi on 1..n_star, the end of the last
+    block within the sampled cap: thinned_psi walks all of it.
     """
     exact, sampled = cfg.cap(PAIR_CAP_EXACT), cfg.cap(PAIR_CAP_SAMPLED)
     sweep = blocks = None
@@ -574,11 +588,16 @@ def check_caps(cfg: ExperimentConfig) -> Corpus:
                     f"add them to blocks.h_list"
                 )
         blocks = n_star, block_pairs
-    if cfg.bc_n is not None and cfg.bc_n > cfg.cap(BC_CAP):
-        raise CapExceededError(
-            f"bc series limited to N <= {cfg.cap(BC_CAP)} (harness.BC_CAP; "
-            f"a run config can override it with max_n)"
-        )
+    if cfg.bc_n is not None:
+        if cfg.bc_n > cfg.cap(BC_CAP):
+            raise CapExceededError(
+                f"bc series limited to N <= {cfg.cap(BC_CAP)} (harness.BC_CAP; "
+                f"a run config can override it with max_n)"
+            )
+        # E_n has positive measure exactly when the normalized psi(n) > 0
+        psi = normalize_psi(make_psi(cfg.psi, cfg.bc_n))
+        if not any(psi.value(n) for n in range(1, cfg.bc_n + 1)):
+            raise UndefinedRatioError("all events have measure zero")
     if cfg.table is not None and cfg.table.n_top > TABLE_CAP:
         raise CapExceededError(
             f"divergence table limited to {TABLE_CAP} (harness.TABLE_CAP); "

@@ -20,7 +20,6 @@ from dsextra.arith import (
     _exp_end,
     _fraction,
     _ln_end,
-    _reduced,
     _squarefree_divisors,
     _working_bits,
     factorize,
@@ -226,5 +225,5 @@ def pow_bounds(lo, hi, exponent, precision=128):
     ends = []
     for x, rnd in ((lo, round_floor), (hi, round_ceiling)):
         man, exp = _ln_end(x.numerator, x.denominator, wp, rnd)
-        ends.append(_fraction(_exp_end(*_reduced(p * man, q, exp), wp, rnd)))
+        ends.append(_fraction(_exp_end(p * man, q, wp, rnd, exp)))
     return tuple(ends)

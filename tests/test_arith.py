@@ -487,6 +487,17 @@ def test_floored_log_shortcut_matches_interval_context(a, b, precision):
     st.fractions(0, 4, max_denominator=12),
     _PRECISION,
 )
+# where each floor's x <= 5/2 test flips: on n itself at n = 2, 3; on the
+# (man, exp) end of ln n at n = 12, 13; on that of ln ln n at n = 195,339,
+# 195,340, where ln ln n crosses 5/2
+@example(2, F(3), F(1), 128)
+@example(3, F(1, 2), F(1), 128)
+@example(12, F(3), F(1, 2), 64)
+@example(13, F(1, 2), F(3, 2), 64)
+@example(195_339, F(3), F(1), MIN_PRECISION)
+@example(195_340, F(3), F(1), MIN_PRECISION)
+@example(195_339, F(1, 2), F(2), 200)
+@example(195_340, F(1, 2), F(2), 200)
 def test_damping_bounds_match_interval_context(n, epsilon, hpv_c, precision):
     got = damping_bounds(n, epsilon, hpv_c, precision)
     # every end is a dyadic quotient (num, den) in lowest terms

@@ -333,6 +333,8 @@ def test_run_checks_every_csv_path_first(capsys, tmp_path, monkeypatch):
      2, "even blocks [0]"),
     # K(1) = floor(100·ln 4) = 138 scales
     ({"blocks": {"base": 2, "h_list": [1], "epsilon": "100"}}, 4, "SCALE_CAP"),
+    # psi is 0 on 1..5, so every bc event has measure zero
+    ({"psi": "primes:0", "bc_n": 5}, 2, "all events have measure zero"),
 ])
 def test_run_checks_every_cap_first(capsys, tmp_path, later, code, text):
     # the sweep is within its cap, but a later section is refused: the run

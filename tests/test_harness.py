@@ -34,6 +34,7 @@ from dsextra.errors import (
 from dsextra.harness import (
     BC_CAP,
     PAIR_CAP_EXACT,
+    TABLE_CAP,
     DivergenceRow,
     _bound_value,
     _div_add,
@@ -227,18 +228,24 @@ def test_divergence_table_domain_and_caps(psi_half_300):
 
 
 # SHA-256 of every row field as exact text, for (psi spec, epsilon, hpv_c,
-# N, precision).  The recip row takes log_power_bounds' fractional path.
+# N, precision).  The recip rows take log_power_bounds' fractional path,
+# the second one to N = TABLE_CAP.
 TABLE_SHA256 = {
     ("half", F(3), F(1), 3000, 128):
         "72dd47de7272c001336686b8c58d638516fdca8aaf2a7c3eb62db794859ddc6e",
     ("recip", F(1, 2), F(3, 2), 2000, 64):
         "45ceaab59af01002a0a342cf85b0594543e2d27095a1a8f4c8bb1b1dbf282ca3",
+    ("recip", F(1, 2), F(1), TABLE_CAP, 128):
+        "746f9233327da018622c725cd49852526e7b89e590ada9bc01c7f56aafe944dd",
     ("primes:1", F(7, 3), F(2), 1500, 200):
         "f341d4fd3aed83fb0d63b6b4d20b47a87427a333542ba904e593f33a64e2f2c8",
 }
 
 
-@pytest.mark.parametrize("config", list(TABLE_SHA256), ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    # the psi spec names a config, with N added at TABLE_CAP
+    "config", list(TABLE_SHA256), ids=lambda c: c[0] if c[3] < TABLE_CAP else f"{c[0]}-{c[3]}"
+)
 def test_divergence_table_golden_digests(config):
     spec, epsilon, hpv_c, n_top, precision = config
     rows = divergence_table(epsilon, n_top, make_psi(spec, n_top), precision, hpv_c)
@@ -369,6 +376,9 @@ _EPSILON = st.one_of(
 )
 @example("half", 400, F(3), F(1), 128)
 @example({1: F(1, 3), 2: F(0), 3: F(7, 5), 9: F(2)}, 40, F(1, 2), F(3, 2), 8)
+# large prime denominators at n = 63 and 127: the plain sum's lcm grows
+# just before the checkpoints 64 and 128
+@example({1: F(1, 2), 63: F(5, 1_000_003), 127: F(7, 999_983)}, 128, F(3), F(1), 64)
 def test_divergence_table_matches_fraction_route(spec, n_top, epsilon, hpv_c, precision):
     if isinstance(spec, dict):
         psi = PsiFunction(n_top, "file:table.csv", base=spec)
@@ -404,6 +414,13 @@ _BOUND = st.one_of(
 # off it (1/3 + 2/3), are held as grid units again
 @example(8, F(1, 4), F(1, 3), F(3, 8), F(3), F(3))
 @example(8, F(1, 4), F(1, 3), F(2, 3), F(1), F(1))
+# around the multiply-compare odd(b)·m > a·grid at grid 16, which is never
+# an equality (odd against even): just above it, 1·17 > 1·16, then just
+# below it, 1·47 < 3·16, where the gcd check still passes (gcd(3, 47) = 1),
+# and 1·45 < 3·16, where it fails too (45/gcd(3, 45) = 15 <= 16)
+@example(4, F(1, 4), F(1, 4), F(1), F(17, 2), F(17))
+@example(4, F(1, 4), F(1, 4), F(3), F(47, 4), F(47))
+@example(4, F(1, 4), F(1, 4), F(3), F(45, 4), F(45))
 def test_div_add_matches_exact_sum_then_round(bits, s_lo, s_hi, term, f_lo, f_hi):
     # the integer fast path against the exact sum rounded outward
     grid = 1 << bits
@@ -418,8 +435,8 @@ def test_div_add_matches_exact_sum_then_round(bits, s_lo, s_hi, term, f_lo, f_hi
         return s.numerator * (grid // s.denominator) if grid % s.denominator == 0 else s
 
     acc = [held(s_lo), held(s_hi)]
-    _div_add(acc, term, (f_lo.numerator, f_lo.denominator),
-             (f_hi.numerator, f_hi.denominator), bits)
+    _div_add(acc, term.numerator, term.denominator,
+             (f_lo.numerator, f_lo.denominator), (f_hi.numerator, f_hi.denominator), bits)
     values = [_bound_value(s, bits) for s in acc]
     assert values == [rounded(s_lo + term / f_hi, False), rounded(s_hi + term / f_lo, True)]
     assert acc == [held(v) for v in values]
