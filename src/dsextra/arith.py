@@ -289,7 +289,7 @@ def _floored_ln_of_end(x: _Dyadic, wp: int, rnd: str) -> _Dyadic:
     man, exp = x
     if (man << exp + 1 <= 5) if exp >= -1 else (man <= 5 << -1 - exp):
         return _ONE
-    return _at_least_one(_dyadic(mpf_log(_mpf(x), wp, rnd)))
+    return _at_least_one(_ln_of_end(x, wp, rnd))
 
 
 def _fraction(x: _Dyadic) -> Fraction:

@@ -213,9 +213,9 @@ def _div_add(
     # enclosure valid and adds at most 2^-bits width per term.
     # Fast path: for s on the grid and a dyadic f = m·2^j with m odd, the
     # denominator of s + a/(b·f) has odd part odd(b)·m/gcd(a, m) >=
-    # odd(b)·m/a; if that exceeds grid, the rounded sum is s plus floor
-    # (ceil) of a·grid/(b·f), all in integers.  The multiply-compare
-    # odd(b)·m > a·grid settles it without the gcd for nearly every end.
+    # odd(b)·m/a; if odd(b)·m > a·grid that exceeds grid, and the rounded
+    # sum is s plus floor (ceil) of a·grid/(b·f), all in integers.  Any
+    # other end takes the exact Fraction sum below.
     grid = 1 << bits
     odd_b = _odd_part(b)
     a_grid = a << bits
@@ -224,7 +224,7 @@ def _div_add(
         if type(s) is int and fd & (fd - 1) == 0:
             # fn/fd is in lowest terms, so fn is odd when fd > 1
             m = fn if fd > 1 else _odd_part(fn)
-            if odd_b * m > a_grid or odd_b * (m // math.gcd(a, m)) > grid:
+            if odd_b * m > a_grid:
                 num, den = a_grid * fd, b * fn
                 acc[i] = s + (-(-num // den) if up else num // den)
                 continue

@@ -408,7 +408,7 @@ _BOUND = st.one_of(
     st.integers(4, 64), _BOUND, _BOUND,
     st.fractions(F(1, 10 ** 6), 10 ** 4, max_denominator=10 ** 6), _FACTOR, _FACTOR,
 )
-# 17/51 = 1/3: the gcd leaves an odd part 3 <= grid, and 1/4 + 1/3 stays exact
+# 17/51 = 1/3: the reduced term has odd part 3 <= grid, and 1/4 + 1/3 stays exact
 @example(4, F(1, 4), F(1, 4), F(17), F(51), F(51))
 # sums that land on the grid, from a bound on it (1/4 + 1/8) and from one
 # off it (1/3 + 2/3), are held as grid units again
@@ -416,8 +416,8 @@ _BOUND = st.one_of(
 @example(8, F(1, 4), F(1, 3), F(2, 3), F(1), F(1))
 # around the multiply-compare odd(b)·m > a·grid at grid 16, which is never
 # an equality (odd against even): just above it, 1·17 > 1·16, then just
-# below it, 1·47 < 3·16, where the gcd check still passes (gcd(3, 47) = 1),
-# and 1·45 < 3·16, where it fails too (45/gcd(3, 45) = 15 <= 16)
+# below it, 1·47 < 3·16, where the Fraction sum still rounds (odd part
+# 47 > 16), and 1·45 < 3·16, where its odd part 15 <= 16 stays exact
 @example(4, F(1, 4), F(1, 4), F(1), F(17, 2), F(17))
 @example(4, F(1, 4), F(1, 4), F(3), F(47, 4), F(47))
 @example(4, F(1, 4), F(1, 4), F(3), F(45, 4), F(45))
