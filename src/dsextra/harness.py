@@ -7,7 +7,8 @@ check_caps, which refuses every cap and bad config and resolves the
 corpus of each pair section before any section runs, and the
 config-driven runner.  The pair sweep and the Borel-Cantelli rows run
 on one ordered-map worker pool (_ordered_map); blocks and the table are
-serial.
+serial.  _ordered_map alone imports the pool module, when a pool starts,
+so importing the library loads no concurrent.futures or multiprocessing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -615,6 +615,9 @@ def _ordered_map(fn, items: Sequence, jobs: int) -> list:
     """
     if jobs == 1 or len(items) <= 64:
         return fn(items)
+    # imported here, so that importing the library loads no pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     count = min(jobs * 4, len(items))
     slices = [items[i::count] for i in range(count)]
     out: list = [None] * len(items)
@@ -649,15 +652,18 @@ def _sweep_summary(records: list[OverlapRecord], k_top: int) -> dict:
     summary: dict = {"records": len(records)}
     if not records:
         return summary
-    worst_ratio = None
+    # the largest p_exact/pv_product, kept as num/den and compared by
+    # cross-multiplication; strict >, so the first maximum wins
+    worst_num, worst_den = -1, 1
     worst_pair = None
     sums: dict[tuple[int, int], Fraction] = {}
     classes: dict[str, int] = {}
     disjoint = 0
     for rec in records:
-        ratio = rec.p_exact / rec.pv_product
-        if worst_ratio is None or ratio > worst_ratio:
-            worst_ratio = ratio
+        p, pv = rec.p_exact, rec.pv_product
+        num, den = p.numerator * pv.denominator, p.denominator * pv.numerator
+        if num * worst_den > worst_num * den:
+            worst_num, worst_den = num, den
             worst_pair = (rec.m, rec.n, rec.k)
         key = (rec.m, rec.n)
         sums[key] = sums.get(key, Fraction(0)) + rec.p_exact
@@ -668,7 +674,7 @@ def _sweep_summary(records: list[OverlapRecord], k_top: int) -> dict:
         ((pair, total / k_top) for pair, total in sums.items()),
         key=lambda item: (item[1], item[0]),
     )
-    summary["max_p_over_pv"] = worst_ratio
+    summary["max_p_over_pv"] = Fraction(worst_num, worst_den)
     summary["max_p_over_pv_at"] = worst_pair
     summary["max_mean_p"] = max_avg
     summary["max_mean_p_at"] = max_avg_pair

@@ -4,6 +4,11 @@ Decomposes a pair (m, n) by equal/unequal prime exponents and computes, at
 each scale ê_k of a ladder, the exact overlap ratio of the scaled arc
 systems, the restricted Euler product bounding it and the certified
 integral form of that bound, all scales of a pair in one kernel call.
+
+Every other per-scale field comes from one per-pair scale
+D = Delta*r*t = Delta*lcm(m, n), compared with ê_k in integers: the
+cutoff D_k = D/ê_k, the primes p | t above it, the disjoint test
+2*D_k <= 1 and the window 4*D_k of the threshold class and the integral.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .arith import (
     floored_log_bounds,
     frac_str,
     log_weight_integral,
-    restricted_prime_product,
     totient,
 )
 from .circles import arc_event, coprime_intersection_sums, coprime_measure
@@ -77,57 +81,88 @@ def decompose_pair(m: int, n: int, psi: PsiFunction) -> PairDecomposition:
     )
 
 
+class _PairScale:
+    """A pair's scale D = Delta*r*t = Delta*lcm(m, n) as the integers dn/dd.
+
+    Each method reads one field at a scale e = ê_k by comparing D with e
+    through cross-multiplication, and builds at most one Fraction.
+    """
+
+    __slots__ = ("dn", "dd", "t", "primes", "div_n", "div_d")
+
+    def __init__(self, dec: PairDecomposition):
+        d = dec.Delta * (dec.r * dec.t)
+        self.dn, self.dd = d.numerator, d.denominator
+        self.t = dec.t
+        self.primes = [p for p, _ in factorize(dec.t)]
+        # phi(t)*Delta*r = phi(t)*D/t, the divisor of the integral bound
+        self.div_n, self.div_d = totient(dec.t) * self.dn, self.dd * dec.t
+
+    def cutoff(self, e: Fraction) -> Fraction:
+        return Fraction(self.dn * e.denominator, self.dd * e.numerator)
+
+    def pv_product(self, e: Fraction) -> Fraction:
+        lower, unit = self.dn * e.denominator, self.dd * e.numerator
+        num = den = 1
+        for p in self.primes:
+            if p * unit > lower:
+                num *= p
+                den *= p - 1
+        return Fraction(num, den)
+
+    def disjoint(self, e: Fraction) -> bool:
+        return 2 * self.dn * e.denominator <= self.dd * e.numerator
+
+    def threshold_class(self, e: Fraction, e_top: Fraction) -> str:
+        window, unit = 4 * self.dn * e.denominator, self.dd * e.numerator
+        if window <= unit:
+            return "below-1"
+        if window * e_top.denominator <= unit * e_top.numerator:
+            return "in-window"
+        return "above-window"
+
+    def integral(self, e: Fraction, precision: int) -> Approx:
+        window, unit = 4 * self.dn * e.denominator, self.dd * e.numerator
+        if window <= unit:
+            return Approx(Fraction(0), Fraction(0))
+        integral = log_weight_integral(self.t, Fraction(window, unit), precision)
+        return integral.scale(
+            Fraction(e.numerator * self.div_d, e.denominator * self.div_n)
+        )
+
+
 def overlap_cutoff(dec: PairDecomposition, k: int = 0) -> Fraction:
-    """The prime cutoff max(n*psi(m), m*psi(n)) / (ê_k * gcd).
+    """The prime cutoff D_k = Delta*r*t/ê_k = max(n*psi(m), m*psi(n)) / (ê_k * gcd).
 
     Kept as the raw rational (no floor at 1); an empty product handles
     small cutoffs naturally.
     """
-    return max(dec.n * dec.psi_m, dec.m * dec.psi_n) / (exp_rational(k) * dec.gcd)
+    return _PairScale(dec).cutoff(exp_rational(k))
 
 
 def prime_product_bound(dec: PairDecomposition, k: int = 0) -> Fraction:
-    """Exact Π (1 - 1/p)^(-1) over primes p | t with p > cutoff; >= 1.
+    """Exact Π (1 - 1/p)^(-1) over primes p | t with p > D_k; >= 1.
 
     Every unequal exponent strictly increases from s to t, so these are
     also the primes of t/s.
     """
-    return restricted_prime_product(dec.t, overlap_cutoff(dec, k))
+    return _PairScale(dec).pv_product(exp_rational(k))
 
 
 def disjoint_predicted(dec: PairDecomposition, k: int = 0) -> bool:
-    """Exact disjointness test: 2*Delta*r*t/ê_k <= 1 forces empty overlap."""
-    return 2 * dec.Delta * dec.r * dec.t <= exp_rational(k)
-
-
-def integration_window(dec: PairDecomposition, k: int = 0) -> Fraction:
-    return 4 * dec.Delta * dec.r * dec.t / exp_rational(k)
-
-
-def threshold_class(dec: PairDecomposition, k: int, top: int) -> str:
-    """Classify the integration window against 1 and the ladder top ê_top."""
-    w = integration_window(dec, k)
-    if w <= 1:
-        return "below-1"
-    if w <= exp_rational(top):
-        return "in-window"
-    return "above-window"
+    """Exact disjointness test: 2*D_k = 2*Delta*r*t/ê_k <= 1 forces empty overlap."""
+    return _PairScale(dec).disjoint(exp_rational(k))
 
 
 def overlap_integral_bound(
     dec: PairDecomposition, k: int = 0, precision: int = 128
 ) -> Approx:
-    """Certified (t/phi(t)) * integral / (Delta*r*t/ê_k) diagnostic bound.
+    """Certified (t/phi(t)) * integral / D_k diagnostic bound.
 
-    The integral is the coprime log-weight sum over b <= 4*Delta*r*t/ê_k;
-    an empty window (<= 1) gives exactly 0.
+    The integral is the coprime log-weight sum over b <= 4*D_k; an empty
+    window (4*D_k <= 1) gives exactly 0.
     """
-    window = integration_window(dec, k)
-    if window <= 1:
-        return Approx(Fraction(0), Fraction(0))
-    integral = log_weight_integral(dec.t, window, precision)
-    c = exp_rational(k) / (totient(dec.t) * dec.Delta * dec.r)
-    return integral.scale(c)
+    return _PairScale(dec).integral(exp_rational(k), precision)
 
 
 @dataclass(frozen=True)
@@ -181,27 +216,31 @@ def overlap_records(
     measure gives P = 0 (the dropped-term convention).  Windows are
     classified against ê_max(ks).
     """
-    top = max(ks, default=0)
     dec = decompose_pair(m, n, psi)
     scales = sorted(set(ks))
-    rads_m = [dec.psi_m / exp_rational(k) for k in scales]
-    rads_n = [dec.psi_n / exp_rational(k) for k in scales]
+    ladder = [exp_rational(k) for k in scales]
+    e_top = exp_rational(max(ks, default=0))
+    rads_m = [dec.psi_m / e for e in ladder]
+    rads_n = [dec.psi_n / e for e in ladder]
     overlaps = coprime_intersection_sums(
         arc_event(n, rads_n), [arc_event(m, rads_m)]
     )
-    p_exact = {}
-    for k, rm, rn, overlap in zip(scales, rads_m, rads_n, overlaps):
+    pair = _PairScale(dec)
+    fields = {}
+    for k, e, rm, rn, overlap in zip(scales, ladder, rads_m, rads_n, overlaps):
         mu = coprime_measure(m, rm) * coprime_measure(n, rn)
-        p_exact[k] = overlap / mu if mu else Fraction(0)
+        fields[k] = dict(
+            cutoff=pair.cutoff(e),
+            pv_product=pair.pv_product(e),
+            p_exact=overlap / mu if mu else Fraction(0),
+            integral=pair.integral(e, precision) if with_integral else None,
+            disjoint_pred=pair.disjoint(e),
+            threshold_class=pair.threshold_class(e, e_top),
+        )
     return [
         OverlapRecord(
             m=m, n=n, k=k, r=dec.r, s=dec.s, t=dec.t, gcd=dec.gcd,
-            delta=dec.delta, Delta=dec.Delta,
-            cutoff=overlap_cutoff(dec, k), pv_product=prime_product_bound(dec, k),
-            p_exact=p_exact[k],
-            integral=overlap_integral_bound(dec, k, precision) if with_integral else None,
-            disjoint_pred=disjoint_predicted(dec, k),
-            threshold_class=threshold_class(dec, k, top),
+            delta=dec.delta, Delta=dec.Delta, **fields[k],
         )
         for k in ks
     ]

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, report text, CSV output, and exit codes."""
 
+import concurrent.futures
 import hashlib
 import json
 import subprocess
@@ -138,7 +139,7 @@ def test_jobs_cap_exits_4_before_any_pool(capsys, tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was constructed")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "psi": "half", "jobs": 2, "pairs": {"mode": "exhaustive", "lo": 2, "hi": 40},
@@ -147,6 +148,17 @@ def test_jobs_cap_exits_4_before_any_pool(capsys, tmp_path, monkeypatch):
         code, _, err = run_cli(capsys, "run", str(path), "--jobs", jobs)
         assert code == 4
         assert "JOBS_CAP" in err
+
+
+def test_import_loads_no_pool_machinery():
+    # the pool module is imported by harness._ordered_map, when a pool starts
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dsextra.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_missing_block_sample_is_config_error(capsys):

@@ -13,6 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_overlap
+from reference_overlap import integration_window, threshold_class
+
 from dsextra.arith import exp_rational, factorize, log_bounds, totient
 from dsextra.circles import coprime_arcs, coprime_measure, intersection_measure
 from dsextra.errors import DomainError
@@ -22,12 +25,10 @@ from dsextra.overlap import (
     averaging_reference,
     decompose_pair,
     disjoint_predicted,
-    integration_window,
     overlap_cutoff,
     overlap_integral_bound,
     overlap_records,
     prime_product_bound,
-    threshold_class,
 )
 from dsextra.psi import PsiFunction, make_psi, normalize_psi
 
@@ -248,6 +249,54 @@ def test_overlap_records_match_one_k_calls_and_sweep(m, n, ks, spec):
         mu = coprime_measure(m, rm) * coprime_measure(n, rn)
         sweep = intersection_measure(coprime_arcs(m, rm), coprime_arcs(n, rn))
         assert rec.p_exact == (sweep / mu if mu else 0)
+
+
+_PSIS = {
+    "half": normalize_psi(make_psi("half", 150)),
+    "recip": normalize_psi(make_psi("recip", 150)),
+    "table": PSI_TABLE,
+    # Delta(1, 2) = 1/4, so D = Delta*lcm(1, 2) = 1/2 and 2*D = ê_0
+    "2D=1": normalize_psi(PsiFunction(2, "table", base={1: F(1, 8), 2: F(1, 2)})),
+    # psi(2) = 0: Delta(1, 2) = 1/8, so D = 1/4 and 4*D = ê_0
+    "4D=1": normalize_psi(PsiFunction(2, "table", base={1: F(1, 8)})),
+    # D = ê_1/4: 4*D = ê_0*ê_1 and 4*D = ê_1, the in-window and below-1 edges
+    "4D=e1": normalize_psi(PsiFunction(2, "table", base={1: exp_rational(1) / 8})),
+}
+
+
+def test_scale_boundaries_are_inclusive():
+    [rec] = overlap_records(1, 2, _PSIS["2D=1"], [0])
+    assert rec.cutoff == F(1, 2) and rec.disjoint_pred
+    [rec] = overlap_records(1, 2, _PSIS["4D=1"], [0])
+    assert rec.cutoff == F(1, 4) and rec.threshold_class == "below-1"
+    assert (rec.integral.value, rec.integral.err) == (0, 0)
+    classes = [rec.threshold_class for rec in overlap_records(1, 2, _PSIS["4D=e1"], [0, 1])]
+    assert classes == ["in-window", "below-1"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=150),
+    st.integers(min_value=1, max_value=150),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5),
+    st.sampled_from(["half", "recip", "table"]),
+    st.booleans(),
+)
+@example(14, 30, [2, 0, 2, 1], "half", True)
+@example(1, 2, [0, 1, 0], "2D=1", True)
+@example(2, 1, [0], "2D=1", False)
+@example(1, 2, [1, 0, 0], "4D=1", True)
+@example(2, 1, [0], "4D=1", False)
+@example(1, 2, [0, 1], "4D=e1", True)
+def test_overlap_records_match_reference(m, n, ks, spec, with_integral):
+    # every field of the integer route through the per-pair D equals the
+    # Fraction route of reference_overlap, P from arcs and the sweep
+    if m == n:
+        n = n % 150 + 1
+    psi = _PSIS[spec]
+    assert overlap_records(m, n, psi, ks, with_integral=with_integral) == (
+        reference_overlap.records(m, n, psi, ks, with_integral=with_integral)
+    )
 
 
 def test_averaged_sum_frozen(psi_half):
