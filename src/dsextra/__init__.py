@@ -6,7 +6,6 @@ from .arith import (
     exp_rational,
     factorize,
     log_weight_integral,
-    restricted_prime_product,
     totient,
 )
 from .circles import (

@@ -1,5 +1,5 @@
-"""Exact arithmetic kernels: factorization, totients, restricted Euler
-products, certified logarithms and the log-weight integral.
+"""Exact arithmetic kernels: factorization, totients, certified
+logarithms and the log-weight integral.
 
 Everything here is exact (fractions.Fraction over arbitrary-size ints)
 except the log helpers, which return certified enclosures: mpmath's
@@ -132,18 +132,6 @@ def _squarefree_divisors(
             terms = [(d, c * a) for d, c in terms] if a else []
         terms += multiples
     return terms
-
-
-def restricted_prime_product(t: int, lower: RationalLike) -> Fraction:
-    """Exact Π (1 - 1/p)^(-1) over distinct primes p | t with p > lower."""
-    if t < 1:
-        raise DomainError("restricted_prime_product requires t >= 1")
-    num = den = 1
-    for p, _ in factorize(t):
-        if p > lower:
-            num *= p
-            den *= p - 1
-    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -404,14 +404,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 raise ConfigError("pairs.pairs must be a nonempty list")
             pairs = []
             for item in raw:
-                if (
-                    not isinstance(item, list)
-                    or len(item) != 2
-                    or not all(isinstance(x, int) for x in item)
-                ):
+                if not isinstance(item, list) or len(item) != 2:
                     raise ConfigError(f"bad pair entry {item!r}")
-                m, n = item
-                if m == n or m < 1 or n < 1:
+                m, n = (_as_int(x, "pairs.pairs", 1) for x in item)
+                if m == n:
                     raise ConfigError(f"bad pair ({m}, {n})")
                 pairs.append((min(m, n), max(m, n)))
             pair_sweep = PairSweepSpec(mode=mode, pairs=tuple(sorted(set(pairs))))

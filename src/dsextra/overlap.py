@@ -5,10 +5,12 @@ each scale ê_k of a ladder, the exact overlap ratio of the scaled arc
 systems, the restricted Euler product bounding it and the certified
 integral form of that bound, all scales of a pair in one kernel call.
 
-Every other per-scale field comes from one per-pair scale
-D = Delta*r*t = Delta*lcm(m, n), compared with ê_k in integers: the
-cutoff D_k = D/ê_k, the primes p | t above it, the disjoint test
-2*D_k <= 1 and the window 4*D_k of the threshold class and the integral.
+decompose_pair stores the pair's scale D = Delta*r*t = Delta*lcm(m, n).
+Every other per-scale field is one function of D and ê_k, compared in
+integers by cross-multiplication: overlap_cutoff (D_k = D/ê_k),
+prime_product_bound (the primes p | t above D_k), disjoint_predicted
+(2*D_k <= 1), _threshold_class and overlap_integral_bound (the window
+4*D_k).  overlap_records reads each field through these functions.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class PairDecomposition:
     part, s the smaller and t the larger unequal-exponent parts, so that
     m*n = r^2*s*t and gcd(m, n) = r*s with s | t.
 
-    delta/Delta are the scaled half-widths min/max of psi(m)/m, psi(n)/n.
+    delta/Delta are the scaled half-widths min/max of psi(m)/m, psi(n)/n,
+    and D = Delta*r*t = Delta*lcm(m, n) is the pair's scale.
     """
 
     m: int
@@ -57,6 +60,7 @@ class PairDecomposition:
     psi_n: Fraction
     delta: Fraction
     Delta: Fraction
+    D: Fraction
 
 
 def decompose_pair(m: int, n: int, psi: PsiFunction) -> PairDecomposition:
@@ -70,65 +74,24 @@ def decompose_pair(m: int, n: int, psi: PsiFunction) -> PairDecomposition:
     em = dict(factorize(m))
     r = math.prod(p ** e for p, e in factorize(n) if em.get(p) == e)
     gcd = math.gcd(m, n)
+    lcm = m // gcd * n
     psi_m = psi.value(m)
     psi_n = psi.value(n)
     dm = psi_m / m
     dn = psi_n / n
+    Delta = max(dm, dn)
     return PairDecomposition(
-        m=m, n=n, gcd=gcd, r=r, s=gcd // r, t=m // gcd * n // r,
+        m=m, n=n, gcd=gcd, r=r, s=gcd // r, t=lcm // r,
         psi_m=psi_m, psi_n=psi_n,
-        delta=min(dm, dn), Delta=max(dm, dn),
+        delta=min(dm, dn), Delta=Delta, D=Delta * lcm,
     )
 
 
-class _PairScale:
-    """A pair's scale D = Delta*r*t = Delta*lcm(m, n) as the integers dn/dd.
-
-    Each method reads one field at a scale e = ê_k by comparing D with e
-    through cross-multiplication, and builds at most one Fraction.
-    """
-
-    __slots__ = ("dn", "dd", "t", "primes", "div_n", "div_d")
-
-    def __init__(self, dec: PairDecomposition):
-        d = dec.Delta * (dec.r * dec.t)
-        self.dn, self.dd = d.numerator, d.denominator
-        self.t = dec.t
-        self.primes = [p for p, _ in factorize(dec.t)]
-        # phi(t)*Delta*r = phi(t)*D/t, the divisor of the integral bound
-        self.div_n, self.div_d = totient(dec.t) * self.dn, self.dd * dec.t
-
-    def cutoff(self, e: Fraction) -> Fraction:
-        return Fraction(self.dn * e.denominator, self.dd * e.numerator)
-
-    def pv_product(self, e: Fraction) -> Fraction:
-        lower, unit = self.dn * e.denominator, self.dd * e.numerator
-        num = den = 1
-        for p in self.primes:
-            if p * unit > lower:
-                num *= p
-                den *= p - 1
-        return Fraction(num, den)
-
-    def disjoint(self, e: Fraction) -> bool:
-        return 2 * self.dn * e.denominator <= self.dd * e.numerator
-
-    def threshold_class(self, e: Fraction, e_top: Fraction) -> str:
-        window, unit = 4 * self.dn * e.denominator, self.dd * e.numerator
-        if window <= unit:
-            return "below-1"
-        if window * e_top.denominator <= unit * e_top.numerator:
-            return "in-window"
-        return "above-window"
-
-    def integral(self, e: Fraction, precision: int) -> Approx:
-        window, unit = 4 * self.dn * e.denominator, self.dd * e.numerator
-        if window <= unit:
-            return Approx(Fraction(0), Fraction(0))
-        integral = log_weight_integral(self.t, Fraction(window, unit), precision)
-        return integral.scale(
-            Fraction(e.numerator * self.div_d, e.denominator * self.div_n)
-        )
+def _scaled(dec: PairDecomposition, k: int) -> tuple[int, int]:
+    """D_k = D/ê_k as the integers (x, u) with D_k = x/u, uncancelled, so
+    each field compares D with ê_k by cross-multiplication."""
+    e = exp_rational(k)
+    return dec.D.numerator * e.denominator, dec.D.denominator * e.numerator
 
 
 def overlap_cutoff(dec: PairDecomposition, k: int = 0) -> Fraction:
@@ -137,7 +100,7 @@ def overlap_cutoff(dec: PairDecomposition, k: int = 0) -> Fraction:
     Kept as the raw rational (no floor at 1); an empty product handles
     small cutoffs naturally.
     """
-    return _PairScale(dec).cutoff(exp_rational(k))
+    return Fraction(*_scaled(dec, k))
 
 
 def prime_product_bound(dec: PairDecomposition, k: int = 0) -> Fraction:
@@ -146,12 +109,30 @@ def prime_product_bound(dec: PairDecomposition, k: int = 0) -> Fraction:
     Every unequal exponent strictly increases from s to t, so these are
     also the primes of t/s.
     """
-    return _PairScale(dec).pv_product(exp_rational(k))
+    x, u = _scaled(dec, k)
+    num = den = 1
+    for p, _ in factorize(dec.t):
+        if p * u > x:
+            num *= p
+            den *= p - 1
+    return Fraction(num, den)
 
 
 def disjoint_predicted(dec: PairDecomposition, k: int = 0) -> bool:
     """Exact disjointness test: 2*D_k = 2*Delta*r*t/ê_k <= 1 forces empty overlap."""
-    return _PairScale(dec).disjoint(exp_rational(k))
+    x, u = _scaled(dec, k)
+    return 2 * x <= u
+
+
+def _threshold_class(dec: PairDecomposition, k: int, top: int) -> str:
+    """Place the window 4*D_k against 1 and the ladder top ê_top."""
+    x, u = _scaled(dec, k)
+    e_top = exp_rational(top)
+    if 4 * x <= u:
+        return "below-1"
+    if 4 * x * e_top.denominator <= u * e_top.numerator:
+        return "in-window"
+    return "above-window"
 
 
 def overlap_integral_bound(
@@ -162,7 +143,12 @@ def overlap_integral_bound(
     The integral is the coprime log-weight sum over b <= 4*D_k; an empty
     window (4*D_k <= 1) gives exactly 0.
     """
-    return _PairScale(dec).integral(exp_rational(k), precision)
+    x, u = _scaled(dec, k)
+    if 4 * x <= u:
+        return Approx(Fraction(0), Fraction(0))
+    integral = log_weight_integral(dec.t, Fraction(4 * x, u), precision)
+    # t/(phi(t)*D_k) = ê_k/(phi(t)*Delta*r)
+    return integral.scale(Fraction(dec.t * u, totient(dec.t) * x))
 
 
 @dataclass(frozen=True)
@@ -219,31 +205,28 @@ def overlap_records(
     dec = decompose_pair(m, n, psi)
     scales = sorted(set(ks))
     ladder = [exp_rational(k) for k in scales]
-    e_top = exp_rational(max(ks, default=0))
+    top = max(ks, default=0)
     rads_m = [dec.psi_m / e for e in ladder]
     rads_n = [dec.psi_n / e for e in ladder]
     overlaps = coprime_intersection_sums(
         arc_event(n, rads_n), [arc_event(m, rads_m)]
     )
-    pair = _PairScale(dec)
-    fields = {}
-    for k, e, rm, rn, overlap in zip(scales, ladder, rads_m, rads_n, overlaps):
+    records = {}
+    for k, rm, rn, overlap in zip(scales, rads_m, rads_n, overlaps):
         mu = coprime_measure(m, rm) * coprime_measure(n, rn)
-        fields[k] = dict(
-            cutoff=pair.cutoff(e),
-            pv_product=pair.pv_product(e),
-            p_exact=overlap / mu if mu else Fraction(0),
-            integral=pair.integral(e, precision) if with_integral else None,
-            disjoint_pred=pair.disjoint(e),
-            threshold_class=pair.threshold_class(e, e_top),
-        )
-    return [
-        OverlapRecord(
+        records[k] = OverlapRecord(
             m=m, n=n, k=k, r=dec.r, s=dec.s, t=dec.t, gcd=dec.gcd,
-            delta=dec.delta, Delta=dec.Delta, **fields[k],
+            delta=dec.delta, Delta=dec.Delta,
+            cutoff=overlap_cutoff(dec, k),
+            pv_product=prime_product_bound(dec, k),
+            p_exact=overlap / mu if mu else Fraction(0),
+            integral=(
+                overlap_integral_bound(dec, k, precision) if with_integral else None
+            ),
+            disjoint_pred=disjoint_predicted(dec, k),
+            threshold_class=_threshold_class(dec, k, top),
         )
-        for k in ks
-    ]
+    return [records[k] for k in ks]
 
 
 def averaging_reference(n: int, top: int, precision: int = 128) -> Approx:

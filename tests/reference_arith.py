@@ -1,10 +1,11 @@
 """Reference routes for dsextra.arith that the library itself does not read.
 
-The sieve-chain helpers (Mertens products, coprime densities, coprime
-harmonic sums and the factored sieve upper bound) are exact quantities
-that the tests check against gcd scans and against one another.  The
-iv_* routes compute each certified enclosure with mpmath's interval
-context, independently of arith's dyadic core.  pow_bounds raises a
+The sieve-chain helpers (Mertens products, the Euler product over the
+primes of t above a cutoff, coprime densities, coprime harmonic sums and
+the factored sieve upper bound) are exact quantities that the tests
+check against gcd scans and against one another.  The iv_* routes
+compute each certified enclosure with mpmath's interval context,
+independently of arith's dyadic core.  pow_bounds raises a
 Fraction enclosure to a power on arith's dyadic core, the route that
 arith.log_power_bounds keeps in integers.
 """
@@ -39,6 +40,13 @@ def _euler_product(primes) -> F:
         num *= p
         den *= p - 1
     return F(num, den)
+
+
+def restricted_prime_product(t: int, lower) -> F:
+    """Exact Π (1 - 1/p)^(-1) over distinct primes p | t with p > lower."""
+    if t < 1:
+        raise DomainError("restricted_prime_product requires t >= 1")
+    return _euler_product(p for p, _ in factorize(t) if p > lower)
 
 
 def primes_up_to(x: int) -> list[int]:

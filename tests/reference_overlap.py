@@ -1,27 +1,25 @@
 """Reference routes for dsextra.overlap, through Fraction arithmetic.
 
-overlap.overlap_records reads every per-scale field of a record from one
-per-pair scale D = Delta*r*t, compared with ê_k in integers.  These
-routes rebuild each field from the decomposition with Fraction
-operations instead: the cutoff Delta*r*t/ê_k, the window 4*Delta*r*t/ê_k,
-arith.restricted_prime_product above the cutoff, the disjoint test
-2*Delta*r*t <= ê_k, the threshold class of the window and the integral
-log_weight_integral(t, window) scaled by ê_k/(phi(t)*Delta*r).  The
-overlap ratio comes from arcs built by coprime_arcs and the integer
-sweep intersection_measure, not from the kernel.
+overlap.overlap_records reads every per-scale field of a record through
+the exported overlap_cutoff, prime_product_bound, disjoint_predicted and
+overlap_integral_bound (and the private threshold class beside them),
+each of which compares the stored scale PairDecomposition.D with ê_k in
+integers.  These routes rebuild each field from Delta, r and t with
+Fraction operations instead, never reading D: the cutoff Delta*r*t/ê_k,
+the window 4*Delta*r*t/ê_k, reference_arith.restricted_prime_product
+above the cutoff, the disjoint test 2*Delta*r*t <= ê_k, the threshold
+class of the window and the integral log_weight_integral(t, window)
+scaled by ê_k/(phi(t)*Delta*r).  The overlap ratio comes from arcs built
+by coprime_arcs and the integer sweep intersection_measure, not from the
+kernel.
 """
 
 from fractions import Fraction as F
 
-from dsextra.arith import (
-    Approx,
-    exp_rational,
-    log_weight_integral,
-    restricted_prime_product,
-    totient,
-)
+from dsextra.arith import Approx, exp_rational, log_weight_integral, totient
 from dsextra.circles import coprime_arcs, coprime_measure, intersection_measure
 from dsextra.overlap import OverlapRecord, PairDecomposition, decompose_pair
+from reference_arith import restricted_prime_product
 
 
 def cutoff(dec: PairDecomposition, k: int) -> F:

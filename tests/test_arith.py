@@ -25,6 +25,7 @@ from reference_arith import (
     mertens_product,
     pow_bounds,
     primes_up_to,
+    restricted_prime_product,
     sieve_upper_bound,
 )
 
@@ -44,7 +45,6 @@ from dsextra.arith import (
     log_bounds,
     log_power_bounds,
     log_weight_integral,
-    restricted_prime_product,
     totient,
 )
 from dsextra.errors import CapExceededError, DomainError, PrecisionGuardError

@@ -514,9 +514,10 @@ def test_parse_config_requires_seed_for_sampling():
 
 
 def test_parse_config_pair_list_validation():
-    doc = {"psi": "half", "pairs": {"mode": "list", "pairs": [[3, 3]]}}
-    with pytest.raises(ConfigError):
-        parse_config(doc)
+    for bad in ([[3, 3]], [[True, 3]], [[2, False]]):
+        doc = {"psi": "half", "pairs": {"mode": "list", "pairs": bad}}
+        with pytest.raises(ConfigError):
+            parse_config(doc)
     doc = {"psi": "half", "pairs": {"mode": "drop", "lo": 2, "hi": 5}}
     with pytest.raises(ConfigError):
         parse_config(doc)

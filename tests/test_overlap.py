@@ -129,8 +129,12 @@ def test_cutoff_identity(psi_half, psi_recip):
     for psi in (psi_half, psi_recip):
         for m, n in ((2, 3), (4, 6), (14, 30), (36, 48)):
             d = decompose_pair(m, n, psi)
+            assert d.D == d.Delta * d.r * d.t
+            top = max(n * psi.value(m), m * psi.value(n))
             for k in (0, 1, 3):
-                assert overlap_cutoff(d, k) == d.Delta * d.r * d.t / exp_rational(k)
+                e = exp_rational(k)
+                assert overlap_cutoff(d, k) == d.Delta * d.r * d.t / e
+                assert overlap_cutoff(d, k) == top / (e * d.gcd)
 
 
 # ---------------------------------------------------------------------------
