@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_overlap
+from reference_arith import iv_floored_log_bounds
 from reference_overlap import integration_window, threshold_class
 
-from dsextra.arith import exp_rational, factorize, log_bounds, totient
+from dsextra.arith import MIN_PRECISION, Approx, exp_rational, factorize, log_bounds, totient
 from dsextra.circles import coprime_arcs, coprime_measure, intersection_measure
 from dsextra.errors import DomainError
 from dsextra.overlap import (
@@ -325,3 +326,18 @@ def test_averaging_reference_monotone():
     big = averaging_reference(10 ** 6, 8)
     assert small.lo <= big.lo
     assert big.lo > 2           # ln(8) * ln(ln(10^6)) = 2.079 * 2.626 ~ 5.46
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10 ** 9), st.integers(1, 10 ** 6), st.integers(MIN_PRECISION, 256))
+# max(1, ln n) is exactly 1 up to n = 12 (ln 12 < 5/2), and ln ln 13 > 0.94
+# is the first ln ln n the floor may keep
+@example(2, 2, 128)
+@example(12, 12, 128)
+@example(13, 13, 128)
+def test_averaging_reference_matches_interval_context(n, top, precision):
+    lk_lo, lk_hi = iv_floored_log_bounds(top, top, precision)
+    lln_lo, lln_hi = iv_floored_log_bounds(*iv_floored_log_bounds(n, n, precision), precision)
+    assert averaging_reference(n, top, precision) == Approx.from_bounds(
+        lk_lo * lln_lo, lk_hi * lln_hi
+    )
