@@ -6,8 +6,10 @@ except the log helpers, which return certified enclosures: mpmath's
 directed-rounding ln and exp (mpmath.libmp) at an explicit working
 precision, whose ends are exact dyadic rationals, so downstream
 comparisons stay exact.  One private dyadic core makes every libmp call
-in the library and holds each end as the integer pair (man, exp).  No
-mpmath context precision is read or written.
+in the library and holds each end as the integer pair (man, exp); its
+one chain of floored logs, max(1, ln n), max(1, ln ln n), ..., is what
+log_power_bounds and damping_bounds read.  No mpmath context precision
+is read or written.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ def frac_str(x: Fraction) -> str:
 SIEVE_CAP = 4_000_000        # largest prime sieve bound: factorize n < (cap+1)^2
 INTEGRAL_CAP = 50_000        # largest floor(X) for log_weight_integral
 SCALE_CAP = 64               # largest k for exp_rational
+EPSILON_CAP = 64             # largest epsilon for (ln n)^epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +183,12 @@ MIN_PRECISION = 8         # fewest working bits for certified logs
 # iv.mpf(den), whose operands and quotient libmp rounds outward to wp bits.
 #
 # The dyadic core below holds one end of an enclosure as the integer pair
-# (man, exp), the exact value man·2^exp that libmp returns, and takes its
-# arguments as exact quotients (num, den), den >= 1, in lowest terms as a
-# Fraction holds them.  An end that libmp returned feeds the next ln as
-# the libmp value it came from (_mpf), with no quotient in between.
-# log_bounds and floored_log_bounds are thin Fraction wrappers over it;
-# log_power_bounds, damping_bounds and log_weight_integral (its ln x ends
-# and its step table) read its ends without leaving the integers.
+# (man, exp), the exact value man·2^exp that libmp returns, man odd.  A
+# rational argument is rounded to an end once (_quotient_end, then
+# _dyadic); the one ln (_ln) and the one floored ln (_floored_ln) take an
+# end, so an end that libmp returned feeds the next ln as it is.
+# _log_power walks the chain n, max(1, ln n), max(1, ln ln n) for
+# log_power_bounds and damping_bounds.
 
 _Dyadic = tuple[int, int]
 _ONE: _Dyadic = (1, 0)
@@ -200,9 +202,9 @@ def _working_bits(precision: int) -> int:
 
 
 def _quotient_end(num: int, den: int, wp: int, rnd: str, shift: int = 0):
-    # the round_floor (lower) or round_ceiling (upper) end of num·2^shift/den,
-    # den >= 1, for num/den in lowest terms up to powers of two: from_int
-    # rounds the operands, and only a power of two commutes with that
+    # the round_floor (lower) or round_ceiling (upper) libmp value of
+    # num·2^shift/den, den >= 1, in lowest terms up to powers of two:
+    # from_int rounds the operands, and only a power of two commutes with that
     if den & (den - 1) == 0:
         # den = 2^k is exact at any precision, so rounding num and then
         # dividing by 2^k rounds num·2^-k once, as from_man_exp does
@@ -212,13 +214,6 @@ def _quotient_end(num: int, den: int, wp: int, rnd: str, shift: int = 0):
     return mpf_div(from_man_exp(num, shift, wp, rnd), from_int(den, wp, den_rnd), wp, rnd)
 
 
-def _as_quotient(x: _Dyadic) -> tuple[int, int]:
-    # an end as the exact quotient (num, den); libmp's mantissas are odd,
-    # and so are their integer powers, so it is in lowest terms
-    man, exp = x
-    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-
-
 def _dyadic(x) -> _Dyadic:
     # a libmp value as (man, exp), the sign on man
     sign, man, exp, _ = x
@@ -226,22 +221,15 @@ def _dyadic(x) -> _Dyadic:
 
 
 def _mpf(x: _Dyadic):
-    # an end x >= 0 that libmp returned, or 0 or 1, as its libmp value: the
-    # mantissa is odd (or 0) and at most wp bits, so it needs no rounding,
-    # only libmp's own integer type (gmpy's mpz when mpmath runs on gmpy)
+    # an end x > 0 as its libmp value: the mantissa is odd and at most wp
+    # bits, so it needs no rounding, only libmp's own integer type (gmpy's
+    # mpz when mpmath runs on gmpy)
     man, exp = x
     return 0, MPZ(man), exp, man.bit_length()
 
 
-def _ln_end(num: int, den: int, wp: int, rnd: str) -> _Dyadic:
-    # one end of ln(num/den) for num/den > 0; ln 1 = 0 takes no call
-    if num == den:
-        return 0, 0
-    return _dyadic(mpf_log(_quotient_end(num, den, wp, rnd), wp, rnd))
-
-
-def _ln_of_end(x: _Dyadic, wp: int, rnd: str) -> _Dyadic:
-    # _ln_end of an end x > 0 that libmp returned, or 1
+def _ln(x: _Dyadic, wp: int, rnd: str) -> _Dyadic:
+    # one end of ln x for an end x > 0; ln 1 = 0 takes no call
     if x == _ONE:
         return 0, 0
     return _dyadic(mpf_log(_mpf(x), wp, rnd))
@@ -262,42 +250,20 @@ def _at_least_one(x: _Dyadic) -> _Dyadic:
     return x if x[0].bit_length() + x[1] > 0 else _ONE
 
 
-def _floored_ln_end(num: int, den: int, wp: int, rnd: str) -> _Dyadic:
-    # one end of max(1, ln(num/den)).  For num/den <= 5/2 it is exactly 1
-    # with no libmp call: the rounded quotient stays <= 5/2 (a dyadic), and
-    # ln(5/2) < 0.92 rounds to below 1 at any wp >= MIN_PRECISION + 32
-    if 2 * num <= 5 * den:
-        return _ONE
-    return _at_least_one(_ln_end(num, den, wp, rnd))
-
-
-def _floored_ln_of_end(x: _Dyadic, wp: int, rnd: str) -> _Dyadic:
-    # _floored_ln_end of an end x that libmp returned, or 1, with the 5/2
-    # test on (man, exp): man·2^exp <= 5/2 exactly when man·2^(exp+1) <= 5
+def _floored_ln(x: _Dyadic, wp: int, rnd: str) -> _Dyadic:
+    # one end of max(1, ln x) for an end x > 0.  For x <= 5/2 it is exactly
+    # 1 with no libmp call: ln(5/2) < 0.92 rounds to below 1 at any
+    # wp >= MIN_PRECISION + 32, and a rational <= 5/2 (a dyadic) rounds to
+    # an end <= 5/2.  man·2^exp <= 5/2 exactly when man·2^(exp+1) <= 5
     man, exp = x
     if (man << exp + 1 <= 5) if exp >= -1 else (man <= 5 << -1 - exp):
         return _ONE
-    return _at_least_one(_ln_of_end(x, wp, rnd))
+    return _at_least_one(_ln(x, wp, rnd))
 
 
 def _fraction(x: _Dyadic) -> Fraction:
     man, exp = x
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def _log_ends(end, lo: RationalLike, hi: RationalLike, precision: int):
-    # end(lo) rounded down and end(hi) rounded up, for end _ln_end or
-    # _floored_ln_end, as Fractions
-    wp = _working_bits(precision)
-    if hi < lo:
-        raise DomainError("empty enclosure")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo <= 0:
-        raise DomainError("log requires x > 0")
-    return (
-        _fraction(end(lo.numerator, lo.denominator, wp, round_floor)),
-        _fraction(end(hi.numerator, hi.denominator, wp, round_ceiling)),
-    )
 
 
 def log_bounds(x: RationalLike, precision: int = 128) -> tuple[Fraction, Fraction]:
@@ -308,16 +274,15 @@ def log_bounds(x: RationalLike, precision: int = 128) -> tuple[Fraction, Fractio
     global state; ln 1 is exactly 0.  Fraction endpoints keep all later
     comparisons exact.  precision must be at least MIN_PRECISION.
     """
-    return _log_ends(_ln_end, x, x, precision)
-
-
-def floored_log_bounds(
-    lo: RationalLike, hi: RationalLike, precision: int = 128
-) -> tuple[Fraction, Fraction]:
-    """Enclosure of max(1, ln x) over x in [lo, hi] — the all-logs-positive
-    convention; a single point x is the interval [x, x].  An end at
-    x <= 5/2 is exactly 1 with no libmp call."""
-    return _log_ends(_floored_ln_end, lo, hi, precision)
+    wp = _working_bits(precision)
+    x = Fraction(x)
+    if x <= 0:
+        raise DomainError("log requires x > 0")
+    num, den = x.numerator, x.denominator
+    return tuple(
+        _fraction(_ln(_dyadic(_quotient_end(num, den, wp, rnd)), wp, rnd))
+        for rnd in (round_floor, round_ceiling)
+    )
 
 
 def _log_power(n: int, epsilon: RationalLike, precision: int):
@@ -328,15 +293,23 @@ def _log_power(n: int, epsilon: RationalLike, precision: int):
         raise DomainError("log requires x > 0")
     if epsilon < 0:
         raise DomainError("(ln n)^epsilon requires epsilon >= 0")
+    if epsilon > EPSILON_CAP:
+        raise CapExceededError(
+            f"(ln n)^epsilon limited to epsilon <= {EPSILON_CAP} "
+            f"(arith.EPSILON_CAP); needed {epsilon}"
+        )
     ep, eq = epsilon.numerator, epsilon.denominator
     down, up = round_floor, round_ceiling
-    l1 = _floored_ln_end(n, 1, wp, down), _floored_ln_end(n, 1, wp, up)
+    l1 = (
+        _floored_ln(_dyadic(_quotient_end(n, 1, wp, down)), wp, down),
+        _floored_ln(_dyadic(_quotient_end(n, 1, wp, up)), wp, up),
+    )
     (m1, e1), (m1h, e1h) = l1
     if eq == 1:
         power = (m1 ** ep, e1 * ep), (m1h ** ep, e1h * ep)
-        l2 = _floored_ln_of_end(l1[0], wp, down), _floored_ln_of_end(l1[1], wp, up)
+        l2 = _floored_ln(l1[0], wp, down), _floored_ln(l1[1], wp, up)
     else:
-        ln_l1 = _ln_of_end(l1[0], wp, down), _ln_of_end(l1[1], wp, up)
+        ln_l1 = _ln(l1[0], wp, down), _ln(l1[1], wp, up)
         (m, e), (mh, eh) = ln_l1
         power = _exp_end(ep * m, eq, wp, down, e), _exp_end(ep * mh, eq, wp, up, eh)
         l2 = _at_least_one(ln_l1[0]), _at_least_one(ln_l1[1])
@@ -345,37 +318,35 @@ def _log_power(n: int, epsilon: RationalLike, precision: int):
 
 def log_power_bounds(
     n: int, epsilon: RationalLike, precision: int = 128
-) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+) -> tuple[tuple[Fraction, Fraction], ...]:
     """Certified enclosures of (ln n)^epsilon and of the two floored logs
     it comes with, max(1, ln n) and max(1, ln ln n); every log is read as
     max(1, ln x).
 
-    Each is a (lower, upper) pair of dyadic ends, each the exact quotient
-    (num, den) with den a power of two.  The ends are those of the
-    interval context on the floored_log_bounds chain, bit for bit, but
-    the chain stays in integers: an integer epsilon raises the ends of
-    ln n exactly, and a fractional one is exp(epsilon·ln ln n) on ln ln n
-    before the floor, which max(1, ln ln n) then reuses.  damping_bounds
-    reads the same ends (_log_power) as (man, exp) pairs.
+    Each is a (lower, upper) pair of exact dyadic Fractions, those of the
+    interval context's chain of floored logs, bit for bit.  The chain
+    stays in integers: an integer epsilon raises the ends of ln n
+    exactly, and a fractional one is exp(epsilon·ln ln n) on ln ln n
+    before the floor, which max(1, ln ln n) then reuses.  epsilon is at
+    most EPSILON_CAP.  damping_bounds reads the same ends (_log_power).
     """
     _, *ends = _log_power(n, epsilon, precision)
-    return tuple((_as_quotient(lo), _as_quotient(hi)) for lo, hi in ends)
+    return tuple((_fraction(lo), _fraction(hi)) for lo, hi in ends)
 
 
 def damping_bounds(
     n: int, epsilon: RationalLike, hpv_c: RationalLike, precision: int = 128
-) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+) -> tuple[tuple[_Dyadic, _Dyadic], ...]:
     """Certified enclosures of the divergence table's three damping factors
     at n: (ln n)^epsilon, exp(hpv_c·ln n/ln ln n) and
     (ln n)^(epsilon·ln ln ln n), every log read as max(1, ln x).
 
-    Each factor is a (lower, upper) pair of dyadic quotient ends, as in
-    log_power_bounds, whose ends give the first factor and the floored
-    logs ln n and ln ln n that the other two reuse.  They are the
-    interval context's exps on the floored_log_bounds chain ln n,
-    ln ln n, ln ln ln n, bit for bit.  Each log of the chain takes the
-    (man, exp) end before it straight into libmp, and each exponent is
-    reduced with one gcd; only the six returned ends become quotients.
+    Each factor is a (lower, upper) pair of dyadic ends (man, exp), the
+    value man·2^exp with man odd.  The first factor and the floored logs
+    ln n and ln ln n that the other two reuse are log_power_bounds' ends;
+    all of them are the interval context's on its chain ln n, ln ln n,
+    ln ln ln n, bit for bit.  Each log of the chain takes the end before
+    it straight into libmp, and each exponent is reduced with one gcd.
     """
     if hpv_c < 0:
         raise DomainError("damping_bounds requires hpv_c >= 0")
@@ -384,9 +355,7 @@ def damping_bounds(
     cp, cq = hpv_c.numerator, hpv_c.denominator
     down, up = round_floor, round_ceiling
     (m2, e2), (m2h, e2h) = l2
-    (m3, e3), (m3h, e3h) = (
-        _floored_ln_of_end(l2[0], wp, down), _floored_ln_of_end(l2[1], wp, up)
-    )
+    (m3, e3), (m3h, e3h) = _floored_ln(l2[0], wp, down), _floored_ln(l2[1], wp, up)
     hpv = (
         _exp_end(cp * m1, cq * m2h, wp, down, e1 - e2h),
         _exp_end(cp * m1h, cq * m2, wp, up, e1h - e2),
@@ -395,7 +364,7 @@ def damping_bounds(
         _exp_end(ep * m3 * m2, eq, wp, down, e3 + e2),
         _exp_end(ep * m3h * m2h, eq, wp, up, e3h + e2h),
     )
-    return tuple((_as_quotient(lo), _as_quotient(hi)) for lo, hi in (damped, hpv, bhhv))
+    return damped, hpv, bhhv
 
 
 _FLOOR_GUARD = Fraction(1, 1 << 64)
@@ -423,8 +392,9 @@ def guarded_floor(lo: Fraction, hi: Fraction) -> int:
 
 
 # ln b endpoints for log_weight_integral: _log_steps = (precision, lo, hi,
-# cum_lo, cum_hi), lo[b] and hi[b] the ends of log_bounds(b, precision) (0
-# at b = 0) as integers on the 2^-(precision + 33) grid: mpmath rounds
+# cum_lo, cum_hi), lo[b] and hi[b] the two _ln ends of the end b (exact,
+# as b <= INTEGRAL_CAP < 2^wp), those of log_bounds(b, precision), 0 at
+# b = 0, as integers on the 2^-(precision + 33) grid: mpmath rounds
 # ln b >= ln 2 > 1/2 to precision + 32 significant bits, so every endpoint
 # is a multiple of 2^-(precision + 32), and the grid keeps a bit to spare.
 # cum_lo[b] and cum_hi[b] are the sums of lo and hi over c <= b.  One
@@ -448,7 +418,8 @@ def _log_steps_upto(
     _, lo, hi, cum_lo, cum_hi = _log_steps
     bits = wp + 1
     for b in range(len(lo), b_max + 1):
-        ends = [_ln_end(b, 1, wp, rnd) for rnd in (round_floor, round_ceiling)]
+        x = _dyadic(_quotient_end(b, 1, wp, round_floor))
+        ends = [_ln(x, wp, rnd) for rnd in (round_floor, round_ceiling)]
         # a nonzero libmp mantissa is odd: an exponent below -bits is off the grid
         if min(exp for _, exp in ends) < -bits:
             raise PrecisionGuardError(f"ln {b} endpoint is off the 2^-{bits} ln grid")
@@ -488,8 +459,11 @@ def log_weight_integral(t: int, x: RationalLike, precision: int = 128) -> Approx
             f"(arith.INTEGRAL_CAP); needed {b_max}"
         )
     wp = _working_bits(precision)
-    man_lo, exp_lo = _ln_end(x.numerator, x.denominator, wp, round_floor)
-    man_hi, exp_hi = _ln_end(x.numerator, x.denominator, wp, round_ceiling)
+    num, den = x.numerator, x.denominator
+    (man_lo, exp_lo), (man_hi, exp_hi) = (
+        _ln(_dyadic(_quotient_end(num, den, wp, rnd)), wp, rnd)
+        for rnd in (round_floor, round_ceiling)
+    )
     steps_lo, steps_hi, cum_lo, cum_hi = _log_steps_upto(b_max, precision)
     count = sum_lo = sum_hi = 0
     for d, mu in _squarefree_divisors(((p, 1, -1) for p, _ in factorize(t)), b_max):

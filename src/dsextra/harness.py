@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .arith import (
+    EPSILON_CAP,
     MIN_PRECISION,
     Approx,
     RationalLike,
@@ -204,41 +205,33 @@ def _div_add(
     bits: int,
 ):
     # the term a/b > 0, in lowest terms, divided by the enclosure
-    # [f_lo, f_hi] of a factor >= 1, each end an exact quotient (num, den).
-    # A running bound on the 2^-bits grid is held as the integer s for
+    # [f_lo, f_hi] of a factor >= 1, each end (m, j) for m·2^j, m odd.  A
+    # running bound on the 2^-bits grid is held as the integer s for
     # s·2^-bits, one off it as a Fraction.  The bounds are rounded outward
-    # onto the grid once their denominators outgrow it: the factor ends
-    # carry ~160-bit odd parts, and exact accumulation would compound them
-    # into rationals with thousands of digits.  Outward rounding keeps the
-    # enclosure valid and adds at most 2^-bits width per term.
-    # Fast path: for s on the grid and a dyadic f = m·2^j with m odd, the
-    # denominator of s + a/(b·f) has odd part odd(b)·m/gcd(a, m) >=
-    # odd(b)·m/a; if odd(b)·m > a·grid that exceeds grid, and the rounded
-    # sum is s plus floor (ceil) of a·grid/(b·f), all in integers.  Any
-    # other end takes the exact Fraction sum below.
+    # onto the grid once their denominators outgrow it: the ~160-bit
+    # mantissas would compound into rationals with thousands of digits.
+    # Outward rounding adds at most 2^-bits width per term.
+    # Fast path: for s on the grid, s + a/(b·m·2^j) has a denominator with
+    # odd part odd(b)·m/gcd(a, m) >= odd(b)·m/a; if odd(b)·m > a·grid that
+    # exceeds grid, and the rounded sum is s plus floor (ceil) of
+    # a·grid/(b·m·2^j), in integers.  Any other sum is the exact one below.
     grid = 1 << bits
-    odd_b = _odd_part(b)
+    odd_b = b >> (b & -b).bit_length() - 1     # the odd part of b
     a_grid = a << bits
-    for i, (fn, fd), up in ((0, f_hi, False), (1, f_lo, True)):
+    for i, (m, j), up in ((0, f_hi, False), (1, f_lo, True)):
         s = acc[i]
-        if type(s) is int and fd & (fd - 1) == 0:
-            # fn/fd is in lowest terms, so fn is odd when fd > 1
-            m = fn if fd > 1 else _odd_part(fn)
-            if odd_b * m > a_grid:
-                num, den = a_grid * fd, b * fn
-                acc[i] = s + (-(-num // den) if up else num // den)
-                continue
-        s = _bound_value(s, bits) + Fraction(a * fd, b * fn)
+        num, den = (a, b * m << j) if j >= 0 else (a << -j, b * m)
+        if type(s) is int and odd_b * m > a_grid:
+            num <<= bits
+            acc[i] = s + (-(-num // den) if up else num // den)
+            continue
+        s = _bound_value(s, bits) + Fraction(num, den)
         if s.denominator > grid:
             acc[i] = math.ceil(s * grid) if up else math.floor(s * grid)
         elif grid % s.denominator == 0:
             acc[i] = s.numerator * (grid // s.denominator)
         else:
             acc[i] = s
-
-
-def _odd_part(k: int) -> int:
-    return k >> ((k & -k).bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +322,16 @@ def _as_fraction(value, where: str) -> Fraction:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as e:
         raise ConfigError(f"{where}: {e}") from e
+
+
+def _epsilon(value, where: str) -> Fraction:
+    # a (ln n)^epsilon exponent: refused at <= 0 and past EPSILON_CAP
+    eps = _as_fraction(value, where)
+    if eps <= 0:
+        raise ConfigError(f"{where} must be > 0")
+    if eps > EPSILON_CAP:
+        raise CapExceededError(f"{where} limited to {EPSILON_CAP} (arith.EPSILON_CAP)")
+    return eps
 
 
 def _as_int(value, where: str, minimum: int | None = None) -> int:
@@ -432,9 +435,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not isinstance(h_raw, list) or not h_raw:
             raise ConfigError("blocks.h_list must be a nonempty list")
         h_list = tuple(sorted({_as_int(h, "blocks.h_list", 0) for h in h_raw}))
-        eps = _as_fraction(b.get("epsilon", "1"), "blocks.epsilon")
-        if eps <= 0:
-            raise ConfigError("blocks.epsilon must be > 0")
+        eps = _epsilon(b.get("epsilon", "1"), "blocks.epsilon")
         sample = _opt_int(b.get("sample"), "blocks.sample", 1)
         seed = _opt_int(b.get("seed"), "blocks.seed")
         thinned = b.get("thinned", False)
@@ -451,12 +452,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if "table" in doc:
         t = _object(doc["table"], "table", ("epsilon", "n_top", "hpv_c"))
         table = TableSpec(
-            epsilon=_as_fraction(t.get("epsilon", "1"), "table.epsilon"),
+            epsilon=_epsilon(t.get("epsilon", "1"), "table.epsilon"),
             n_top=_as_int(t.get("n_top", 0), "table.n_top", 2),
             hpv_c=_as_fraction(t.get("hpv_c", "1"), "table.hpv_c"),
         )
-        if table.epsilon <= 0 or table.hpv_c <= 0:
-            raise ConfigError("table damping parameters must be > 0")
+        if table.hpv_c <= 0:
+            raise ConfigError("table.hpv_c must be > 0")
 
     if pair_sweep is None and blocks is None and bc_n is None and table is None:
         raise ConfigError(
@@ -719,9 +720,8 @@ def _thinned_audit(
                 if v != psi_n.value(n) / exp_rational(k):
                     value_violations += 1
                 # ratio psi*(n)·(ln n)^eps / psi(n) = (ln n)^eps / ê_k
-                p_lo, p_hi = log_power_bounds(n, spec.epsilon, precision)[0]
-                lo = Fraction(*p_lo) / exp_rational(k)
-                hi = Fraction(*p_hi) / exp_rational(k)
+                power = log_power_bounds(n, spec.epsilon, precision)[0]
+                lo, hi = (p / exp_rational(k) for p in power)
                 window_lo = lo if window_lo is None or lo < window_lo else window_lo
                 window_hi = hi if window_hi is None or hi > window_hi else window_hi
         elif on_even and psi_n.value(n) > 0:

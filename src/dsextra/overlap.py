@@ -24,8 +24,8 @@ from .arith import (
     Approx,
     exp_rational,
     factorize,
-    floored_log_bounds,
     frac_str,
+    log_power_bounds,
     log_weight_integral,
     totient,
 )
@@ -233,11 +233,11 @@ def averaging_reference(n: int, top: int, precision: int = 128) -> Approx:
     """Certified max(1, ln top) * max(1, ln max(1, ln n)).
 
     The comparison value the averaged sum is measured against, under the
-    all-logs-positive convention.
+    all-logs-positive convention, from the floored logs that
+    arith.log_power_bounds returns for top and for n.
     """
-    lk_lo, lk_hi = floored_log_bounds(top, top, precision)
-    ln = floored_log_bounds(n, n, precision)
-    lln_lo, lln_hi = floored_log_bounds(*ln, precision)
+    _, (lk_lo, lk_hi), _ = log_power_bounds(top, 1, precision)
+    _, _, (lln_lo, lln_hi) = log_power_bounds(n, 1, precision)
     return Approx.from_bounds(lk_lo * lln_lo, lk_hi * lln_hi)
 
 

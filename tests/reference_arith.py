@@ -18,9 +18,11 @@ from mpmath import iv
 from mpmath.libmp import round_ceiling, round_floor
 
 from dsextra.arith import (
+    _dyadic,
     _exp_end,
     _fraction,
-    _ln_end,
+    _ln,
+    _quotient_end,
     _squarefree_divisors,
     _working_bits,
     factorize,
@@ -185,8 +187,9 @@ def iv_exp_bounds(lo, hi, precision=128):
 
 
 def iv_floored_log_bounds(lo, hi, precision=128):
-    """Reference route for floored_log_bounds: max(1, ·) of the lower end
-    of iv_log_bounds(lo) and the upper end of iv_log_bounds(hi)."""
+    """Reference route for arith's floored logs (log_power_bounds,
+    damping_bounds, averaging_reference): max(1, ·) of the lower end of
+    iv_log_bounds(lo) and the upper end of iv_log_bounds(hi)."""
     return (
         max(iv_log_bounds(lo, precision)[0], F(1)),
         max(iv_log_bounds(hi, precision)[1], F(1)),
@@ -232,6 +235,7 @@ def pow_bounds(lo, hi, exponent, precision=128):
         return lo ** p, hi ** p
     ends = []
     for x, rnd in ((lo, round_floor), (hi, round_ceiling)):
-        man, exp = _ln_end(x.numerator, x.denominator, wp, rnd)
+        end = _dyadic(_quotient_end(x.numerator, x.denominator, wp, rnd))
+        man, exp = _ln(end, wp, rnd)
         ends.append(_fraction(_exp_end(p * man, q, wp, rnd, exp)))
     return tuple(ends)

@@ -20,9 +20,14 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from reference_arith import coprime_harmonic, pow_bounds, sieve_upper_bound
+from reference_arith import (
+    coprime_harmonic,
+    iv_floored_log_bounds,
+    pow_bounds,
+    sieve_upper_bound,
+)
 
-from dsextra.arith import exp_rational, floored_log_bounds, totient
+from dsextra.arith import exp_rational, totient
 from dsextra.circles import (
     coprime_arcs,
     intersect,
@@ -278,7 +283,7 @@ def test_criterion_09_thinned_audit(psi_half_2000, block_report, pins):
         assert star.value(n) == expected, n
         if expected:
             support += 1
-            lo, hi = floored_log_bounds(n, n)
+            lo, hi = iv_floored_log_bounds(n, n)
             plo, phi_ = pow_bounds(lo, hi, F(3))
             ratio_lo = plo * star.value(n) / psi.value(n)
             ratio_hi = phi_ * star.value(n) / psi.value(n)

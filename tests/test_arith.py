@@ -31,6 +31,7 @@ from reference_arith import (
 
 from dsextra import arith
 from dsextra.arith import (
+    EPSILON_CAP,
     INTEGRAL_CAP,
     SCALE_CAP,
     SIEVE_CAP,
@@ -39,7 +40,6 @@ from dsextra.arith import (
     damping_bounds,
     exp_rational,
     factorize,
-    floored_log_bounds,
     guarded_floor,
     is_prime,
     log_bounds,
@@ -300,6 +300,15 @@ def test_caps_name_their_constant():
         exp_rational(65)
     with pytest.raises(CapExceededError, match="SIEVE_CAP"):
         factorize((SIEVE_CAP + 1) ** 2)
+    # an integer epsilon raises ln n exactly, so its cost grows with it
+    for epsilon in (F(EPSILON_CAP + 1), EPSILON_CAP + F(1, 2)):
+        with pytest.raises(CapExceededError, match="EPSILON_CAP"):
+            log_power_bounds(3, epsilon)
+        with pytest.raises(CapExceededError, match="EPSILON_CAP"):
+            damping_bounds(3, epsilon, F(1))
+    assert log_power_bounds(3, F(EPSILON_CAP))[0] == tuple(
+        x ** EPSILON_CAP for x in log_bounds(3)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +345,19 @@ def test_log_bounds_precision_controls_width():
     assert lo64 < F(10987, 10 ** 4) and F(10986, 10 ** 4) < hi64
 
 
-def test_floored_log_bounds():
-    assert floored_log_bounds(2, 2) == (F(1), F(1))      # ln 2 < 1 clamps
-    lo, hi = floored_log_bounds(3, 3)
-    assert F(1) < lo <= hi
-    assert floored_log_bounds(F(1, 10), F(1, 10)) == (F(1), F(1))
-    # an interval: the lower end of ln lo and the upper end of ln hi
-    assert floored_log_bounds(2, 3) == (F(1), hi)
-    assert floored_log_bounds(3, 20, 64) == (log_bounds(3, 64)[0], log_bounds(20, 64)[1])
+def test_log_power_bounds_floored_logs():
+    # max(1, ln n) and max(1, ln ln n), the floored logs that
+    # log_power_bounds returns beside (ln n)^epsilon
+    assert log_power_bounds(2, 1) == ((F(1), F(1)),) * 3     # ln 2 < 1 clamps
+    power, l1, l2 = log_power_bounds(3, 1)
+    assert power == l1 == log_bounds(3) and F(1) < l1[0]
+    assert l2 == (F(1), F(1))                                 # ln ln 3 < 1 clamps
+    # ln ln 20 > 1.09: the lower end of ln l1[0] and the upper end of ln l1[1]
+    _, l1, l2 = log_power_bounds(20, F(1, 2), 64)
+    assert l1 == log_bounds(20, 64)
+    assert l2 == (log_bounds(l1[0], 64)[0], log_bounds(l1[1], 64)[1])
     with pytest.raises(DomainError):
-        floored_log_bounds(3, 2)
+        log_power_bounds(0, 1)
 
 
 def test_pow_bounds_integer_exact():
@@ -436,35 +448,22 @@ def test_pow_bounds_match_interval_context(a, b, exponent, precision):
 @example(1000, F(1, 2), 128)
 def test_log_power_bounds_match_pow_bounds(n, epsilon, precision):
     # the table's and the thinned audit's (ln n)^epsilon, and the floored
-    # logs it comes with, against pow_bounds on the floored_log_bounds chain
-    power, l1, l2 = (
-        (F(*lo), F(*hi)) for lo, hi in log_power_bounds(n, epsilon, precision)
-    )
-    assert l1 == floored_log_bounds(n, n, precision)
-    assert l2 == floored_log_bounds(*l1, precision)
+    # logs it comes with, against pow_bounds on the interval context's
+    # floored log chain
+    power, l1, l2 = log_power_bounds(n, epsilon, precision)
+    assert l1 == iv_floored_log_bounds(n, n, precision)
+    assert l2 == iv_floored_log_bounds(*l1, precision)
     assert power == pow_bounds(*l1, epsilon, precision)
 
 
-# x = 1, 5/2 and around it: rationals a little below and above, and
-# 160-bit dyadics within 2^-120 of it; then x > e
-_FLOOR_X = st.one_of(
-    st.sampled_from([F(1), F(5, 2)]),
-    st.builds(lambda k: F(5, 2) - F(1, k), st.integers(3, 10 ** 30)),
-    st.builds(lambda k: F(5, 2) + F(1, k), st.integers(1, 10 ** 30)),
-    st.builds(
-        lambda d: F(5, 2) + F(2 * d + 1, 1 << 160), st.integers(-(1 << 39), 1 << 39)
-    ),
-    st.fractions(F(2719, 1000), 10 ** 6, max_denominator=10 ** 6),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_FLOOR_X, _FLOOR_X, _PRECISION)
-def test_floored_log_shortcut_matches_interval_context(a, b, precision):
+@settings(max_examples=25, deadline=None)
+@given(_PRECISION)
+def test_floored_log_shortcut_matches_interval_context(precision):
     # an end at x <= 5/2 is exactly 1 with no libmp call; every other end
     # makes one ln call, and both agree with the interval context
-    lo, hi = min(a, b), max(a, b)
     calls = []
+    wp = arith._working_bits(precision)
+    k = wp - 3
     with pytest.MonkeyPatch.context() as mp:
         for name in ("mpf_log", "mpf_exp"):
             f = getattr(arith, name)
@@ -474,9 +473,24 @@ def test_floored_log_shortcut_matches_interval_context(a, b, precision):
                 return f(*args)
 
             mp.setattr(arith, name, counted)
-        got = floored_log_bounds(lo, hi, precision)
-    assert got == iv_floored_log_bounds(lo, hi, precision)
-    assert calls == ["mpf_log"] * ((lo > F(5, 2)) + (hi > F(5, 2)))
+        # log_power_bounds' floored ends where the test flips: on n itself
+        # at n = 2, 3, and on the (man, exp) end of ln n at n = 12, 13
+        for n in (2, 3, 12, 13):
+            calls.clear()
+            _, l1, l2 = log_power_bounds(n, 1, precision)
+            assert calls == ["mpf_log"] * (2 * (n > 2) + sum(x > F(5, 2) for x in l1)), n
+            assert l1 == iv_floored_log_bounds(n, n, precision)
+            assert l2 == iv_floored_log_bounds(*l1, precision)
+        # the ends 5/2 and one wp-bit ulp either side of it
+        for end in ((5, -1), ((5 << k) - 1, -k - 1), ((5 << k) + 1, -k - 1)):
+            x = arith._fraction(end)
+            calls.clear()
+            got = tuple(
+                arith._fraction(arith._floored_ln(end, wp, rnd))
+                for rnd in (round_floor, round_ceiling)
+            )
+            assert calls == ["mpf_log"] * 2 * (x > F(5, 2)), end
+            assert got == iv_floored_log_bounds(x, x, precision)
 
 
 @settings(max_examples=150, deadline=None)
@@ -500,11 +514,11 @@ def test_floored_log_shortcut_matches_interval_context(a, b, precision):
 @example(195_340, F(1, 2), F(2), 200)
 def test_damping_bounds_match_interval_context(n, epsilon, hpv_c, precision):
     got = damping_bounds(n, epsilon, hpv_c, precision)
-    # every end is a dyadic quotient (num, den) in lowest terms
+    # every end is a dyadic (man, exp) with man odd, in lowest terms
     for lo, hi in got:
-        for num, den in (lo, hi):
-            assert den & (den - 1) == 0 and math.gcd(num, den) == 1
-    assert [(F(*lo), F(*hi)) for lo, hi in got] == iv_damping_bounds(
+        for man, _ in (lo, hi):
+            assert man % 2 == 1
+    assert [tuple(map(arith._fraction, ends)) for ends in got] == iv_damping_bounds(
         n, epsilon, hpv_c, precision
     )
 
@@ -514,7 +528,7 @@ def test_damping_bounds_domain():
         with pytest.raises(DomainError):
             damping_bounds(*args)
     # epsilon and hpv_c of 0 divide by nothing
-    assert damping_bounds(20, 0, 0, 64) == (((1, 1), (1, 1)),) * 3
+    assert damping_bounds(20, 0, 0, 64) == (((1, 0), (1, 0)),) * 3
 
 
 @pytest.mark.parametrize("precision", [7, 0, -32, -40])
@@ -528,7 +542,6 @@ def test_enclosures_reject_uncertifiable_precision(precision, monkeypatch):
     psi = make_psi("half", 50)
     calls = [
         partial(log_bounds, 3),
-        partial(floored_log_bounds, 3, 20),
         partial(log_power_bounds, 20, F(1, 3)),
         partial(log_weight_integral, 6, 10),
         partial(damping_bounds, 20, F(1, 2), F(1)),
@@ -603,23 +616,23 @@ def test_log_weight_integral_error_budget_is_checked(fresh_log_steps, monkeypatc
     # returned just inside it
     precision = 64
     budget = F(1, 1 << (precision - 1))
-    ln_end = arith._ln_end
+    ln = arith._ln
 
     def widened(width):
-        def end(num, den, wp, rnd):
-            if (num, den) != (5, 2):
-                return ln_end(num, den, wp, rnd)
-            man, exp = ln_end(num, den, wp, round_floor)
+        def end(x, wp, rnd):
+            if x != (5, -1):                # the end of x = 5/2
+                return ln(x, wp, rnd)
+            man, exp = ln(x, wp, round_floor)
             if rnd == round_ceiling:
                 man += int(width * (1 << -exp))
             return man, exp
 
         return end
 
-    monkeypatch.setattr(arith, "_ln_end", widened(budget))
+    monkeypatch.setattr(arith, "_ln", widened(budget))
     with pytest.raises(PrecisionGuardError, match="integral error"):
         log_weight_integral(1, F(5, 2), precision)
-    monkeypatch.setattr(arith, "_ln_end", widened(budget - F(1, 1 << (precision + 8))))
+    monkeypatch.setattr(arith, "_ln", widened(budget - F(1, 1 << (precision + 8))))
     out = log_weight_integral(1, F(5, 2), precision)
     assert budget - F(1, 1 << (precision + 7)) < out.err <= budget
 
@@ -712,14 +725,14 @@ def test_log_prefix_grid_is_checked(fresh_log_steps, monkeypatch):
     # an ln 7 end of 2^-(wp + 1) is on the grid, one of 2^-(wp + 2) is
     # refused, and the table keeps its lower and upper ends and their
     # cumulative sums in step, so the next call grows it from b = 7
-    ln_end = arith._ln_end
+    ln = arith._ln
     for below, on_grid in ((1, True), (2, False)):
         monkeypatch.setattr(arith, "_log_steps", (None, [0], [0], [0], [0]))
         monkeypatch.setattr(
             arith,
-            "_ln_end",
-            lambda num, den, wp, rnd, below=below: (
-                (1, -(wp + below)) if (num, den) == (7, 1) else ln_end(num, den, wp, rnd)
+            "_ln",
+            lambda x, wp, rnd, below=below: (
+                (1, -(wp + below)) if x == (7, 0) else ln(x, wp, rnd)
             ),
         )
         if on_grid:
@@ -732,7 +745,7 @@ def test_log_prefix_grid_is_checked(fresh_log_steps, monkeypatch):
                 log_weight_integral(1, 10, 64)
             _, lo, hi, cum_lo, cum_hi = arith._log_steps
             assert len(lo) == len(hi) == len(cum_lo) == len(cum_hi) == 7
-    monkeypatch.setattr(arith, "_ln_end", ln_end)
+    monkeypatch.setattr(arith, "_ln", ln)
     assert log_weight_integral(1, 10, 64) == scan_log_weight_integral(1, 10, 64)
 
 

@@ -119,10 +119,12 @@ def test_exit_code_2_on_domain_error(capsys):
 
 
 def test_exit_code_3_on_precision_guard(capsys):
-    # eps * ln 4 within the floor guard of an integer (see test_schedule)
+    # eps * ln 4 within 5.7e-41 of 1, inside the floor guard: E * ln 4 is
+    # within 3.2e-21 of the integer N for the convergent E of test_schedule,
+    # and eps = E/N stays within EPSILON_CAP
     code, _, err = run_cli(
         capsys, "block", "--h", "1", "--base", "2",
-        "--eps", "40633044299010862123",
+        "--eps", "40633044299010862123/56329360186853476865",
     )
     assert code == 3
     assert "precision guard" in err
@@ -343,10 +345,12 @@ def test_run_checks_every_csv_path_first(capsys, tmp_path, monkeypatch):
       "max_n": 300}, 2, "cannot sample 5000"),
     ({"blocks": {"base": 2, "h_list": [1], "epsilon": "3", "thinned": True}},
      2, "even blocks [0]"),
-    # K(1) = floor(100·ln 4) = 138 scales
-    ({"blocks": {"base": 2, "h_list": [1], "epsilon": "100"}}, 4, "SCALE_CAP"),
+    # K(1) = floor(47·ln 4) = 65 scales, at an epsilon within EPSILON_CAP
+    ({"blocks": {"base": 2, "h_list": [1], "epsilon": "47"}}, 4, "SCALE_CAP"),
     # psi is 0 on 1..5, so every bc event has measure zero
     ({"psi": "primes:0", "bc_n": 5}, 2, "all events have measure zero"),
+    # (ln n)^30000 would be raised exactly, with no refusal inside the table
+    ({"table": {"epsilon": "30000", "n_top": 64}}, 4, "EPSILON_CAP"),
 ])
 def test_run_checks_every_cap_first(capsys, tmp_path, later, code, text):
     # the sweep is within its cap, but a later section is refused: the run

@@ -13,13 +13,12 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_arith import iv_exp_bounds, pow_bounds
+from reference_arith import iv_exp_bounds, iv_floored_log_bounds, pow_bounds
 
 from dsextra import arith, circles, harness
 from dsextra.arith import (
     MIN_PRECISION,
     Approx,
-    floored_log_bounds,
     frac_str,
     totient,
 )
@@ -289,7 +288,7 @@ def test_divergence_table_libmp_call_counts(epsilon, logs, exps, monkeypatch):
 
 def fraction_divergence_table(epsilon, n_top, psi, precision=128, hpv_c=1):
     """Reference route for divergence_table: its earlier loop, with the
-    damping factors from floored_log_bounds, pow_bounds and the interval
+    damping factors from iv_floored_log_bounds, pow_bounds and the interval
     context's exp (iv_exp_bounds) as Fraction ends and every running bound
     a Fraction (fraction_div_add)."""
     epsilon, hpv_c = F(epsilon), F(hpv_c)
@@ -302,15 +301,15 @@ def fraction_divergence_table(epsilon, n_top, psi, precision=128, hpv_c=1):
         term = psi.value(n) * totient(n) / n
         plain += term
         if term:
-            l1 = floored_log_bounds(n, n, precision)
-            l2_lo, l2_hi = floored_log_bounds(*l1, precision)
+            l1 = iv_floored_log_bounds(n, n, precision)
+            l2_lo, l2_hi = iv_floored_log_bounds(*l1, precision)
             f_lo, f_hi = pow_bounds(l1[0], l1[1], epsilon, precision)
             fraction_div_add(acc["damped"], term, f_lo, f_hi, grid_bits)
             f_lo, f_hi = iv_exp_bounds(
                 hpv_c * l1[0] / l2_hi, hpv_c * l1[1] / l2_lo, precision
             )
             fraction_div_add(acc["hpv"], term, f_lo, f_hi, grid_bits)
-            l3_lo, l3_hi = floored_log_bounds(l2_lo, l2_hi, precision)
+            l3_lo, l3_hi = iv_floored_log_bounds(l2_lo, l2_hi, precision)
             f_lo, f_hi = iv_exp_bounds(
                 epsilon * l3_lo * l2_lo, epsilon * l3_hi * l2_hi, precision
             )
@@ -393,9 +392,16 @@ def _dyadic(m, e):
     return F(m) * F(2) ** e
 
 
-_FACTOR = st.one_of(
-    st.builds(_dyadic, st.integers(1, 1 << 200), st.integers(-200, 200)),
-    st.fractions(1, 10 ** 6, max_denominator=10 ** 6),
+def _end(f):
+    # a dyadic Fraction as the end (m, j) for m·2^j, m odd, as damping_bounds
+    # returns its ends
+    twos = (f.numerator & -f.numerator).bit_length() - 1
+    return f.numerator >> twos, twos + 1 - f.denominator.bit_length()
+
+
+# dyadic factors with odd mantissas, the ends _div_add reads
+_FACTOR = st.builds(
+    _dyadic, st.integers(0, 1 << 199).map(lambda k: 2 * k + 1), st.integers(-200, 200)
 )
 _BOUND = st.one_of(
     st.builds(_dyadic, st.integers(0, 1 << 80), st.integers(-64, 0)),
@@ -435,8 +441,7 @@ def test_div_add_matches_exact_sum_then_round(bits, s_lo, s_hi, term, f_lo, f_hi
         return s.numerator * (grid // s.denominator) if grid % s.denominator == 0 else s
 
     acc = [held(s_lo), held(s_hi)]
-    _div_add(acc, term.numerator, term.denominator,
-             (f_lo.numerator, f_lo.denominator), (f_hi.numerator, f_hi.denominator), bits)
+    _div_add(acc, term.numerator, term.denominator, _end(f_lo), _end(f_hi), bits)
     values = [_bound_value(s, bits) for s in acc]
     assert values == [rounded(s_lo + term / f_hi, False), rounded(s_hi + term / f_lo, True)]
     assert acc == [held(v) for v in values]

@@ -17,7 +17,14 @@ import reference_overlap
 from reference_arith import iv_floored_log_bounds
 from reference_overlap import integration_window, threshold_class
 
-from dsextra.arith import MIN_PRECISION, Approx, exp_rational, factorize, log_bounds, totient
+from dsextra.arith import (
+    MIN_PRECISION,
+    Approx,
+    exp_rational,
+    factorize,
+    log_bounds,
+    totient,
+)
 from dsextra.circles import coprime_arcs, coprime_measure, intersection_measure
 from dsextra.errors import DomainError
 from dsextra.overlap import (
@@ -330,14 +337,15 @@ def test_averaging_reference_monotone():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 10 ** 9), st.integers(1, 10 ** 6), st.integers(MIN_PRECISION, 256))
-# max(1, ln n) is exactly 1 up to n = 12 (ln 12 < 5/2), and ln ln 13 > 0.94
-# is the first ln ln n the floor may keep
+# around the x <= 5/2 floor test: n = 2 takes no ln at all; ln 12 < 5/2
+# floors ln ln 12 with no ln call, and ln 13 > 5/2 computes ln ln 13 = 0.94
 @example(2, 2, 128)
 @example(12, 12, 128)
 @example(13, 13, 128)
 def test_averaging_reference_matches_interval_context(n, top, precision):
     lk_lo, lk_hi = iv_floored_log_bounds(top, top, precision)
-    lln_lo, lln_hi = iv_floored_log_bounds(*iv_floored_log_bounds(n, n, precision), precision)
+    ln_n = iv_floored_log_bounds(n, n, precision)
+    lln_lo, lln_hi = iv_floored_log_bounds(*ln_n, precision)
     assert averaging_reference(n, top, precision) == Approx.from_bounds(
         lk_lo * lln_lo, lk_hi * lln_hi
     )
