@@ -5,7 +5,9 @@ closed-form overlap kernel (coprime_intersection_sums), which build no
 arcs.  The kernel reads prepared events: arc_event validates m and its
 radii, refuses a column wider than the one before it, factorizes m and
 stores each radius as integers, once per event, and callers hold the
-event for every row it joins.  The arc sets
+event for every row it joins.  Per pair, the kernel turns the two prime
+factorizations into its inclusion-exclusion terms in one pass
+(_pair_terms) and sums them per column (_overlap_sum).  The arc sets
 (CircleIntervalSet: sorted, merged integer endpoints over one gcd-reduced
 denominator) and intersect, intersection_measure and
 midpoint_grid_measure are the tests' independent reference routes.
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .arith import RationalLike, _squarefree_divisors, factorize, totient
+from .arith import RationalLike, factorize, totient
 from .errors import DomainError
 
 
@@ -190,10 +192,11 @@ def arc_event(m: int, rads: Sequence[RationalLike]) -> ArcEvent:
     return ArcEvent(m, factorize(m), radii)
 
 
-def _pair_weights(
-    fm: tuple[tuple[int, int], ...], fn: tuple[tuple[int, int], ...]
-) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """(base, w(0)/base, factors) for the pair with factorizations fm, fn.
+def _pair_terms(
+    fm: tuple[tuple[int, int], ...], primes_n: dict[int, int], g: int, reach: int
+) -> tuple[int, int, list[tuple[int, int]]]:
+    """(base, w(0)/base, terms) for m = Π p^a over fm and n = Π p^b over
+    primes_n, with g = gcd(m, n): the pair's weights, expanded up to reach.
 
     The exponent split of m, n: r collects the primes with equal exponents;
     for the others s takes the smaller and t the larger power.  So
@@ -201,29 +204,44 @@ def _pair_weights(
     centres a/m and b/n of two arcs differ by j/P mod 1, and the number of
     pairs of units a mod m, b mod n at offset j is w(j) = base *
     [gcd(j, t) = 1] * prod over p | r of (p - 2 + [p | j]), base =
-    phi(s) * r / rad(r).  The factors (p, a_p, b_p), in no particular
-    order, give that product as prod of (a_p + b_p * [p | j]) over the
-    primes of r*t, for _squarefree_divisors to expand.
+    phi(s) * r / rad(r).  One walk over the primes of m, then over those of
+    n prime to m (p ∤ g), builds base, w(0)/base and the expansion of
+    w(j)/base as sum of c_D * [D | j] over the squarefree D <= reach with
+    c_D != 0, in no particular order: a prime p | t contributes the
+    factor (1 - [p | j]) and a prime p | r the factor (p - 2 + [p | j]),
+    which is [2 | j] at p = 2, so no odd D is kept when 2 | r.
     """
-    em = dict(fm)
     base = w0 = 1
-    factors = []
-    for p, b in fn:
-        a = em.pop(p, 0)
+    terms = [(1, 1)]
+    for p, a in fm:
+        b = primes_n.get(p, 0)
+        top = reach // p
         if a == b:              # p | r
-            base *= p ** (a - 1)
+            if a > 1:
+                base *= p ** (a - 1)
             w0 *= p - 1
-            factors.append((p, p - 2, 1))
+            multiples = [(d * p, c) for d, c in terms if d <= top] if top else []
+            if p == 2:
+                terms = multiples
+                continue
+            if p > 3:
+                terms = [(d, c * (p - 2)) for d, c in terms]
         else:                   # p | t, and p | s when both exponents are > 0
             lo = a if a < b else b
             if lo:
                 base *= (p - 1) * p ** (lo - 1)
             w0 = 0
-            factors.append((p, 1, -1))
-    for p in em:                # the primes of m alone: p | t
-        w0 = 0
-        factors.append((p, 1, -1))
-    return base, w0, factors
+            if not top:
+                continue
+            multiples = [(d * p, -c) for d, c in terms if d <= top]
+        terms += multiples
+    for p in primes_n:          # the primes of n alone: p | t
+        if g % p:
+            w0 = 0
+            top = reach // p
+            if top:
+                terms += [(d * p, -c) for d, c in terms if d <= top]
+    return base, w0, terms
 
 
 def _overlap_sum(
@@ -264,12 +282,12 @@ def coprime_intersection_sums(
 
     The closed form of the pairwise overlaps, without building arcs: the
     pairs of arcs at each centre offset j/P, P = lcm(m, n), are counted
-    from the prime exponents of m and n (_pair_weights) and their overlaps
-    summed as arithmetic series (_overlap_sum).  The events come from
-    arc_event, validated and factorized once each, so the walk reads
-    integers only: with g = gcd(m, n), P = m·(n/g) and a radius x/d of m
-    gives h_m·P = x·(n/g)/d, so per column h_m·P and h_n·P are a/q and b/q
-    over q = lcm(d_m, d_n), which is d_m when the two agree.
+    from the prime exponents of m and n and their overlaps summed as
+    arithmetic series.  The events come from arc_event, validated and
+    factorized once each, so the walk reads integers only: with
+    g = gcd(m, n), P = m·(n/g) and a radius x/d of m gives
+    h_m·P = x·(n/g)/d, so per column h_m·P and h_n·P are a/q and b/q over
+    q = lcm(d_m, d_n), which is d_m when the two agree.
 
     Each pair walks its columns in order.  A column is dead when a radius
     is 0, or when m != n and its reach floor((h_m + h_n)·P) is 0: a zero
@@ -277,10 +295,13 @@ def coprime_intersection_sums(
     do not meet when the reach is 0, and w(0) = 0 unless m = n.  No column
     of an event is wider than the one before it (arc_event), so every
     column after a dead one is dead too, and the pair's first dead column
-    ends its walk.  At column 0, the widest reach, the pair's weights are
-    expanded once over the squarefree D up to that reach, and sorted by D
-    when a second column is live.  Each live column sums its terms up to
-    its own reach, giving an integer over q·P; scaled to q·L,
+    ends its walk.  At column 0, the widest reach, one pass over the
+    primes of m against the target's prime exponents (a dict built once
+    per call) gives the pair's weights already expanded over the
+    squarefree D up to that reach (_pair_terms), and column 0 sums them
+    inline.  They are sorted by D when a second column is live, and each
+    later live column sums them up to its own reach (_overlap_sum).  Each
+    live column gives an integer over q·P; scaled to q·L,
     L = lcm(n, every m) (common), it joins the column's sum over the lcm
     of its q, which takes no gcd while the q agree, as in every column of
     select_scale.  Cost: O(2^omega(r*t)) integer operations per pair and
@@ -294,38 +315,48 @@ def coprime_intersection_sums(
     radii_n = target.radii
     n = target.m
     columns = len(radii_n)
+    for event in events:
+        if len(event.radii) != columns:
+            raise DomainError(
+                f"event {event.m} has {len(event.radii)} radii for {columns} columns"
+            )
+    if not columns:
+        return []
+    primes_n = dict(target.factors)     # read by every pair's _pair_terms
     common = math.lcm(n, *(e.m for e in events))    # L: each P divides it
     nums, dens = [0] * columns, [1] * columns   # column i: 2*num/(den*common)
-    indices = range(columns)    # zipped in: per pair, cheaper than enumerate(zip())
+    x_n, d_n = radii_n[0]
     for event in events:
+        m = event.m
         radii_m = event.radii
-        if len(radii_m) != columns:
-            raise DomainError(
-                f"event {event.m} has {len(radii_m)} radii for {columns} columns"
-            )
-        co_m = n // math.gcd(event.m, n)    # the cofactors n/g and m/g
-        period = event.m * co_m
-        co_n = period // n
-        same = event.m == n
-        for i, (x_m, d_m), (x_n, d_n) in zip(indices, radii_m, radii_n):
-            if not (x_m and x_n):
-                break
-            q, a, b = d_m, x_m * co_m, x_n * co_n
-            if d_m != d_n:
-                q = math.lcm(d_m, d_n)
-                a, b = a * (q // d_m), b * (q // d_n)
-            if a > b:
-                a, b = b, a
-            reach = (a + b) // q
-            if not (reach or same):
-                break
-            if not i:
-                base, w0, factors = _pair_weights(event.factors, target.factors)
-                base *= common // period
-                terms = _squarefree_divisors(factors, reach)
-            elif i == 1:
-                terms.sort()
-            acc = _overlap_sum(a, b, q, w0, reach, terms)
+        x_m, d_m = radii_m[0]
+        if not (x_m and x_n):
+            continue
+        g = math.gcd(m, n)
+        co_m, co_n = n // g, m // g     # the cofactors n/g and m/g
+        q, a, b = d_m, x_m * co_m, x_n * co_n
+        if d_m != d_n:
+            q = math.lcm(d_m, d_n)
+            a, b = a * (q // d_m), b * (q // d_n)
+        if a > b:
+            a, b = b, a
+        reach = (a + b) // q
+        if not (reach or m == n):
+            continue
+        base, w0, terms = _pair_terms(event.factors, primes_n, g, reach)
+        base *= common // (m * co_m)
+        # column 0: _overlap_sum inline, every term within its reach
+        low = (b - a) // q
+        s1 = s2 = s3 = 0
+        for d, c in terms:
+            q1 = low // d
+            q2 = reach // d
+            s1 += c * q1
+            s2 += c * q2
+            s3 += c * d * (q2 * (q2 + 1) - q1 * (q1 + 1))
+        acc = a * w0 + (a + b) * s2 - (b - a) * s1 - q * (s3 // 2)
+        i = 0
+        while True:
             if acc:
                 # add base*acc/q over dens[i], the lcm of the column's q
                 if dens[i] != q:
@@ -334,6 +365,24 @@ def coprime_intersection_sums(
                     dens[i] = den
                     acc *= den // q
                 nums[i] += base * acc
+            i += 1
+            if i == columns:
+                break
+            (x_m, d_m), (x_i, d_i) = radii_m[i], radii_n[i]
+            if not (x_m and x_i):
+                break
+            q, a, b = d_m, x_m * co_m, x_i * co_n
+            if d_m != d_i:
+                q = math.lcm(d_m, d_i)
+                a, b = a * (q // d_m), b * (q // d_i)
+            if a > b:
+                a, b = b, a
+            reach = (a + b) // q
+            if not (reach or m == n):
+                break
+            if i == 1:
+                terms.sort()
+            acc = _overlap_sum(a, b, q, w0, reach, terms)
     return [Fraction(2 * num, den * common) for num, den in zip(nums, dens)]
 
 

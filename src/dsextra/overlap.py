@@ -25,6 +25,7 @@ from .arith import (
     exp_rational,
     factorize,
     frac_str,
+    log_bounds,
     log_power_bounds,
     log_weight_integral,
     totient,
@@ -233,10 +234,10 @@ def averaging_reference(n: int, top: int, precision: int = 128) -> Approx:
     """Certified max(1, ln top) * max(1, ln max(1, ln n)).
 
     The comparison value the averaged sum is measured against, under the
-    all-logs-positive convention, from the floored logs that
-    arith.log_power_bounds returns for top and for n.
+    all-logs-positive convention: the ends of log_bounds(top) floored at 1,
+    and the floored ln ln n that arith.log_power_bounds returns for n.
     """
-    _, (lk_lo, lk_hi), _ = log_power_bounds(top, 1, precision)
+    lk_lo, lk_hi = (max(1, end) for end in log_bounds(top, precision))
     _, _, (lln_lo, lln_hi) = log_power_bounds(n, 1, precision)
     return Approx.from_bounds(lk_lo * lln_lo, lk_hi * lln_hi)
 

@@ -120,9 +120,11 @@ def select_scale(
     no arc system is built.  The columns psi/ê_k narrow as k grows, as
     arc_event requires, so a pair's walk over k ends at its first k whose
     arcs cannot meet, (δ + Δ)·lcm(m, n) < 1.  A pair that overlaps at k = 1
-    has its weights expanded once, in O(2^omega(mn)) integer operations per
-    overlapping k whatever m and n, and adds an integer over
-    q·lcm(m, n) per k, q = lcm of the radii's denominators.
+    has its weights expanded once, in the same pass over its prime
+    exponents that finds them; each overlapping k sums the expanded terms.
+    That is O(2^omega(mn)) integer operations per overlapping k whatever m
+    and n, and adds an integer over q·lcm(m, n) per k, q = lcm of the
+    radii's denominators.
     """
     lo, hi = block_bounds(h, base)
     epsilon = Fraction(epsilon)

@@ -12,6 +12,11 @@ class of the window and the integral log_weight_integral(t, window)
 scaled by ê_k/(phi(t)*Delta*r).  The overlap ratio comes from arcs built
 by coprime_arcs and the integer sweep intersection_measure, not from the
 kernel.
+
+pair_weights is the kernel's former per-pair step: the weights of a pair
+as a list of (p, a, b) factors, which arith._squarefree_divisors expands.
+It is the reference for circles._pair_terms, which expands them in the
+same pass that finds them.
 """
 
 from fractions import Fraction as F
@@ -84,3 +89,39 @@ def records(m, n, psi, ks, precision=128, with_integral=True) -> list[OverlapRec
         )
         for k in ks
     ]
+
+
+def pair_weights(
+    fm: tuple[tuple[int, int], ...], fn: tuple[tuple[int, int], ...]
+) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """(base, w(0)/base, factors) for the pair with factorizations fm, fn.
+
+    The exponent split of m, n: r collects the primes with equal exponents;
+    for the others s takes the smaller and t the larger power.  So
+    m*n = r^2*s*t, gcd(m, n) = r*s, lcm(m, n) = r*t = P and s | t.  The
+    centres a/m and b/n of two arcs differ by j/P mod 1, and the number of
+    pairs of units a mod m, b mod n at offset j is w(j) = base *
+    [gcd(j, t) = 1] * prod over p | r of (p - 2 + [p | j]), base =
+    phi(s) * r / rad(r).  The factors (p, a_p, b_p), in no particular
+    order, give that product as prod of (a_p + b_p * [p | j]) over the
+    primes of r*t, for _squarefree_divisors to expand.
+    """
+    em = dict(fm)
+    base = w0 = 1
+    factors = []
+    for p, b in fn:
+        a = em.pop(p, 0)
+        if a == b:              # p | r
+            base *= p ** (a - 1)
+            w0 *= p - 1
+            factors.append((p, p - 2, 1))
+        else:                   # p | t, and p | s when both exponents are > 0
+            lo = a if a < b else b
+            if lo:
+                base *= (p - 1) * p ** (lo - 1)
+            w0 = 0
+            factors.append((p, 1, -1))
+    for p in em:                # the primes of m alone: p | t
+        w0 = 0
+        factors.append((p, 1, -1))
+    return base, w0, factors

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsextra import circles
-from dsextra.arith import exp_rational, totient
+from dsextra.arith import _squarefree_divisors, exp_rational, factorize, totient
 from dsextra.circles import (
     EMPTY_SET,
     FULL_SET,
@@ -23,6 +23,7 @@ from dsextra.circles import (
 )
 from dsextra.errors import DomainError
 from dsextra.psi import make_psi, normalize_psi
+from reference_overlap import pair_weights
 from tests.conftest import validate_arcs
 
 
@@ -209,6 +210,34 @@ def test_closed_form_kernel_agrees(m, n, rm, rn, k):
     got = pair_measure(m, rm, n, rn)
     assert got == intersection_measure(a, b) == intersect(a, b).measure()
     assert got == pair_measure(n, rn, m, rm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2000),
+    st.integers(min_value=1, max_value=2000),
+    st.fractions(min_value=0, max_value=1),
+)
+@example(12, 12, F(1))                  # m = n: every prime in r
+@example(360, 360, F(1, 3))
+@example(1, 210, F(1))                  # m = 1 and n = 1
+@example(210, 1, F(1, 2))
+@example(1, 1, F(1))
+@example(12, 20, F(1))                  # 2^2 in both: the (2, 0, 1) factor
+@example(6, 10, F(1, 2))                # 2^1 in both
+@example(1155, 2, F(1))
+@example(30, 42, F(0))                  # reach 0
+@example(30, 42, F(1, 210))             # reach 1
+def test_pair_terms_match_reference_expansion(m, n, share):
+    # circles._pair_terms against the kernel's former two steps, the
+    # factor list of reference_overlap.pair_weights expanded by
+    # arith._squarefree_divisors, at a reach from 0 to lcm(m, n)
+    reach = math.floor(share * math.lcm(m, n))
+    fm, fn = factorize(m), factorize(n)
+    base, w0, factors = pair_weights(fm, fn)
+    got_base, got_w0, terms = circles._pair_terms(fm, dict(fn), math.gcd(m, n), reach)
+    assert (got_base, got_w0) == (base, w0)
+    assert sorted(terms) == sorted(_squarefree_divisors(factors, reach))
 
 
 def test_closed_form_kernel_exhaustive():

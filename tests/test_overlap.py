@@ -17,6 +17,7 @@ import reference_overlap
 from reference_arith import iv_floored_log_bounds
 from reference_overlap import integration_window, threshold_class
 
+from dsextra import arith
 from dsextra.arith import (
     MIN_PRECISION,
     Approx,
@@ -349,3 +350,18 @@ def test_averaging_reference_matches_interval_context(n, top, precision):
     assert averaging_reference(n, top, precision) == Approx.from_bounds(
         lk_lo * lln_lo, lk_hi * lln_hi
     )
+
+
+def test_averaging_reference_logs_only_what_it_reads(monkeypatch):
+    # two ln calls for ln 30 and four for ln 14 and ln ln 14 (ln 14 > 5/2);
+    # ln ln 30, which the product does not read, takes none
+    calls = []
+    f = arith.mpf_log
+
+    def counted(*args):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(arith, "mpf_log", counted)
+    averaging_reference(14, 30)
+    assert len(calls) == 6

@@ -135,8 +135,11 @@ def count_calls(monkeypatch, name):
 def test_select_scale_expands_overlapping_columns_only(monkeypatch):
     # base-2 block h = 2 at K = 8, the pairs with n < 64: the kernel sums
     # exactly the (pair, k) cells whose arcs can meet, (δ + Δ)·lcm(m, n) >= 1
-    # with δ = psi(m)/(ê_k·m) and Δ = psi(n)/(ê_k·n), counted here in Fractions
-    calls = count_calls(monkeypatch, "_overlap_sum")
+    # with δ = psi(m)/(ê_k·m) and Δ = psi(n)/(ê_k·n), counted here in
+    # Fractions.  Column 0 is summed inline after one _pair_terms call, and
+    # each later column by one _overlap_sum call
+    expansions = count_calls(monkeypatch, "_pair_terms")
+    sums = count_calls(monkeypatch, "_overlap_sum")
     psi = normalize_psi(make_psi("half", 255))
     pairs = [(m, n) for m in range(16, 64) for n in range(m + 1, 64)]
     report = select_scale(2, psi, 3, pairs, base=2)
@@ -146,11 +149,16 @@ def test_select_scale_expands_overlapping_columns_only(monkeypatch):
         (psi.value(m) / m + psi.value(n) / n) / e * math.lcm(m, n) >= 1
         for m, n in pairs for e in scales
     )
-    assert 0 < len(calls) == overlapping < 8 * len(pairs)
+    first = sum(
+        (psi.value(m) / m + psi.value(n) / n) / scales[0] * math.lcm(m, n) >= 1
+        for m, n in pairs
+    )
+    assert 0 < len(expansions) == first < len(pairs)
+    assert len(expansions) + len(sums) == overlapping < 8 * len(pairs)
 
     # a pair whose widest column is disjoint expands no divisors, with
     # narrowing, equal or zero-tailed columns; an overlapping one does
-    expansions = count_calls(monkeypatch, "_squarefree_divisors")
+    expansions.clear()
     tiny = (F(1, 10 ** 6), F(1, 10 ** 7))
     target = circles.arc_event(5, tiny)
     events = [
