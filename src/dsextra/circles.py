@@ -7,10 +7,10 @@ radii, refuses a column wider than the one before it, factorizes m and
 stores each radius as integers, once per event, and callers hold the
 event for every row it joins.  Per pair, the kernel turns the two prime
 factorizations into its inclusion-exclusion terms in one pass
-(_pair_terms) and sums them per column (_overlap_sum).  The arc sets
-(CircleIntervalSet: sorted, merged integer endpoints over one gcd-reduced
-denominator) and intersect, intersection_measure and
-midpoint_grid_measure are the tests' independent reference routes.
+(_pair_terms), and one walk over the columns sums them, one column at a
+time.  The arc sets (CircleIntervalSet: sorted, merged integer endpoints
+over one gcd-reduced denominator) and intersect, intersection_measure
+and midpoint_grid_measure are the tests' independent reference routes.
 """
 
 from __future__ import annotations
@@ -244,36 +244,6 @@ def _pair_terms(
     return base, w0, terms
 
 
-def _overlap_sum(
-    a: int, b: int, q: int, w0: int, reach: int,
-    terms: Iterable[tuple[int, int]],
-) -> int:
-    """measure(E_m ∩ E_n)·q·P/(2·base), half-widths δ·P = a/q <= Δ·P = b/q.
-
-    Two arcs whose centres are j/P apart overlap in
-    L(j) = max(0, min(2δ, Δ + δ - |j|/P)); the sum of w(j) * L(j) over j is,
-    per term (D, c_D) of the weights, an arithmetic series with
-    q1 = floor((Δ - δ)P/D) <= q2 = floor((Δ + δ)P/D) terms.  reach is
-    floor((Δ + δ)P) = floor((a + b)/q): a term with D > reach has
-    q2 = q1 = 0 and adds exactly 0, and the loop stops at the first one, so
-    the terms come sorted by D, or all within reach.  The loop adds up
-    small integers only: c_D·q1, c_D·q2 and c_D·D·(q2(q2 + 1) - q1(q1 + 1)),
-    the last always even; a, b and q multiply the three sums once.
-    """
-    low = (b - a) // q
-    s1 = s2 = s3 = 0
-    for d, c in terms:
-        if d > reach:
-            break
-        q1 = low // d
-        q2 = reach // d
-        s1 += c * q1
-        s2 += c * q2
-        s3 += c * d * (q2 * (q2 + 1) - q1 * (q1 + 1))
-    # half the j = 0 term, then the j > 0 terms, which the j < 0 terms mirror
-    return a * w0 + (a + b) * s2 - (b - a) * s1 - q * (s3 // 2)
-
-
 def coprime_intersection_sums(
     target: ArcEvent, events: Sequence[ArcEvent]
 ) -> list[Fraction]:
@@ -295,22 +265,34 @@ def coprime_intersection_sums(
     do not meet when the reach is 0, and w(0) = 0 unless m = n.  No column
     of an event is wider than the one before it (arc_event), so every
     column after a dead one is dead too, and the pair's first dead column
-    ends its walk.  At column 0, the widest reach, one pass over the
+    ends its walk; a pair with a zero radius at column 0 stops before its
+    gcd is taken.  At column 0, the widest reach, one pass over the
     primes of m against the target's prime exponents (a dict built once
     per call) gives the pair's weights already expanded over the
-    squarefree D up to that reach (_pair_terms), and column 0 sums them
-    inline.  They are sorted by D when a second column is live, and each
-    later live column sums them up to its own reach (_overlap_sum).  Each
-    live column gives an integer over q·P; scaled to q·L,
-    L = lcm(n, every m) (common), it joins the column's sum over the lcm
-    of its q, which takes no gcd while the q agree, as in every column of
-    select_scale.  Cost: O(2^omega(r*t)) integer operations per pair and
-    live column, whatever m, n and the radii.  The sum runs over all
-    integers j, not over j mod P: it intersects the two systems lifted to
-    the real line, so arcs that meet on both sides of the circle count
-    once at j and once at j - P.  That is exact whenever each system's
-    arcs are disjoint, which holds for every radius in [0, 1/2], the
-    domain of arc_event.
+    squarefree D up to that reach (_pair_terms); they are sorted by D
+    when a second column is live.
+
+    Every live column then sums the same way, with h_m·P = a/q <=
+    h_n·P = b/q after a swap.  Two arcs whose centres are j/P apart
+    overlap in L(j) = max(0, min(2a, a + b - q|j|))/(q·P); the sum of
+    w(j)·L(j) over j is, per term (D, c_D) of the weights, an arithmetic
+    series with q1 = floor((b - a)/(qD)) <= q2 = floor((a + b)/(qD))
+    terms.  reach is floor((a + b)/q): a term with D > reach has
+    q2 = q1 = 0 and adds exactly 0, and the sum stops at the first one.
+    That is exact on later columns because the terms are sorted, and on
+    column 0 unsorted because _pair_terms returns only D <= reach, except
+    D = 1 at reach 0, which adds 0.  The sum adds up small integers only:
+    c_D·q1, c_D·q2 and c_D·D·(q2(q2 + 1) - q1(q1 + 1)), the last always
+    even; a, b and q multiply the three sums once.  So each live column
+    gives an integer over q·P; scaled to q·L, L = lcm(n, every m)
+    (common), it joins the column's sum over the lcm of its q, which takes
+    no gcd while the q agree, as in every column of select_scale.  Cost:
+    O(2^omega(r*t)) integer operations per pair and live column, whatever
+    m, n and the radii.  The sum runs over all integers j, not over
+    j mod P: it intersects the two systems lifted to the real line, so
+    arcs that meet on both sides of the circle count once at j and once
+    at j - P.  That is exact whenever each system's arcs are disjoint,
+    which holds for every radius in [0, 1/2], the domain of arc_event.
     """
     radii_n = target.radii
     n = target.m
@@ -325,49 +307,16 @@ def coprime_intersection_sums(
     primes_n = dict(target.factors)     # read by every pair's _pair_terms
     common = math.lcm(n, *(e.m for e in events))    # L: each P divides it
     nums, dens = [0] * columns, [1] * columns   # column i: 2*num/(den*common)
-    x_n, d_n = radii_n[0]
+    x_n = radii_n[0][0]
     for event in events:
         m = event.m
         radii_m = event.radii
-        x_m, d_m = radii_m[0]
-        if not (x_m and x_n):
+        if not (radii_m[0][0] and x_n):
             continue
         g = math.gcd(m, n)
         co_m, co_n = n // g, m // g     # the cofactors n/g and m/g
-        q, a, b = d_m, x_m * co_m, x_n * co_n
-        if d_m != d_n:
-            q = math.lcm(d_m, d_n)
-            a, b = a * (q // d_m), b * (q // d_n)
-        if a > b:
-            a, b = b, a
-        reach = (a + b) // q
-        if not (reach or m == n):
-            continue
-        base, w0, terms = _pair_terms(event.factors, primes_n, g, reach)
-        base *= common // (m * co_m)
-        # column 0: _overlap_sum inline, every term within its reach
-        low = (b - a) // q
-        s1 = s2 = s3 = 0
-        for d, c in terms:
-            q1 = low // d
-            q2 = reach // d
-            s1 += c * q1
-            s2 += c * q2
-            s3 += c * d * (q2 * (q2 + 1) - q1 * (q1 + 1))
-        acc = a * w0 + (a + b) * s2 - (b - a) * s1 - q * (s3 // 2)
         i = 0
-        while True:
-            if acc:
-                # add base*acc/q over dens[i], the lcm of the column's q
-                if dens[i] != q:
-                    den = math.lcm(dens[i], q)
-                    nums[i] *= den // dens[i]
-                    dens[i] = den
-                    acc *= den // q
-                nums[i] += base * acc
-            i += 1
-            if i == columns:
-                break
+        while i < columns:
             (x_m, d_m), (x_i, d_i) = radii_m[i], radii_n[i]
             if not (x_m and x_i):
                 break
@@ -380,9 +329,33 @@ def coprime_intersection_sums(
             reach = (a + b) // q
             if not (reach or m == n):
                 break
-            if i == 1:
+            if not i:
+                base, w0, terms = _pair_terms(event.factors, primes_n, g, reach)
+                base *= common // (m * co_m)
+            elif i == 1:
                 terms.sort()
-            acc = _overlap_sum(a, b, q, w0, reach, terms)
+            low = (b - a) // q
+            s1 = s2 = s3 = 0
+            for d, c in terms:
+                if d > reach:
+                    break
+                q1 = low // d
+                q2 = reach // d
+                s1 += c * q1
+                s2 += c * q2
+                s3 += c * d * (q2 * (q2 + 1) - q1 * (q1 + 1))
+            # half the j = 0 term, then the j > 0 terms, which the j < 0
+            # terms mirror
+            acc = a * w0 + (a + b) * s2 - (b - a) * s1 - q * (s3 // 2)
+            if acc:
+                # add base*acc/q over dens[i], the lcm of the column's q
+                if dens[i] != q:
+                    den = math.lcm(dens[i], q)
+                    nums[i] *= den // dens[i]
+                    dens[i] = den
+                    acc *= den // q
+                nums[i] += base * acc
+            i += 1
     return [Fraction(2 * num, den * common) for num, den in zip(nums, dens)]
 
 

@@ -128,6 +128,8 @@ def select_scale(
     """
     lo, hi = block_bounds(h, base)
     epsilon = Fraction(epsilon)
+    rows: dict[int, list[int]] = {}     # n: the m of its pairs
+    distinct: set[int] = set()
     for m, n in pairs:
         if m == n:
             raise DomainError("block pairs must be distinct")
@@ -135,27 +137,31 @@ def select_scale(
             raise DomainError(
                 f"pair ({m}, {n}) outside block [{lo}, {hi})"
             )
+        rows.setdefault(n, []).append(m)
+        distinct.update((m, n))
     top = scale_count(h, epsilon, precision)
     scales = [exp_rational(k) for k in range(1, top + 1)]
-    radius = {x: psi.value(x) for x in {y for pair in pairs for y in pair}}
+    radius = {x: psi.value(x) for x in distinct}
     mu = {x: coprime_measure(x, v) for x, v in radius.items()}
 
-    # S2 as one integer sum over the lcm of the measures' denominators
+    # S2 as one integer sum over the lcm of the measures' denominators,
+    # one product num[n]·Σ num[m] per row
     den = math.lcm(*(v.denominator for v in mu.values()))
     num = {x: v.numerator * (den // v.denominator) for x, v in mu.items()}
-    s2 = Fraction(sum(num[m] * num[n] for m, n in pairs), den * den)
+    s2 = Fraction(
+        sum(num[n] * sum(num[m] for m in ms) for n, ms in rows.items()),
+        den * den,
+    )
     # one event per distinct n, with the K scaled radii as its columns,
     # and one kernel call per n over the events of its pairs
     events = {x: arc_event(x, [v / e for e in scales]) for x, v in radius.items()}
-    rows: dict[int, list] = {}
-    for m, n in pairs:
-        rows.setdefault(n, []).append(events[m])
     s1 = [Fraction(0)] * top
-    for n, row in rows.items():
+    for n, ms in rows.items():
+        row = [events[m] for m in ms]
         for i, x in enumerate(coprime_intersection_sums(events[n], row)):
             s1[i] += x
     sums = [(k, acc * e * e, s2) for k, (acc, e) in enumerate(zip(s1, scales), 1)]
-    if not pairs or s2 == 0:
+    if s2 == 0:
         chosen = 1
     else:
         chosen = min(sums, key=lambda row: (row[1], row[0]))[0]

@@ -328,6 +328,10 @@ def test_row_kernel_domain():
         row(3, (F(1, 4),), [(2, (F(-1, 4),))])
     with pytest.raises(DomainError, match=r"^event 2 has 1 radii for 2 columns$"):
         row(3, (F(1, 4), F(1, 8)), [(2, (F(1, 4),))])     # one radius short
+    # a target with no column refuses an event with a radius before any
+    # pair is walked
+    with pytest.raises(DomainError, match=r"^event 1 has 1 radii for 0 columns$"):
+        row(7, (), [(1, (F(1, 2),))])
     # a one-column target refuses a two-radius event as a two-column target
     # refuses a one-radius event, zero target radius or not
     for rads_n in ((F(1, 4),), (0,)):

@@ -119,27 +119,35 @@ def test_select_scale_validates_each_radius_once(radius_checks):
     assert 0 < len(radius_checks) <= 12 * top + 12
 
 
-def count_calls(monkeypatch, name):
-    # the argument tuples of every call to circles.<name> during the test
-    calls = []
-    fn = getattr(circles, name)
+def count_term_passes(monkeypatch):
+    # wraps circles._pair_terms: the argument tuples of its calls, and a
+    # one-item list counting the passes over the terms it returned.  The
+    # kernel iterates a pair's terms once per live column; list.sort does
+    # not call __iter__
+    calls, passes = [], [0]
+    fn = circles._pair_terms
+
+    class Terms(list):
+        def __iter__(self):
+            passes[0] += 1
+            return super().__iter__()
 
     def counted(*args):
         calls.append(args)
-        return fn(*args)
+        base, w0, terms = fn(*args)
+        return base, w0, Terms(terms)
 
-    monkeypatch.setattr(circles, name, counted)
-    return calls
+    monkeypatch.setattr(circles, "_pair_terms", counted)
+    return calls, passes
 
 
 def test_select_scale_expands_overlapping_columns_only(monkeypatch):
     # base-2 block h = 2 at K = 8, the pairs with n < 64: the kernel sums
     # exactly the (pair, k) cells whose arcs can meet, (δ + Δ)·lcm(m, n) >= 1
     # with δ = psi(m)/(ê_k·m) and Δ = psi(n)/(ê_k·n), counted here in
-    # Fractions.  Column 0 is summed inline after one _pair_terms call, and
-    # each later column by one _overlap_sum call
-    expansions = count_calls(monkeypatch, "_pair_terms")
-    sums = count_calls(monkeypatch, "_overlap_sum")
+    # Fractions.  A pair live at k = 1 makes one _pair_terms call, and each
+    # live column makes one pass over its terms
+    expansions, passes = count_term_passes(monkeypatch)
     psi = normalize_psi(make_psi("half", 255))
     pairs = [(m, n) for m in range(16, 64) for n in range(m + 1, 64)]
     report = select_scale(2, psi, 3, pairs, base=2)
@@ -154,7 +162,7 @@ def test_select_scale_expands_overlapping_columns_only(monkeypatch):
         for m, n in pairs
     )
     assert 0 < len(expansions) == first < len(pairs)
-    assert len(expansions) + len(sums) == overlapping < 8 * len(pairs)
+    assert passes == [overlapping] and overlapping < 8 * len(pairs)
 
     # a pair whose widest column is disjoint expands no divisors, with
     # narrowing, equal or zero-tailed columns; an overlapping one does
