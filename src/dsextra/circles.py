@@ -5,9 +5,11 @@ closed-form overlap kernel (coprime_intersection_sums), which build no
 arcs.  The kernel reads prepared events: arc_event validates m and its
 radii, refuses a column wider than the one before it, factorizes m and
 stores each radius as integers, once per event, and callers hold the
-event for every row it joins.  Per pair, the kernel turns the two prime
-factorizations into its inclusion-exclusion terms in one pass
-(_pair_terms), and one walk over the columns sums them, one column at a
+event for every row it joins.  Per pair, one pass over the prime
+factorization of m against the target's expands the pair's weights over
+m's own primes (_own_terms); the target's primes are then either expanded
+too (_pair_terms) or looked up in prefix tables built once per row
+(_prefix_tables), and one walk over the columns sums them, one column at a
 time.  The arc sets (CircleIntervalSet: sorted, merged integer endpoints
 over one gcd-reduced denominator) and intersect, intersection_measure
 and midpoint_grid_measure are the tests' independent reference routes.
@@ -19,6 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Sequence
 
 from .arith import RationalLike, factorize, totient
@@ -192,11 +196,11 @@ def arc_event(m: int, rads: Sequence[RationalLike]) -> ArcEvent:
     return ArcEvent(m, factorize(m), radii)
 
 
-def _pair_terms(
-    fm: tuple[tuple[int, int], ...], primes_n: dict[int, int], g: int, reach: int
-) -> tuple[int, int, list[tuple[int, int]]]:
-    """(base, w(0)/base, terms) for m = Π p^a over fm and n = Π p^b over
-    primes_n, with g = gcd(m, n): the pair's weights, expanded up to reach.
+def _own_terms(
+    fm: tuple[tuple[int, int], ...], primes_n: dict[int, int], reach: int
+) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """(base, w(0)/base, key, terms) for m = Π p^a over fm against the
+    target n = Π p^b over primes_n, up to reach.
 
     The exponent split of m, n: r collects the primes with equal exponents;
     for the others s takes the smaller and t the larger power.  So
@@ -204,44 +208,85 @@ def _pair_terms(
     centres a/m and b/n of two arcs differ by j/P mod 1, and the number of
     pairs of units a mod m, b mod n at offset j is w(j) = base *
     [gcd(j, t) = 1] * prod over p | r of (p - 2 + [p | j]), base =
-    phi(s) * r / rad(r).  One walk over the primes of m, then over those of
-    n prime to m (p ∤ g), builds base, w(0)/base and the expansion of
-    w(j)/base as sum of c_D * [D | j] over the squarefree D <= reach with
-    c_D != 0, in no particular order: a prime p | t contributes the
-    factor (1 - [p | j]) and a prime p | r the factor (p - 2 + [p | j]),
-    which is [2 | j] at p = 2, so no odd D is kept when 2 | r.
+    phi(s) * r / rad(r).  key is the product of R, the primes of r, and
+    terms expand the factors (1 - [p | j]) of m's own primes, p | m with
+    p ∤ n, as sum of μ(d)·[d | j] over the squarefree d | rad(m′) with
+    d <= reach, m′ the part of m prime to n, in no particular order.  The
+    rest of w(j)/base, Φ_R(j), reads only the primes of n.
     """
-    base = w0 = 1
+    base = w0 = key = 1
     terms = [(1, 1)]
     for p, a in fm:
         b = primes_n.get(p, 0)
-        top = reach // p
         if a == b:              # p | r
+            key *= p
+            w0 *= p - 1
             if a > 1:
                 base *= p ** (a - 1)
-            w0 *= p - 1
-            multiples = [(d * p, c) for d, c in terms if d <= top] if top else []
-            if p == 2:
-                terms = multiples
-                continue
-            if p > 3:
-                terms = [(d, c * (p - 2)) for d, c in terms]
-        else:                   # p | t, and p | s when both exponents are > 0
-            lo = a if a < b else b
-            if lo:
-                base *= (p - 1) * p ** (lo - 1)
-            w0 = 0
-            if not top:
-                continue
-            multiples = [(d * p, -c) for d, c in terms if d <= top]
-        terms += multiples
-    for p in primes_n:          # the primes of n alone: p | t
-        if g % p:
-            w0 = 0
+            continue
+        w0 = 0
+        if b:                   # p | s and p | t
+            base *= (p - 1) * p ** ((a if a < b else b) - 1)
+        else:                   # m's own prime: p | t
             top = reach // p
             if top:
                 terms += [(d * p, -c) for d, c in terms if d <= top]
-    return base, w0, terms
+    if len(fm) != len(primes_n):
+        w0 = 0                  # a prime of n alone: p | t
+    return base, w0, key, terms
+
+
+def _pair_terms(
+    terms: list[tuple[int, int]], primes_n: dict[int, int], key: int, reach: int
+) -> list[tuple[int, int]]:
+    """The expansion route: the own terms of _own_terms times Φ_R expanded
+    over the primes of n, so the pair's w(j)/base as sum of c_D·[D | j]
+    over the squarefree D | rad(m·n) with D <= reach and c_D != 0, in no
+    particular order; the list passed in may be extended in place.  A prime
+    p | n outside R contributes (1 - [p | j]), and one in R (p | key)
+    contributes (p - 2 + [p | j]), which is [2 | j] at p = 2, so no odd D
+    is kept when 2 | r.
+    """
+    for p in primes_n:
+        top = reach // p
+        if key % p:             # p | t
+            if top:
+                terms += [(d * p, -c) for d, c in terms if d <= top]
+            continue
+        multiples = [(d * p, c) for d, c in terms if d <= top] if top else []
+        if p == 2:
+            terms = multiples
+            continue
+        if p > 3:
+            terms = [(d, c * (p - 2)) for d, c in terms]
+        terms += multiples
+    return terms
+
+
+def _prefix_tables(
+    primes_n: dict[int, int], key: int, top: int
+) -> tuple[list[int], list[int]]:
+    """The table route: (T0, T1) with T0[y] = Σ Φ_R(i) and
+    T1[y] = Σ i·Φ_R(i) over 1 <= i <= y, for y = 0..top, R the primes of
+    key.  Φ_R(i) starts as the product of p - 2 over R's p > 3; each
+    multiple of such a p then trades p - 2 for p - 1, a multiple of 3 in R
+    doubles, an odd i is 0 when 2 is in R, and a multiple of a prime of n
+    outside R is 0.
+    """
+    start = 1
+    for p in primes_n:
+        if p > 3 and not key % p:
+            start *= p - 2
+    phi = [start] * (top + 1)
+    phi[0] = 0
+    for p in primes_n:
+        if key % p:
+            phi[p::p] = [0] * (top // p)
+        elif p == 2:
+            phi[1::2] = [0] * ((top + 1) // 2)
+        else:
+            phi[p::p] = [v // (p - 2) * (p - 1) for v in phi[p::p]]
+    return list(accumulate(phi)), list(accumulate(map(mul, phi, range(top + 1))))
 
 
 def coprime_intersection_sums(
@@ -266,33 +311,56 @@ def coprime_intersection_sums(
     of an event is wider than the one before it (arc_event), so every
     column after a dead one is dead too, and the pair's first dead column
     ends its walk; a pair with a zero radius at column 0 stops before its
-    gcd is taken.  At column 0, the widest reach, one pass over the
-    primes of m against the target's prime exponents (a dict built once
-    per call) gives the pair's weights already expanded over the
-    squarefree D up to that reach (_pair_terms); they are sorted by D
-    when a second column is live.
+    gcd is taken.  A first pass finds each pair's column 0, the widest
+    reach, and expands its weights over the squarefree d up to that reach
+    as far as m's own primes (_own_terms, against the target's prime
+    exponents in a dict built once per call); the walk continues from it.
 
     Every live column then sums the same way, with h_m·P = a/q <=
     h_n·P = b/q after a swap.  Two arcs whose centres are j/P apart
-    overlap in L(j) = max(0, min(2a, a + b - q|j|))/(q·P); the sum of
-    w(j)·L(j) over j is, per term (D, c_D) of the weights, an arithmetic
-    series with q1 = floor((b - a)/(qD)) <= q2 = floor((a + b)/(qD))
-    terms.  reach is floor((a + b)/q): a term with D > reach has
-    q2 = q1 = 0 and adds exactly 0, and the sum stops at the first one.
-    That is exact on later columns because the terms are sorted, and on
-    column 0 unsorted because _pair_terms returns only D <= reach, except
-    D = 1 at reach 0, which adds 0.  The sum adds up small integers only:
-    c_D·q1, c_D·q2 and c_D·D·(q2(q2 + 1) - q1(q1 + 1)), the last always
-    even; a, b and q multiply the three sums once.  So each live column
-    gives an integer over q·P; scaled to q·L, L = lcm(n, every m)
-    (common), it joins the column's sum over the lcm of its q, which takes
-    no gcd while the q agree, as in every column of select_scale.  Cost:
-    O(2^omega(r*t)) integer operations per pair and live column, whatever
-    m, n and the radii.  The sum runs over all integers j, not over
-    j mod P: it intersects the two systems lifted to the real line, so
-    arcs that meet on both sides of the circle count once at j and once
-    at j - P.  That is exact whenever each system's arcs are disjoint,
-    which holds for every radius in [0, 1/2], the domain of arc_event.
+    overlap in L(j) = max(0, min(2a, a + b - q|j|))/(q·P), so with
+    low = floor((b - a)/q) and reach = floor((a + b)/q) the column needs
+    s2 = Σ w(j)/base and s1 = the same sum over j <= low, and
+    s3/2 = Σ j·w(j)/base over low < j <= reach, all over j >= 1, as a, b
+    and q multiply them once.  Within a row, w(j)/base factors in two
+    (_own_terms): Π (1 - [p | j]) over m's own primes, p | m with p ∤ n,
+    times Φ_R(j), which reads only the primes of n and depends on m only
+    through R, the primes of n with the same exponent in m (the pair's
+    key is their product).  The first product is Σ μ(d)·[d | j] over the
+    squarefree d | rad(m′), m′ the part of m prime to n, and Φ_R(i·d) =
+    Φ_R(i) for each such d.  So there are two routes per key:
+    - the expansion route expands Φ_R as well (_pair_terms), into terms
+      (D, c_D) with D | rad(m·n); per term the sums are arithmetic series
+      with q1 = floor(low/D) <= q2 = floor(reach/D) terms, c_D·q1, c_D·q2
+      and c_D·D·(q2(q2 + 1) - q1(q1 + 1)), the last always even;
+    - the table route looks Φ_R up: with T0[y] = Σ Φ_R(i) and
+      T1[y] = Σ i·Φ_R(i) over 1 <= i <= y (_prefix_tables), s2 is the sum
+      of μ(d)·T0[reach // d] over the own terms, s1 that of
+      μ(d)·T0[low // d], and s3/2 that of μ(d)·d·(T1[reach // d] -
+      T1[low // d]).
+    In a row of two or more events, a key gets its tables, once per row,
+    up to the longest column-0 reach of its pairs, when that length is at
+    most the target-side terms they replace, Σ |own terms|·(2^omega(n) - 1)
+    over its pairs; its pairs take the expansion route otherwise.  A row
+    of one event, as every overlap_records call is, takes the expansion
+    route: its one pair has no other pair to share tables with.  The
+    choice depends on the row alone, and both routes give the same
+    integers.  A term with D > reach adds exactly 0 on either route, and
+    the sum stops at the first one.  That is exact on later columns
+    because the terms are sorted, and on column 0 unsorted because both
+    helpers return only D <= reach, except D = 1 at reach 0, which adds
+    0.  So each live column gives an integer over q·P; scaled to q·L,
+    L = lcm(n, every m) (common), it joins the column's sum over the lcm
+    of its q, which takes no gcd while the q agree, as in every column of
+    select_scale.  Cost per pair and live
+    column: O(2^omega(r*t)) integer operations on the expansion route, and
+    O(2^omega(m′)) table lookups on the table route, whatever m, n and
+    the radii, plus the tables' length once per row and key.  The sum
+    runs over all integers j, not over j mod P: it intersects the two
+    systems lifted to the real line, so arcs that meet on both sides of
+    the circle count once at j and once at j - P.  That is exact whenever
+    each system's arcs are disjoint, which holds for every radius in
+    [0, 1/2], the domain of arc_event.
     """
     radii_n = target.radii
     n = target.m
@@ -304,10 +372,14 @@ def coprime_intersection_sums(
             )
     if not columns:
         return []
-    primes_n = dict(target.factors)     # read by every pair's _pair_terms
+    primes_n = dict(target.factors)     # read by every pair's walk
     common = math.lcm(n, *(e.m for e in events))    # L: each P divides it
     nums, dens = [0] * columns, [1] * columns   # column i: 2*num/(den*common)
     x_n = radii_n[0][0]
+    # the first pass: each live pair's column 0 (q, a, b and reach) and its
+    # weights over m's own primes, grouped by key as [longest reach, number
+    # of own terms, pairs]; the walk below continues from column 0
+    groups: dict[int, list] = {}
     for event in events:
         m = event.m
         radii_m = event.radii
@@ -315,47 +387,91 @@ def coprime_intersection_sums(
             continue
         g = math.gcd(m, n)
         co_m, co_n = n // g, m // g     # the cofactors n/g and m/g
-        i = 0
-        while i < columns:
-            (x_m, d_m), (x_i, d_i) = radii_m[i], radii_n[i]
-            if not (x_m and x_i):
-                break
-            q, a, b = d_m, x_m * co_m, x_i * co_n
-            if d_m != d_i:
-                q = math.lcm(d_m, d_i)
-                a, b = a * (q // d_m), b * (q // d_i)
-            if a > b:
-                a, b = b, a
-            reach = (a + b) // q
-            if not (reach or m == n):
-                break
-            if not i:
-                base, w0, terms = _pair_terms(event.factors, primes_n, g, reach)
-                base *= common // (m * co_m)
-            elif i == 1:
-                terms.sort()
-            low = (b - a) // q
-            s1 = s2 = s3 = 0
-            for d, c in terms:
-                if d > reach:
+        (x_m, d_m), (x_i, d_i) = radii_m[0], radii_n[0]
+        q, a, b = d_m, x_m * co_m, x_i * co_n
+        if d_m != d_i:
+            q = math.lcm(d_m, d_i)
+            a, b = a * (q // d_m), b * (q // d_i)
+        if a > b:
+            a, b = b, a
+        reach = (a + b) // q
+        if not (reach or m == n):
+            continue
+        base, w0, key, own = _own_terms(event.factors, primes_n, reach)
+        pair = (event, co_m, co_n, base, w0, own, q, a, b, reach)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [reach, len(own), [pair]]
+        else:
+            if reach > group[0]:
+                group[0] = reach
+            group[1] += len(own)
+            group[2].append(pair)
+    # a key's tables replace the target's side of its pairs' expansions,
+    # up to |own terms|·(2^omega(n) - 1) terms, and are built when no
+    # longer; a row of one event takes the expansion route
+    sides = (1 << len(primes_n)) - 1
+    for key, (top, count, pairs) in groups.items():
+        table = len(events) > 1 and top <= count * sides
+        if table:
+            t0, t1 = _prefix_tables(primes_n, key, top)
+        for event, co_m, co_n, base, w0, terms, q, a, b, reach in pairs:
+            m = event.m
+            radii_m = event.radii
+            base *= common // (m * co_m)
+            if not table:
+                terms = _pair_terms(terms, primes_n, key, reach)
+            i = 0
+            while True:
+                low = (b - a) // q
+                s1 = s2 = s3 = 0
+                if table:
+                    for d, c in terms:
+                        if d > reach:
+                            break
+                        q1 = low // d
+                        q2 = reach // d
+                        s1 += c * t0[q1]
+                        s2 += c * t0[q2]
+                        s3 += c * d * (t1[q2] - t1[q1])
+                else:
+                    for d, c in terms:
+                        if d > reach:
+                            break
+                        q1 = low // d
+                        q2 = reach // d
+                        s1 += c * q1
+                        s2 += c * q2
+                        s3 += c * d * (q2 * (q2 + 1) - q1 * (q1 + 1))
+                    s3 //= 2
+                # half the j = 0 term, then the j > 0 terms, which the j < 0
+                # terms mirror
+                acc = a * w0 + (a + b) * s2 - (b - a) * s1 - q * s3
+                if acc:
+                    # add base*acc/q over dens[i], the lcm of the column's q
+                    if dens[i] != q:
+                        den = math.lcm(dens[i], q)
+                        nums[i] *= den // dens[i]
+                        dens[i] = den
+                        acc *= den // q
+                    nums[i] += base * acc
+                i += 1
+                if i == columns:
                     break
-                q1 = low // d
-                q2 = reach // d
-                s1 += c * q1
-                s2 += c * q2
-                s3 += c * d * (q2 * (q2 + 1) - q1 * (q1 + 1))
-            # half the j = 0 term, then the j > 0 terms, which the j < 0
-            # terms mirror
-            acc = a * w0 + (a + b) * s2 - (b - a) * s1 - q * (s3 // 2)
-            if acc:
-                # add base*acc/q over dens[i], the lcm of the column's q
-                if dens[i] != q:
-                    den = math.lcm(dens[i], q)
-                    nums[i] *= den // dens[i]
-                    dens[i] = den
-                    acc *= den // q
-                nums[i] += base * acc
-            i += 1
+                (x_m, d_m), (x_i, d_i) = radii_m[i], radii_n[i]
+                if not (x_m and x_i):
+                    break
+                q, a, b = d_m, x_m * co_m, x_i * co_n
+                if d_m != d_i:
+                    q = math.lcm(d_m, d_i)
+                    a, b = a * (q // d_m), b * (q // d_i)
+                if a > b:
+                    a, b = b, a
+                reach = (a + b) // q
+                if not (reach or m == n):
+                    break
+                if i == 1:
+                    terms.sort()
     return [Fraction(2 * num, den * common) for num, den in zip(nums, dens)]
 
 

@@ -81,7 +81,9 @@ def borel_cantelli_ratio(
     The second moment runs over ordered pairs (m, n) <= n_top with the
     diagonal contributing measure(E_n) itself.  Returns the final ratio
     and per-n partial rows (n, measure sum, second moment, ratio so far).
-    By Cauchy-Schwarz the ratio always lies in [0, 1].
+    By Cauchy-Schwarz the ratio always lies in [0, 1].  psi need not be
+    normalized: every radius in [0, 1/2] is taken as it is, and one
+    outside it raises DomainError (coprime_measure, arc_event).
 
     Each positive-measure E_n gets one arc_event, built here: it is row
     n's target and joins the events of every later row.  The rows'
@@ -91,8 +93,6 @@ def borel_cantelli_ratio(
     """
     if n_top < 1:
         raise DomainError("borel_cantelli_ratio requires N >= 1")
-    if not psi.normalized:
-        raise DomainError("borel_cantelli_ratio requires a normalized psi")
     measures = [coprime_measure(n, psi.value(n)) for n in range(1, n_top + 1)]
     events = [arc_event(n, (psi.value(n),)) for n, mu in enumerate(measures, 1) if mu]
     row_sums = iter(_ordered_map(partial(_bc_row_sums, events), range(len(events)), jobs))

@@ -120,11 +120,13 @@ def select_scale(
     no arc system is built.  The columns psi/ê_k narrow as k grows, as
     arc_event requires, so a pair's walk over k ends at its first k whose
     arcs cannot meet, (δ + Δ)·lcm(m, n) < 1.  A pair that overlaps at k = 1
-    has its weights expanded once, in the same pass over its prime
-    exponents that finds them; each overlapping k sums the expanded terms.
-    That is O(2^omega(mn)) integer operations per overlapping k whatever m
-    and n, and adds an integer over q·lcm(m, n) per k, q = lcm of the
-    radii's denominators.
+    has its weights expanded once over the primes of m prime to n; a row
+    of two or more pairs looks the primes of n up in prefix tables built
+    once per row where they pay, and expands them otherwise.  Each
+    overlapping k then costs O(2^omega(m′)) table lookups, m′ the part of
+    m prime to n, or O(2^omega(mn)) integer operations on the expansion,
+    whatever m and n, and adds an integer over q·lcm(m, n), q = lcm of
+    the radii's denominators.
     """
     lo, hi = block_bounds(h, base)
     epsilon = Fraction(epsilon)

@@ -1,10 +1,11 @@
 """Arc set canonical form, measures, and the four intersection routes."""
 
+import contextlib
 import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dsextra import circles
@@ -22,7 +23,7 @@ from dsextra.circles import (
     midpoint_grid_measure,
 )
 from dsextra.errors import DomainError
-from dsextra.psi import make_psi, normalize_psi
+from dsextra.psi import PsiFunction, make_psi, normalize_psi
 from reference_overlap import pair_weights
 from tests.conftest import validate_arcs
 
@@ -229,14 +230,21 @@ def test_closed_form_kernel_agrees(m, n, rm, rn, k):
 @example(30, 42, F(0))                  # reach 0
 @example(30, 42, F(1, 210))             # reach 1
 def test_pair_terms_match_reference_expansion(m, n, share):
-    # circles._pair_terms against the kernel's former two steps, the
-    # factor list of reference_overlap.pair_weights expanded by
-    # arith._squarefree_divisors, at a reach from 0 to lcm(m, n)
+    # the expansion route, circles._own_terms then circles._pair_terms,
+    # against the kernel's former two steps, the factor list of
+    # reference_overlap.pair_weights expanded by arith._squarefree_divisors,
+    # at a reach from 0 to lcm(m, n).  The own terms are the squarefree
+    # d | rad(m') up to reach with c_d = μ(d), m' the part of m prime to n,
+    # and key is the product of the primes with equal exponents in m and n
     reach = math.floor(share * math.lcm(m, n))
     fm, fn = factorize(m), factorize(n)
     base, w0, factors = pair_weights(fm, fn)
-    got_base, got_w0, terms = circles._pair_terms(fm, dict(fn), math.gcd(m, n), reach)
+    got_base, got_w0, key, own = circles._own_terms(fm, dict(fn), reach)
     assert (got_base, got_w0) == (base, w0)
+    own_primes = [(p, 1, -1) for p, _ in fm if n % p]
+    assert sorted(own) == sorted(_squarefree_divisors(own_primes, reach))
+    assert key == math.prod(p for p, a in fm if dict(fn).get(p) == a)
+    terms = circles._pair_terms(own, dict(fn), key, reach)
     assert sorted(terms) == sorted(_squarefree_divisors(factors, reach))
 
 
@@ -387,6 +395,96 @@ def test_columns_match_one_column_calls(n, cols, ms):
             F(0),
         )
         assert got[i] == one[0] == sweep
+
+
+@contextlib.contextmanager
+def table_builds():
+    # the keys circles._prefix_tables builds tables for, in call order
+    built, build = [], circles._prefix_tables
+
+    def counted(primes_n, key, top):
+        built.append(key)
+        return build(primes_n, key, top)
+
+    circles._prefix_tables = counted
+    try:
+        yield built
+    finally:
+        circles._prefix_tables = build
+
+
+def routes_agree(target, events):
+    # the row's columns, which tables serve where they pay, against the
+    # sum of its one-event calls, which all take the expansion route; the
+    # keys the row built tables for
+    with table_builds() as built:
+        got = coprime_intersection_sums(target, events)
+    with table_builds() as none:
+        ones = [coprime_intersection_sums(target, [e]) for e in events]
+    assert none == []
+    assert got == [sum(col, F(0)) for col in zip(*ones)]
+    return built
+
+
+# targets with 2, 3 and p >= 5 at exponents 1 and 2, so that a row of
+# consecutive m holds r-primes 2, 3 and p >= 5 at equal exponents
+SMOOTH = [2, 4, 6, 12, 30, 36, 60, 90, 150, 180, 210, 420, 450, 900, 1260]
+
+
+@st.composite
+def kernel_rows(draw):
+    # (n, its column radii, events): 1, n and a run of consecutive m, their
+    # columns from two radius profiles in turn, so that the radius
+    # denominators of one column differ; zero radii and zero tails included
+    n = draw(st.one_of(st.sampled_from(SMOOTH), st.integers(min_value=1, max_value=500)))
+    width = draw(st.integers(min_value=1, max_value=3))
+    profile = st.lists(scaled_radii, min_size=width, max_size=width).map(
+        lambda rads: tuple(sorted(rads, reverse=True))
+    )
+    rads_n, first, second = draw(profile), draw(profile), draw(profile)
+    lo = draw(st.integers(min_value=1, max_value=400))
+    size = draw(st.integers(min_value=2, max_value=40))
+    ms = [1, n, *range(lo, lo + size)]
+    return n, rads_n, [(m, second if i % 2 else first) for i, m in enumerate(ms)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_rows())
+@example((60, (F(1, 2), F(1, 7), 0), [
+    (m, (F(1, 2), F(1, 5), 0) if m % 2 else (F(2, 5), F(1, 9), 0)) for m in range(1, 61)
+]))                                     # m = 1 and m = n; r-primes 2, 3, 5
+@example((1, (F(1, 8),), [(m, (F(1, 8),)) for m in (1, 1, 2, 3)]))   # n = 1, reach 0
+@example((900, (F(1, 10 ** 4), F(1, 10 ** 5)), [
+    (m, (F(1, 10 ** 4), 0)) for m in (900, *range(1, 31))
+]))                                     # m = n at reach 0, and a zero tail
+def test_table_route_matches_expansion_route(row):
+    n, rads_n, events = row
+    built = routes_agree(arc_event(n, rads_n), [arc_event(m, rads) for m, rads in events])
+    event(f"tables built: {bool(built)}")
+
+
+def psi_on_multiples_of_30(n_max):
+    # psi = 1/8 on the multiples of 30 up to n_max, 0 elsewhere: families
+    # whose n share the primes 2, 3 and 5
+    return PsiFunction(
+        n_max, "table", base={n: F(1, 8) for n in range(30, n_max + 1, 30)}
+    )
+
+
+@pytest.mark.parametrize("spec, n_top", [
+    ("half", 200), ("recip", 200), ("primes:1/2", 200), ("thirty", 3000),
+])
+def test_bc_rows_match_expansion_route(spec, n_top):
+    # every Borel-Cantelli row n <= n_top, E_n against the positive-measure
+    # E_m before it, on both routes; tables are built in some rows
+    psi = normalize_psi(
+        psi_on_multiples_of_30(n_top) if spec == "thirty" else make_psi(spec, n_top)
+    )
+    events = [
+        arc_event(n, (psi.value(n),)) for n in range(1, n_top + 1) if psi.value(n)
+    ]
+    built = [routes_agree(events[i], events[:i]) for i in range(1, len(events))]
+    assert any(built)
 
 
 def test_arc_event_domain_and_integers():

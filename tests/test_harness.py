@@ -62,12 +62,18 @@ def test_bc_ratio_frozen_small(psi_half_300):
     ]
 
 
-@pytest.mark.parametrize("spec", ["half", "recip", "primes:1/4"])
+@pytest.mark.parametrize("spec", ["half", "recip", "primes:1/4", "below"])
 def test_bc_ratio_matches_direct_double_sum(spec):
     # half gives every pair equal radius denominators; recip's 1/m and 1/n
-    # differ, so the kernel's q = lcm(d_m, d_n) route is checked too
-    psi = normalize_psi(make_psi(spec, 300))
-    n_top = 12
+    # differ, so the kernel's q = lcm(d_m, d_n) route is checked too.
+    # below is un-normalized, psi(n) = 1/(n + 1) < 1/n for n >= 2, which
+    # normalization would drop, at N = 20
+    if spec == "below":
+        n_top = 20
+        psi = PsiFunction(n_top, "table", base={n: F(1, n + 1) for n in range(1, 21)})
+    else:
+        n_top = 12
+        psi = normalize_psi(make_psi(spec, 300))
     ratio, rows = borel_cantelli_ratio(psi, n_top)
     sets = [coprime_arcs(n, psi.value(n)) for n in range(1, n_top + 1)]
     num = sum(s.measure() for s in sets) ** 2
@@ -107,9 +113,14 @@ def test_bc_ratio_in_unit_interval(psi_recip_300):
     assert all(r is None or 0 < r <= 1 for _, _, _, r in rows)
 
 
-def test_bc_ratio_requires_normalized():
-    with pytest.raises(DomainError):
-        borel_cantelli_ratio(make_psi("half", 10), 5)
+def test_bc_ratio_refuses_radii_above_half():
+    # any psi whose radii arc_event takes, normalized or not: un-normalized
+    # half is already normalized, and a radius above 1/2 is refused
+    assert borel_cantelli_ratio(make_psi("half", 10), 5) == borel_cantelli_ratio(
+        normalize_psi(make_psi("half", 10)), 5
+    )
+    with pytest.raises(DomainError, match=r"^radius 3/4 outside \[0, 1/2\]$"):
+        borel_cantelli_ratio(PsiFunction(5, "table", base={3: F(3, 4)}), 5)
 
 
 def test_bc_ratio_undefined_when_all_zero():

@@ -120,24 +120,36 @@ def test_select_scale_validates_each_radius_once(radius_checks):
 
 
 def count_term_passes(monkeypatch):
-    # wraps circles._pair_terms: the argument tuples of its calls, and a
-    # one-item list counting the passes over the terms it returned.  The
-    # kernel iterates a pair's terms once per live column; list.sort does
-    # not call __iter__
-    calls, passes = [], [0]
-    fn = circles._pair_terms
+    # wraps circles._own_terms and circles._pair_terms: the argument tuples
+    # of the _own_terms calls, and the passes over the terms the kernel
+    # sums, by route.  A pair's own terms are summed against a prefix
+    # table ("table"), or expanded by _pair_terms and summed as they are
+    # ("expansion").  The kernel iterates a pair's terms once per live
+    # column; list.sort, len and slicing do not call __iter__, and
+    # _pair_terms reads a plain copy of the own terms
+    calls, passes = [], {"table": 0, "expansion": 0}
+    own_terms, pair_terms = circles._own_terms, circles._pair_terms
 
     class Terms(list):
+        route = "table"
+
         def __iter__(self):
-            passes[0] += 1
+            passes[self.route] += 1
             return super().__iter__()
 
-    def counted(*args):
-        calls.append(args)
-        base, w0, terms = fn(*args)
-        return base, w0, Terms(terms)
+    class Expanded(Terms):
+        route = "expansion"
 
-    monkeypatch.setattr(circles, "_pair_terms", counted)
+    def counted_own(*args):
+        calls.append(args)
+        *head, own = own_terms(*args)
+        return (*head, Terms(own))
+
+    def counted_pair(own, *args):
+        return Expanded(pair_terms(own[:], *args))
+
+    monkeypatch.setattr(circles, "_own_terms", counted_own)
+    monkeypatch.setattr(circles, "_pair_terms", counted_pair)
     return calls, passes
 
 
@@ -145,8 +157,9 @@ def test_select_scale_expands_overlapping_columns_only(monkeypatch):
     # base-2 block h = 2 at K = 8, the pairs with n < 64: the kernel sums
     # exactly the (pair, k) cells whose arcs can meet, (δ + Δ)·lcm(m, n) >= 1
     # with δ = psi(m)/(ê_k·m) and Δ = psi(n)/(ê_k·n), counted here in
-    # Fractions.  A pair live at k = 1 makes one _pair_terms call, and each
-    # live column makes one pass over its terms
+    # Fractions.  A pair live at k = 1 makes one _own_terms call, and each
+    # live column makes one pass over its terms, on either route; both
+    # routes run in this block
     expansions, passes = count_term_passes(monkeypatch)
     psi = normalize_psi(make_psi("half", 255))
     pairs = [(m, n) for m in range(16, 64) for n in range(m + 1, 64)]
@@ -162,7 +175,9 @@ def test_select_scale_expands_overlapping_columns_only(monkeypatch):
         for m, n in pairs
     )
     assert 0 < len(expansions) == first < len(pairs)
-    assert passes == [overlapping] and overlapping < 8 * len(pairs)
+    assert (first, overlapping) == (1092, 2929)
+    assert passes["table"] > 0 and passes["expansion"] > 0
+    assert passes["table"] + passes["expansion"] == overlapping < 8 * len(pairs)
 
     # a pair whose widest column is disjoint expands no divisors, with
     # narrowing, equal or zero-tailed columns; an overlapping one does
