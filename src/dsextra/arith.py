@@ -114,23 +114,26 @@ def totient(n: int) -> int:
 # Euler products and coprime sums
 
 def _squarefree_divisors(
-    factors: Iterable[tuple[int, int, int]], limit: int | None = None
+    factors: Iterable[tuple[int, int, int]],
+    limit: int,
+    terms: list[tuple[int, int]] | None = None,
 ) -> list[tuple[int, int]]:
-    """Expand Π (a + b·[p | j]) over (p, a, b) as Σ c_d·[d | j].
+    """Expand Π (a + b·[p | j]) over (p, a, b) as Σ c_d·[d | j], d <= limit.
 
-    The p are distinct primes; d runs over their squarefree products and
-    c_d = Π_{p | d} b · Π_{p ∤ d} a.  With (a, b) = (1, -1) for every p,
-    c_d = μ(d): the Möbius sum over the squarefree divisors of Π p.  With a
-    limit, only the d <= limit are expanded, and the terms are not even
-    scanned for a prime p > limit, of which no multiple fits.  No c_d is
-    0: a = 0 keeps only the multiples of p, a = 1 keeps the terms too;
-    d = 1 first if c_1 != 0.
+    The p are distinct primes; d runs over their squarefree products up to
+    limit and c_d = Π_{p | d} b · Π_{p ∤ d} a.  With (a, b) = (1, -1) for
+    every p, c_d = μ(d): the Möbius sum over the squarefree divisors of
+    Π p.  The terms are not even scanned for a prime p > limit, of which no
+    multiple fits.  No c_d is 0: a = 0 keeps only the multiples of p, a = 1
+    keeps the terms too.  A seed list of terms (d, c), d <= limit and prime
+    to every p, multiplies the product in place of [(1, 1)] and may be
+    extended in place; from [(1, 1)], d = 1 comes first if c_1 != 0.
     """
-    terms = [(1, 1)]
+    if terms is None:
+        terms = [(1, 1)]
     for p, a, b in factors:
-        multiples = [] if limit is not None and p > limit else [
-            (d * p, c * b) for d, c in terms if limit is None or d * p <= limit
-        ]
+        top = limit // p
+        multiples = [(d * p, c * b) for d, c in terms if d <= top] if top else []
         if a != 1:
             terms = [(d, c * a) for d, c in terms] if a else []
         terms += multiples

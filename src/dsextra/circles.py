@@ -7,12 +7,13 @@ radii, refuses a column wider than the one before it, factorizes m and
 stores each radius as integers, once per event, and callers hold the
 event for every row it joins.  Per pair, one pass over the prime
 factorization of m against the target's expands the pair's weights over
-m's own primes (_own_terms); the target's primes are then either expanded
-too (_pair_terms) or looked up in prefix tables built once per row
-(_prefix_tables), and one walk over the columns sums them, one column at a
-time.  The arc sets (CircleIntervalSet: sorted, merged integer endpoints
-over one gcd-reduced denominator) and intersect, intersection_measure
-and midpoint_grid_measure are the tests' independent reference routes.
+m's own primes (_own_terms); the rest, Φ_R over the target's primes, has
+one factor rule (_phi_factors), expanded too (arith._squarefree_divisors)
+or evaluated in prefix tables built once per row (_prefix_tables), and
+one walk over the columns sums them, one column at a time.  The arc sets
+(CircleIntervalSet: sorted, merged integer endpoints over one gcd-reduced
+denominator) and intersect, intersection_measure and
+midpoint_grid_measure are the tests' independent reference routes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable, Sequence
 
-from .arith import RationalLike, factorize, totient
+from .arith import RationalLike, _squarefree_divisors, factorize, totient
 from .errors import DomainError
 
 
@@ -212,7 +213,7 @@ def _own_terms(
     terms expand the factors (1 - [p | j]) of m's own primes, p | m with
     p ∤ n, as sum of μ(d)·[d | j] over the squarefree d | rad(m′) with
     d <= reach, m′ the part of m prime to n, in no particular order.  The
-    rest of w(j)/base, Φ_R(j), reads only the primes of n.
+    rest of w(j)/base, Φ_R(j), reads only the primes of n (_phi_factors).
     """
     base = w0 = key = 1
     terms = [(1, 1)]
@@ -228,6 +229,9 @@ def _own_terms(
         if b:                   # p | s and p | t
             base *= (p - 1) * p ** ((a if a < b else b) - 1)
         else:                   # m's own prime: p | t
+            # the engine's (p, 1, -1) step, fused: routing m's own primes
+            # through _squarefree_divisors measured +3.4 % wall on the
+            # block-exhaustive workload and +2.7 % on run-sweep-bc
             top = reach // p
             if top:
                 terms += [(d * p, -c) for d, c in terms if d <= top]
@@ -236,56 +240,37 @@ def _own_terms(
     return base, w0, key, terms
 
 
-def _pair_terms(
-    terms: list[tuple[int, int]], primes_n: dict[int, int], key: int, reach: int
-) -> list[tuple[int, int]]:
-    """The expansion route: the own terms of _own_terms times Φ_R expanded
-    over the primes of n, so the pair's w(j)/base as sum of c_D·[D | j]
-    over the squarefree D | rad(m·n) with D <= reach and c_D != 0, in no
-    particular order; the list passed in may be extended in place.  A prime
-    p | n outside R contributes (1 - [p | j]), and one in R (p | key)
-    contributes (p - 2 + [p | j]), which is [2 | j] at p = 2, so no odd D
-    is kept when 2 | r.
-    """
-    for p in primes_n:
-        top = reach // p
-        if key % p:             # p | t
-            if top:
-                terms += [(d * p, -c) for d, c in terms if d <= top]
-            continue
-        multiples = [(d * p, c) for d, c in terms if d <= top] if top else []
-        if p == 2:
-            terms = multiples
-            continue
-        if p > 3:
-            terms = [(d, c * (p - 2)) for d, c in terms]
-        terms += multiples
-    return terms
+def _phi_factors(primes_n: dict[int, int], key: int) -> list[tuple[int, int, int]]:
+    """Φ_R as the factors (p, a, b) of Π (a + b·[p | j]) over the primes p
+    of n, R the primes of key: (p, 1, -1) for p outside R and (p, p - 2, 1)
+    for p in R, which is [2 | j] at p = 2."""
+    return [(p, 1, -1) if key % p else (p, p - 2, 1) for p in primes_n]
 
 
 def _prefix_tables(
-    primes_n: dict[int, int], key: int, top: int
+    factors: list[tuple[int, int, int]], top: int
 ) -> tuple[list[int], list[int]]:
-    """The table route: (T0, T1) with T0[y] = Σ Φ_R(i) and
-    T1[y] = Σ i·Φ_R(i) over 1 <= i <= y, for y = 0..top, R the primes of
-    key.  Φ_R(i) starts as the product of p - 2 over R's p > 3; each
-    multiple of such a p then trades p - 2 for p - 1, a multiple of 3 in R
-    doubles, an odd i is 0 when 2 is in R, and a multiple of a prime of n
-    outside R is 0.
-    """
+    """The table route: (T0, T1) with T0[y] = Σ Φ(i) and T1[y] = Σ i·Φ(i)
+    over 1 <= i <= y, for y = 0..top, Φ(i) = Π (a + b·[p | i]) over the
+    factors (p, a, b) of _phi_factors, evaluated pointwise: Φ starts as the
+    product of the nonzero a; then a + b = 0 zeroes the multiples of p,
+    a = 0 keeps only the multiples (b is 1 there), and otherwise a multiple
+    trades a for a + b."""
     start = 1
-    for p in primes_n:
-        if p > 3 and not key % p:
-            start *= p - 2
+    for _, a, _ in factors:
+        if a:
+            start *= a
     phi = [start] * (top + 1)
     phi[0] = 0
-    for p in primes_n:
-        if key % p:
+    for p, a, b in factors:
+        up = a + b
+        if not up:
             phi[p::p] = [0] * (top // p)
-        elif p == 2:
-            phi[1::2] = [0] * ((top + 1) // 2)
+        elif a:
+            phi[p::p] = [v // a * up for v in phi[p::p]]
         else:
-            phi[p::p] = [v // (p - 2) * (p - 1) for v in phi[p::p]]
+            for i in range(1, p):
+                phi[i::p] = [0] * len(range(i, top + 1, p))
     return list(accumulate(phi)), list(accumulate(map(mul, phi, range(top + 1))))
 
 
@@ -328,11 +313,13 @@ def coprime_intersection_sums(
     through R, the primes of n with the same exponent in m (the pair's
     key is their product).  The first product is Σ μ(d)·[d | j] over the
     squarefree d | rad(m′), m′ the part of m prime to n, and Φ_R(i·d) =
-    Φ_R(i) for each such d.  So there are two routes per key:
-    - the expansion route expands Φ_R as well (_pair_terms), into terms
-      (D, c_D) with D | rad(m·n); per term the sums are arithmetic series
-      with q1 = floor(low/D) <= q2 = floor(reach/D) terms, c_D·q1, c_D·q2
-      and c_D·D·(q2(q2 + 1) - q1(q1 + 1)), the last always even;
+    Φ_R(i) for each such d.  Both routes read Φ_R from its factors
+    (_phi_factors), built once per key:
+    - the expansion route expands them with the own terms as the seed
+      (arith._squarefree_divisors), into terms (D, c_D) with
+      D | rad(m·n); per term the sums are arithmetic series with
+      q1 = floor(low/D) <= q2 = floor(reach/D) terms, c_D·q1, c_D·q2 and
+      c_D·D·(q2(q2 + 1) - q1(q1 + 1)), the last always even;
     - the table route looks Φ_R up: with T0[y] = Σ Φ_R(i) and
       T1[y] = Σ i·Φ_R(i) over 1 <= i <= y (_prefix_tables), s2 is the sum
       of μ(d)·T0[reach // d] over the own terms, s1 that of
@@ -347,20 +334,19 @@ def coprime_intersection_sums(
     choice depends on the row alone, and both routes give the same
     integers.  A term with D > reach adds exactly 0 on either route, and
     the sum stops at the first one.  That is exact on later columns
-    because the terms are sorted, and on column 0 unsorted because both
-    helpers return only D <= reach, except D = 1 at reach 0, which adds
-    0.  So each live column gives an integer over q·P; scaled to q·L,
-    L = lcm(n, every m) (common), it joins the column's sum over the lcm
-    of its q, which takes no gcd while the q agree, as in every column of
-    select_scale.  Cost per pair and live
-    column: O(2^omega(r*t)) integer operations on the expansion route, and
-    O(2^omega(m′)) table lookups on the table route, whatever m, n and
-    the radii, plus the tables' length once per row and key.  The sum
-    runs over all integers j, not over j mod P: it intersects the two
-    systems lifted to the real line, so arcs that meet on both sides of
-    the circle count once at j and once at j - P.  That is exact whenever
-    each system's arcs are disjoint, which holds for every radius in
-    [0, 1/2], the domain of arc_event.
+    because the terms are sorted, and on column 0 unsorted because no
+    term has D > reach there, except D = 1 at reach 0, which adds 0.  So
+    each live column gives an integer over q·P; scaled to q·L, L = lcm(n,
+    every m) (common), it joins the column's sum over the lcm of its q,
+    which takes no gcd while the q agree, as in every column of
+    select_scale.  Cost per pair and live column: O(2^omega(r*t)) integer
+    operations on the expansion route, and O(2^omega(m′)) table lookups
+    on the table route, whatever m, n and the radii, plus the tables'
+    length once per row and key.  The sum runs over all integers j, not
+    over j mod P: it intersects the two systems lifted to the real line,
+    so arcs that meet on both sides of the circle count once at j and once
+    at j - P.  That is exact whenever each system's arcs are disjoint,
+    which holds for every radius in [0, 1/2], the domain of arc_event.
     """
     radii_n = target.radii
     n = target.m
@@ -412,15 +398,16 @@ def coprime_intersection_sums(
     # longer; a row of one event takes the expansion route
     sides = (1 << len(primes_n)) - 1
     for key, (top, count, pairs) in groups.items():
+        factors = _phi_factors(primes_n, key)
         table = len(events) > 1 and top <= count * sides
         if table:
-            t0, t1 = _prefix_tables(primes_n, key, top)
+            t0, t1 = _prefix_tables(factors, top)
         for event, co_m, co_n, base, w0, terms, q, a, b, reach in pairs:
             m = event.m
             radii_m = event.radii
             base *= common // (m * co_m)
             if not table:
-                terms = _pair_terms(terms, primes_n, key, reach)
+                terms = _squarefree_divisors(factors, reach, terms)
             i = 0
             while True:
                 low = (b - a) // q

@@ -320,7 +320,9 @@ def _as_fraction(value, where: str) -> Fraction:
         raise ConfigError(f"{where}: expected an exact number as string, got {value!r}")
     try:
         return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except ZeroDivisionError:
+        raise ConfigError(f"{where}: zero denominator in {value!r}") from None
+    except (ValueError, TypeError) as e:
         raise ConfigError(f"{where}: {e}") from e
 
 

@@ -113,7 +113,9 @@ def make_psi(spec: str, n_max: int) -> PsiFunction:
     if kind == "primes":
         try:
             param = Fraction(arg)
-        except (ValueError, ZeroDivisionError) as e:
+        except ZeroDivisionError:
+            raise ConfigError(f"bad primes radius {arg!r}: zero denominator") from None
+        except ValueError as e:
             raise ConfigError(f"bad primes radius {arg!r}: {e}") from e
         if param < 0:
             raise ConfigError("primes radius must be >= 0")
@@ -138,7 +140,9 @@ def _load_table(path: str) -> dict[int, Fraction]:
         try:
             n = int(parts[0])
             v = Fraction(int(parts[1]), int(parts[2]))
-        except (ValueError, ZeroDivisionError) as e:
+        except ZeroDivisionError:
+            raise ConfigError(f"{path}:{lineno}: zero denominator in {line}") from None
+        except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: {e}") from e
         if n < 1:
             raise ConfigError(f"{path}:{lineno}: n must be >= 1")

@@ -85,7 +85,7 @@ def coprime_density(t: int, theta) -> F:
     b_max = math.floor(theta)
     count = sum(
         mu * (b_max // d)
-        for d, mu in _squarefree_divisors((p, 1, -1) for p, _ in factorize(t))
+        for d, mu in _squarefree_divisors(((p, 1, -1) for p, _ in factorize(t)), t)
     )
     return F(count) / theta
 
@@ -120,7 +120,7 @@ def coprime_harmonic(t: int, x) -> F:
     if b_max <= 0:
         return F(0)
     total = F(0)
-    for d, mu in _squarefree_divisors((p, 1, -1) for p, _ in factorize(t)):
+    for d, mu in _squarefree_divisors(((p, 1, -1) for p, _ in factorize(t)), t):
         q = b_max // d
         if q:
             total += F(mu, d) * _harmonic(q)

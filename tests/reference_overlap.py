@@ -15,8 +15,9 @@ kernel.
 
 pair_weights is the kernel's former per-pair step: the weights of a pair
 as a list of (p, a, b) factors, which arith._squarefree_divisors expands.
-It is the reference for circles._pair_terms, which expands them in the
-same pass that finds them.
+It finds every prime's factor from the exponents alone, and is the
+reference for the kernel's expansion route: circles._own_terms, then the
+engine over circles._phi_factors seeded with the own terms.
 """
 
 from fractions import Fraction as F

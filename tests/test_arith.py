@@ -198,33 +198,47 @@ def test_mertens_product_is_prime_product():
         st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]), st.booleans()),
         max_size=9, unique_by=lambda f: f[0],
     ),
-    st.one_of(st.none(), st.integers(min_value=1, max_value=400)),
+    st.integers(min_value=1, max_value=400),
+    st.one_of(st.none(), st.lists(
+        st.tuples(st.integers(1, 60), st.integers(-3, 3).filter(bool)),
+        max_size=5, unique_by=lambda t: t[0],
+    )),
 )
-@example([(2, True), (3, True), (5, False)], 12)
-def test_squarefree_divisors_match_subset_expansion(spec, limit):
-    # the kernel's factors (p - 2, 1) and the Möbius factors (1, -1), mixed:
-    # the same multiset of (d, c_d) as the nonzero terms of a naive sum over
-    # every subset of the primes, filtered by the limit; (2, 0, 1) zeroes
-    # every odd d, and no zero term is returned.  d = 1 comes first when
-    # its coefficient is nonzero
+@example([(2, True), (3, True), (5, False)], 12, None)
+@example([(2, True), (5, False), (7, True)], 400, [(1, 1), (3, -1), (33, 2)])
+def test_squarefree_divisors_match_subset_expansion(spec, limit, seed):
+    # the kernel's factors (p - 2, 1) and the Möbius factors (1, -1), mixed,
+    # from the default seed [(1, 1)] or a seed of terms (d, c) with d prime
+    # to every factor: the same multiset of (d, c_d) as the nonzero terms
+    # of a naive sum over every seed term and every subset of the primes,
+    # filtered by the limit, at the drawn limit and at one no d exceeds;
+    # (2, 0, 1) zeroes every odd d, and no zero term is returned.  d = 1
+    # comes first when its coefficient is nonzero
     factors = [(p, p - 2, 1) if r_side else (p, 1, -1) for p, r_side in spec]
-    naive = []
-    for chosen in range(1 << len(factors)):
-        d = c = 1
-        for bit, (p, a, b) in enumerate(factors):
-            if chosen >> bit & 1:
-                d *= p
-                c *= b
-            else:
-                c *= a
-        if (limit is None or d <= limit) and c:
-            naive.append((d, c))
-    got = _squarefree_divisors(iter(factors), limit)
-    assert sorted(got) == sorted(naive)
-    assert all(c for _, c in got)
-    c1 = math.prod(a for _, a, _ in factors)
-    if c1:
-        assert got[:1] == [(1, c1)]
+    rad = math.prod(p for p, _ in spec)
+    if seed is not None:
+        seed = [(d, c) for d, c in seed if math.gcd(d, rad) == 1]
+    start = [(1, 1)] if seed is None else seed
+    for lim in (limit, rad * max((d for d, _ in start), default=1)):
+        seeded = [(d, c) for d, c in start if d <= lim]
+        naive = []
+        for d0, c0 in seeded:
+            for chosen in range(1 << len(factors)):
+                d, c = d0, c0
+                for bit, (p, a, b) in enumerate(factors):
+                    if chosen >> bit & 1:
+                        d *= p
+                        c *= b
+                    else:
+                        c *= a
+                if d <= lim and c:
+                    naive.append((d, c))
+        got = _squarefree_divisors(iter(factors), lim, None if seed is None else seeded)
+        assert sorted(got) == sorted(naive)
+        assert all(c for _, c in got)
+        c1 = math.prod(a for _, a, _ in factors)
+        if seed is None and c1:
+            assert got[:1] == [(1, c1)]
 
 
 def test_restricted_prime_product_values():

@@ -3,6 +3,7 @@
 import contextlib
 import math
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -230,12 +231,13 @@ def test_closed_form_kernel_agrees(m, n, rm, rn, k):
 @example(30, 42, F(0))                  # reach 0
 @example(30, 42, F(1, 210))             # reach 1
 def test_pair_terms_match_reference_expansion(m, n, share):
-    # the expansion route, circles._own_terms then circles._pair_terms,
-    # against the kernel's former two steps, the factor list of
-    # reference_overlap.pair_weights expanded by arith._squarefree_divisors,
-    # at a reach from 0 to lcm(m, n).  The own terms are the squarefree
-    # d | rad(m') up to reach with c_d = μ(d), m' the part of m prime to n,
-    # and key is the product of the primes with equal exponents in m and n
+    # the expansion route, circles._own_terms then the engine
+    # arith._squarefree_divisors over circles._phi_factors seeded with the
+    # own terms, against the factor list of reference_overlap.pair_weights
+    # expanded by the same engine, at a reach from 0 to lcm(m, n).  The own
+    # terms are the squarefree d | rad(m') up to reach with c_d = μ(d), m'
+    # the part of m prime to n, and key is the product of the primes with
+    # equal exponents in m and n
     reach = math.floor(share * math.lcm(m, n))
     fm, fn = factorize(m), factorize(n)
     base, w0, factors = pair_weights(fm, fn)
@@ -244,7 +246,7 @@ def test_pair_terms_match_reference_expansion(m, n, share):
     own_primes = [(p, 1, -1) for p, _ in fm if n % p]
     assert sorted(own) == sorted(_squarefree_divisors(own_primes, reach))
     assert key == math.prod(p for p, a in fm if dict(fn).get(p) == a)
-    terms = circles._pair_terms(own, dict(fn), key, reach)
+    terms = _squarefree_divisors(circles._phi_factors(dict(fn), key), reach, own)
     assert sorted(terms) == sorted(_squarefree_divisors(factors, reach))
 
 
@@ -399,12 +401,13 @@ def test_columns_match_one_column_calls(n, cols, ms):
 
 @contextlib.contextmanager
 def table_builds():
-    # the keys circles._prefix_tables builds tables for, in call order
+    # the factor lists circles._prefix_tables builds tables for, in call
+    # order
     built, build = [], circles._prefix_tables
 
-    def counted(primes_n, key, top):
-        built.append(key)
-        return build(primes_n, key, top)
+    def counted(factors, top):
+        built.append(factors)
+        return build(factors, top)
 
     circles._prefix_tables = counted
     try:
@@ -461,6 +464,32 @@ def test_table_route_matches_expansion_route(row):
     n, rads_n, events = row
     built = routes_agree(arc_event(n, rads_n), [arc_event(m, rads) for m, rads in events])
     event(f"tables built: {bool(built)}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.sampled_from(SMOOTH), st.integers(min_value=1, max_value=2000)),
+    st.integers(min_value=0, max_value=600),
+)
+@example(1260, 600)                     # R up to {2, 3, 5, 7}
+@example(1, 0)
+@example(30, 1)
+def test_prefix_tables_match_engine_sieve(n, top):
+    # for every key ⊆ rad(n), the pointwise tables of circles._prefix_tables
+    # against the prefix sums of the additive sieve of the same factors
+    # expanded by arith._squarefree_divisors: Φ_R(i) = Σ c_D over D | i
+    primes_n = dict(factorize(n))
+    primes = list(primes_n)
+    for chosen in range(1 << len(primes)):
+        key = math.prod(p for bit, p in enumerate(primes) if chosen >> bit & 1)
+        factors = circles._phi_factors(primes_n, key)
+        phi = [0] * (top + 1)
+        for d, c in _squarefree_divisors(factors, top):
+            for i in range(d, top + 1, d):
+                phi[i] += c
+        t0 = list(accumulate(phi))
+        t1 = list(accumulate(i * v for i, v in enumerate(phi)))
+        assert circles._prefix_tables(factors, top) == (t0, t1), key
 
 
 def psi_on_multiples_of_30(n_max):

@@ -130,6 +130,30 @@ def test_exit_code_3_on_precision_guard(capsys):
     assert "precision guard" in err
 
 
+def test_zero_denominator_config_value_exits_2(capsys):
+    # harness._as_fraction reads the epsilons and table.hpv_c
+    code, _, err = run_cli(capsys, "block", "--h", "0", "--base", "2", "--eps", "1/0")
+    assert code == 2
+    assert "error: blocks.epsilon: zero denominator in '1/0'" in err
+    doc = {"psi": "half", "table": {"n_top": 10, "hpv_c": "3/0"}}
+    with pytest.raises(harness.ConfigError, match=r"^table\.hpv_c: zero denominator in '3/0'"):
+        harness.parse_config(doc)
+
+
+def test_zero_denominator_primes_radius_exits_2(capsys):
+    code, _, err = run_cli(capsys, "bc", "--psi", "primes:1/0", "--N", "3")
+    assert code == 2
+    assert "error: bad primes radius '1/0': zero denominator" in err
+
+
+def test_zero_denominator_psi_file_line_exits_2(capsys, tmp_path):
+    table = tmp_path / "psi.csv"
+    table.write_text("1,1,2\n5,1,0\n")
+    code, _, err = run_cli(capsys, "bc", "--psi", f"file:{table}", "--N", "6")
+    assert code == 2
+    assert f"error: {table}:2: zero denominator in 5,1,0" in err
+
+
 def test_exit_code_4_on_cap(capsys):
     code, _, err = run_cli(capsys, "bc", "--psi", "half", "--N", "501")
     assert code == 4

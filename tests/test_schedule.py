@@ -120,15 +120,16 @@ def test_select_scale_validates_each_radius_once(radius_checks):
 
 
 def count_term_passes(monkeypatch):
-    # wraps circles._own_terms and circles._pair_terms: the argument tuples
-    # of the _own_terms calls, and the passes over the terms the kernel
-    # sums, by route.  A pair's own terms are summed against a prefix
-    # table ("table"), or expanded by _pair_terms and summed as they are
-    # ("expansion").  The kernel iterates a pair's terms once per live
-    # column; list.sort, len and slicing do not call __iter__, and
-    # _pair_terms reads a plain copy of the own terms
+    # wraps circles._own_terms and the engine call of the expansion route,
+    # circles._squarefree_divisors: the argument tuples of the _own_terms
+    # calls, and the passes over the terms the kernel sums, by route.  A
+    # pair's own terms are summed against a prefix table ("table"), or
+    # expanded by the engine and summed as they are ("expansion").  The
+    # kernel iterates a pair's terms once per live column; list.sort, len
+    # and slicing do not call __iter__, and the engine reads a plain copy
+    # of the own terms
     calls, passes = [], {"table": 0, "expansion": 0}
-    own_terms, pair_terms = circles._own_terms, circles._pair_terms
+    own_terms, expand = circles._own_terms, circles._squarefree_divisors
 
     class Terms(list):
         route = "table"
@@ -145,11 +146,11 @@ def count_term_passes(monkeypatch):
         *head, own = own_terms(*args)
         return (*head, Terms(own))
 
-    def counted_pair(own, *args):
-        return Expanded(pair_terms(own[:], *args))
+    def counted_expand(factors, reach, own):
+        return Expanded(expand(factors, reach, own[:]))
 
     monkeypatch.setattr(circles, "_own_terms", counted_own)
-    monkeypatch.setattr(circles, "_pair_terms", counted_pair)
+    monkeypatch.setattr(circles, "_squarefree_divisors", counted_expand)
     return calls, passes
 
 
